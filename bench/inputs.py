@@ -105,8 +105,8 @@ def mesh(seed: int, n_agents: int, pair_share: float, dup_share: float, calibrat
 
 # Fixed make-up of one mesh-graph round: (agents, pair share, duplicate share, calibration).
 MESH_ROUND = [
-    (150, 1.0, 0.1, 1.0),
-    (200, 0.55, 0.3, 2.5),
+    (80, 1.0, 0.1, 1.0),
+    (200, 0.16, 0.3, 2.5),
 ]
 
 
@@ -127,7 +127,7 @@ class OrgGraph:
     expected_discharged: int
 
 
-def org_graph(seed: int, chain_depth: int = 400, ladder_depth: int = 16, community: int = 50) -> OrgGraph:
+def org_graph(seed: int, chain_depth: int = 300, ladder_depth: int = 16, community: int = 50) -> OrgGraph:
     """An organisation built from three parts plus a few specialists.
 
     - A conditional supply chain c0000..: each link offers 'part' to the
@@ -310,7 +310,7 @@ class CliOp:
 
 
 def small_graph(seed: int) -> OrgGraph:
-    """About ten agents: a 3-deep chain, a 2-deep ladder, a 3-member community."""
+    """23 agents: a 3-deep chain, a 2-deep ladder, a 3-member community, five outsiders, the cell."""
     return org_graph(seed, chain_depth=3, ladder_depth=2, community=3)
 
 

@@ -3,9 +3,9 @@
     python3 bench/report.py --seeds 1-10 --out bench/results/BENCH_label.json
     python3 bench/report.py --seeds 1-5 --workloads mesh-graph --traced 1
 
-For every workload, runs bench/run.py once per seed (run length from
-BENCHMARK.json unless --seconds is given), then --traced more runs with
-tracing on. The result file holds the commit and machine, each
+For every workload, runs bench/run.py once per seed, for the run length
+BENCHMARK.json fixes, then --traced more runs with tracing on. The
+result file holds the commit and machine, each
 workload's attempted and failed counts, and for every metric the median
 and quartiles over the runs, the spread (quartile distance over the
 median) next to the metric's bound, and the tracing overhead: how much
@@ -79,12 +79,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", default="1-10")
     ap.add_argument("--workloads", nargs="*")
-    ap.add_argument("--seconds", type=int)
     ap.add_argument("--traced", type=int, default=0, help="traced runs per workload, after the untraced ones")
     ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     report = {"commit": commit(), "machine": machine(), "run_seconds": seconds, "workloads": {}}

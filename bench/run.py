@@ -1,12 +1,13 @@
 """commscale benchmark: one workload, one seed, one run.
 
-    python3 bench/run.py --workload mesh-graph --seed 1 --seconds 15 --trace 0
+    python3 bench/run.py --workload mesh-graph --seed 1 --seconds 20 --trace 0
 
 Builds the workload's inputs from the seed, measures set-up time in
 fresh interpreters, runs operations from one closed-loop client in whole
 rounds, stopping at the round boundary nearest the run length, checks
 every output against the independent oracles in bench/oracles.py, and
-prints the metrics. The
+prints the metrics. Times are scaled to a fixed machine speed by a
+reference loop run before and after each operation (see scaled()). The
 last line of stdout is one JSON object with the keys correct, attempted,
 failed and metrics: the end-to-end metrics with --trace 0, the
 per-layer metrics of a traced run with --trace 1.
@@ -39,63 +40,35 @@ sys.path.insert(0, str(BENCH))
 import inputs  # noqa: E402
 import oracles  # noqa: E402
 import tracer as tracing  # noqa: E402
+from worker import REFERENCE_S, reference_s  # noqa: E402
 
-WORKLOADS = ["cli-session", "fit-study", "mesh-graph", "conditional-graph"]
-
-END_TO_END = {
-    "setup_s": "s",
-    "op_p50_s": "s",
-    "ops_per_s": "1/s",
-    "records_per_s": "1/s",
-    "peak_rss_mb": "MB",
-}
-
-# Per-layer metrics: self seconds per operation for spans, calls and
-# counters per operation, and import seconds per layer.
-SELF_TIMES = [
-    "cli.main",
-    "graphio.parse_graph",
-    "graphio.emit_graph",
-    "promisegraph.construct",
-    "promisegraph.find_bindings",
-    "promisegraph.total_value",
-    "promisegraph.largest_binding_component",
-    "promisegraph.reduce_conditionals",
-    "promisegraph.aggregate",
-    "promisegraph.classify_pattern",
-    "ensemble.generate",
-    "ensemble.model_value",
-    "meanfield.predicted_exponent",
-    "ensemble.fit_power_law",
-    "tabular.format_pairs",
-    "tabular.parse_pairs",
-    "uslkit.usl_fit",
-]
-CALLS = [
-    "promisegraph.construct",
-    "promisegraph.find_bindings",
-    "promisegraph.reduce_conditionals",
-    "promisegraph.community_members",
-]
-COUNTS = [
-    "graphio.records",
-    "promisegraph.bindings",
-    "promisegraph.discharged",
-    "ensemble.samples",
-    "uslkit.optimizer_starts",
-]
+# Per-layer metric names follow the span and counter names of
+# bench/tracer.py: "<layer>.import_s" is a layer's import time,
+# "<span>.calls" a call count, "<span>_s" a self time and any other name a
+# counter, all per operation. Where a metric's span is not named by the
+# rule, SPAN_OF names it.
+SPAN_OF = {"cli.main_self_s": "cli.main"}
 
 
-def per_layer_units() -> dict:
-    units = {f"{m}.import_s": "s" for m in tracing.LAYERS}
-    units["cli.main_self_s"] = "s"
-    units.update({f"{n}_s": "s" for n in SELF_TIMES if n != "cli.main"})
-    units.update({f"{n}.calls": "count" for n in CALLS})
-    units.update({n: "count" for n in COUNTS})
-    return units
+def load_spec() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-SETUP_PROBES = 3
+SETUP_PROBES = 5
+
+
+def scaled(seconds: float, k: int, refs: list) -> float:
+    """seconds of the k-th timed interval at the speed where reference_s() takes REFERENCE_S.
+
+    refs[k] and refs[k + 1] are the reference loops run just before and
+    just after the interval. On a shared 2-core virtual machine every
+    process was seen to change speed by up to 2x, in phases of seconds to
+    minutes, and an operation's time followed the reference loops next to
+    it (correlation 0.7-0.9). Scaling by them removes most of that drift,
+    while a change in the program, which does not run in the loop, shows
+    in full.
+    """
+    return seconds * 2 * REFERENCE_S / (refs[k] + refs[k + 1])
 
 
 def env() -> dict:
@@ -103,23 +76,24 @@ def env() -> dict:
 
 
 def measure_setup(trace: bool) -> tuple[float, dict]:
-    """Median wall time of fresh interpreters importing commscale.cli.
+    """Median wall time of fresh interpreters importing commscale.cli, scaled.
 
     With tracing, the interpreters run under -X importtime and the
     per-layer import seconds are medians over the probes.
     """
-    walls, imports = [], []
+    walls, imports, refs = [], [], [reference_s()]
     cmd = [sys.executable] + (["-X", "importtime"] if trace else []) + ["-c", "import commscale.cli"]
     for _ in range(SETUP_PROBES):
         t0 = perf_counter()
         proc = subprocess.run(cmd, env=env(), cwd=ROOT, capture_output=True, text=True)
         walls.append(perf_counter() - t0)
+        refs.append(reference_s())
         if proc.returncode != 0:
             raise SystemExit(f"error: importing commscale.cli failed:\n{proc.stderr[-2000:]}")
         if trace:
             imports.append(tracing.import_times(proc.stderr))
     layers = {m: statistics.median(t.get(m, 0.0) for t in imports) for m in tracing.LAYERS} if trace else {}
-    return statistics.median(walls), layers
+    return statistics.median(scaled(w, k, refs) for k, w in enumerate(walls)), layers
 
 
 # --------------------------------------------------------------------------
@@ -243,41 +217,42 @@ BUILDERS = {
 
 @dataclass
 class Outcome:
-    times: list  # seconds of each completed operation
+    times: list  # scaled seconds of each completed operation
     records: int  # input records of the completed operations
     attempted: int
     failed: int
     errors: list
     trace: dict | None
+    wall: float = 0.0  # scaled seconds of the run, reference loops left out
+    refs: list = field(default_factory=list)  # reference loop seconds
     rounds: int = 0
     correct: bool = True
     notes: list = field(default_factory=list)
 
 
-def run_inprocess(wl: Workload, work: Path, seconds: float, trace: bool) -> Outcome:
+def run_inprocess(wl: Workload, work: Path, seconds: float, spans: Path | None) -> Outcome:
     for name, text in wl.files.items():
         (work / name).write_text(text)
     ops = [{**op, "calls": [{**c, "stdin": str(work / c["stdin"])} if c.get("stdin") else c for c in op["calls"]]}
            for op in wl.ops]
-    spec = {"root": str(ROOT), "out_dir": str(work), "seconds": seconds, "trace": trace, "ops": ops, "post": wl.post}
+    spec = {"root": str(ROOT), "out_dir": str(work), "seconds": seconds, "spans": spans and str(spans), "ops": ops,
+            "post": wl.post}
     (work / "spec.json").write_text(json.dumps(spec))
     proc = subprocess.run([sys.executable, str(BENCH / "worker.py"), str(work / "spec.json"), str(work / "result.json")],
                           env=env(), cwd=ROOT, capture_output=True, text=True, timeout=170)
     if proc.returncode != 0:
         raise SystemExit(f"error: worker failed with exit {proc.returncode}:\n{proc.stderr[-3000:]}")
     res = json.loads((work / "result.json").read_text())
-    times = [t for ts in res["times"] for t in ts]
-    records = sum(wl.records[i] * len(ts) for i, ts in enumerate(res["times"]))
-    failed_probes = [p for p in res["probes"] if p["error"] is not None]
-    out = Outcome(
-        times=times,
-        records=records,
-        attempted=len(times) + len(res["failures"]) + len(res["probes"]),
-        failed=len(res["failures"]) + len(failed_probes),
-        errors=[f["error"] for f in res["failures"]] + sorted({p["error"] for p in failed_probes}),
-        trace=res["trace"],
-        rounds=res["rounds"],
-    )
+    refs = res["refs"]
+    out = Outcome(times=[], records=0, attempted=len(res["attempts"]), failed=0, errors=[], trace=res["trace"],
+                  wall=sum(scaled(s, k, refs) for k, s in enumerate(res["slots"])), refs=refs, rounds=res["rounds"])
+    for k, (i, seconds, error) in enumerate(res["attempts"]):
+        if error is not None:
+            out.failed += 1
+            out.errors.append(error)
+        elif not wl.ops[i].get("probe"):
+            out.times.append(scaled(seconds, k, refs))
+            out.records += wl.records[i]
     outputs = {}
     for i in range(len(wl.ops)):
         j = 0
@@ -343,20 +318,25 @@ def _cli_records(op, files: dict, inp: str | None) -> int:
     return 0
 
 
-def run_cli(seed: int, work: Path, seconds: float, trace: bool) -> Outcome:
+def run_cli(seed: int, work: Path, seconds: float, spans_path: Path | None) -> Outcome:
     ops, files = inputs.cli_round(seed)
     for name, text in files.items():
         (work / name).write_text(text)
     out = Outcome(times=[], records=0, attempted=0, failed=0, errors=[], trace=None)
+    trace = spans_path is not None
     summaries = []
     spans = tracing.Tracer()
-    first: dict = {}
+    first: dict = {}  # op index -> (digest, argv, stdout, input)
     mismatches = 0
+    done = []  # (attempt number, seconds) of each completed operation
+    slots = []  # seconds from one reference loop to the next
+    out.refs = [reference_s()]
     start = perf_counter()
     while True:
         round_start = perf_counter()
         prev_out = None
         for i, op in enumerate(ops):
+            slot_start = perf_counter()
             argv = _cli_argv(op, work, prev_out)
             inp = prev_out.read_text() if op.piped else None
             if trace:
@@ -373,26 +353,31 @@ def run_cli(seed: int, work: Path, seconds: float, trace: bool) -> Outcome:
             if proc.returncode != 0:
                 out.failed += 1
                 out.errors.append(f"{op.kind}: exit {proc.returncode}: {proc.stderr.strip()[-300:]}")
-                continue
-            out.times.append(elapsed)
-            out.records += _cli_records(op, files, inp)
-            if trace:
-                traced = json.loads(spans_file.read_text())
-                summaries.append(traced["summary"])
-                spans.extend(traced["spans"], (out.rounds, i))
-            digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
-            if i not in first:
-                first[i] = digest
-                _check(out, lambda: check_cli_op(op, argv, proc.stdout, inp))
-            elif first[i] != digest:
-                mismatches += 1
+            else:
+                done.append((len(slots), elapsed))
+                out.records += _cli_records(op, files, inp)
+                if trace:
+                    traced = json.loads(spans_file.read_text())
+                    summaries.append(traced["summary"])
+                    spans.extend(traced["spans"], (out.rounds, i))
+                digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+                if i not in first:
+                    first[i] = (digest, argv, proc.stdout, inp)
+                elif first[i][0] != digest:
+                    mismatches += 1
+            slots.append(perf_counter() - slot_start)
+            out.refs.append(reference_s())
         out.rounds += 1
         now = perf_counter()
         if now - start + (now - round_start) / 2 >= seconds:
             break
+    out.times = [scaled(t, k, out.refs) for k, t in done]
+    out.wall = sum(scaled(s, k, out.refs) for k, s in enumerate(slots))
+    for i, (_, argv, stdout, inp) in first.items():
+        _check(out, lambda: check_cli_op(ops[i], argv, stdout, inp))
     if trace:
         out.trace = tracing.merge(summaries)
-        spans.write(work / "spans.npz")
+        spans.write(spans_path)
     if mismatches:
         out.correct = False
         out.notes.append(f"{mismatches} repeated operations gave different output")
@@ -403,73 +388,89 @@ def run_cli(seed: int, work: Path, seconds: float, trace: bool) -> Outcome:
 # metrics and output
 
 
-def end_to_end(out: Outcome, setup_s: float) -> dict:
-    busy = sum(out.times)
+def _with_units(values: dict, metrics: list) -> dict:
+    units = {m["name"]: m["unit"] for m in metrics}
+    if set(values) != set(units):
+        raise SystemExit(f"error: measured metrics {sorted(values)} differ from BENCHMARK.json's {sorted(units)}")
+    return {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in metrics}
+
+
+def end_to_end(out: Outcome, setup_s: float, spec: dict) -> dict:
     values = {
         "setup_s": setup_s,
         "op_p50_s": statistics.median(out.times),
-        "ops_per_s": len(out.times) / busy,
-        "records_per_s": out.records / busy,
+        "ops_per_s": len(out.times) / out.wall,
+        "records_per_s": out.records / out.wall,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
     }
-    return {k: {"value": v, "unit": END_TO_END[k]} for k, v in values.items()}
+    return _with_units(values, spec["end_to_end"])
 
 
-def per_layer(out: Outcome, imports: dict) -> dict:
+def per_layer(out: Outcome, imports: dict, spec: dict) -> dict:
     tr = out.trace
     ops = max(tr["ops"], 1)
-    values = {f"{m}.import_s": imports[m] for m in tracing.LAYERS}
-    values["cli.main_self_s"] = tr["self_s"].get("cli.main", 0.0) / ops
-    values.update({f"{n}_s": tr["self_s"].get(n, 0.0) / ops for n in SELF_TIMES if n != "cli.main"})
     # The solver runs on uslkit's behalf: count its time in usl_fit.
-    values["uslkit.usl_fit_s"] += tr["self_s"].get("uslkit.least_squares", 0.0) / ops
-    values.update({f"{n}.calls": tr["calls"].get(n, 0) / ops for n in CALLS})
-    values.update({n: tr["counts"].get(n, 0) / ops for n in COUNTS})
-    units = per_layer_units()
-    return {k: {"value": v, "unit": units[k]} for k, v in values.items()}
+    self_s = dict(tr["self_s"])
+    self_s["uslkit.usl_fit"] = self_s.get("uslkit.usl_fit", 0.0) + self_s.get("uslkit.least_squares", 0.0)
+    values = {}
+    for m in spec["per_layer"]:
+        name = m["name"]
+        if name.endswith(".import_s"):
+            values[name] = imports[name.split(".")[0]]
+        elif name.endswith(".calls"):
+            values[name] = tr["calls"].get(name[: -len(".calls")], 0) / ops
+        elif name.endswith("_s"):
+            values[name] = self_s.get(SPAN_OF.get(name, name[: -len("_s")]), 0.0) / ops
+        else:
+            values[name] = tr["counts"].get(name, 0) / ops
+    return _with_units(values, spec["per_layer"])
 
 
 def main(argv=None) -> int:
+    spec = load_spec()
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", required=True, choices=WORKLOADS)
+    ap.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--keep", action="store_true", help="keep the work directory (inputs, outputs, spans)")
     args = ap.parse_args(argv)
     if not (ROOT / "src" / "commscale" / "__init__.py").is_file():
         print(f"error: no program to measure: {ROOT / 'src' / 'commscale'} is missing", file=sys.stderr)
         return 2
     work = BENCH / "_work" / f"{args.workload}-{args.seed}-{os.getpid()}"
     work.mkdir(parents=True)
+    # Spans of a traced run outlive its work directory.
+    spans = BENCH / "_work" / f"spans-{args.workload}-seed{args.seed}.npz"
     try:
         trace = bool(args.trace)
         setup_s, imports = measure_setup(trace)
         if args.workload == "cli-session":
-            out = run_cli(args.seed, work, args.seconds, trace)
+            out = run_cli(args.seed, work, args.seconds, spans if trace else None)
         else:
-            out = run_inprocess(BUILDERS[args.workload](args.seed), work, args.seconds, trace)
+            out = run_inprocess(BUILDERS[args.workload](args.seed), work, args.seconds, spans if trace else None)
     finally:
-        if not args.keep:
-            shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
     if not out.times:
         print(f"error: no operation completed: {out.errors[:3]}", file=sys.stderr)
         return 1
-    e2e = end_to_end(out, setup_s)
-    print(f"workload {args.workload} seed {args.seed}: {out.rounds} rounds, attempted {out.attempted} "
-          f"failed {out.failed} correct {out.correct}")
-    for note in out.notes + [f"failed: {e}" for e in out.errors]:
+    e2e = end_to_end(out, setup_s, spec)
+    print(f"workload {args.workload} seed {args.seed}: {out.rounds} rounds in {out.wall:.2f} scaled s, "
+          f"attempted {out.attempted} failed {out.failed} correct {out.correct}")
+    print(f"  reference loop: median {statistics.median(out.refs) * 1e3:.1f} ms, nominal {REFERENCE_S * 1e3:.1f} ms")
+    for note in out.notes + [f"failed: {e}" for e in sorted(set(out.errors))]:
         print(f"  {note}")
     if trace:
         # Traced end-to-end figures, for the tracing overhead (bench/report.py).
         print("traced_end_to_end " + json.dumps({k: v["value"] for k, v in e2e.items()}))
-        metrics = per_layer(out, imports)
+        print(f"spans written to {spans}")
+        metrics = per_layer(out, imports, spec)
     else:
         metrics = e2e
     for name, m in metrics.items():
         print(f"  {name:42s} {m['value']:.6g} {m['unit']}")
     print(json.dumps({"correct": out.correct, "attempted": out.attempted, "failed": out.failed, "metrics": metrics}))
-    return 0
+    # Timings of wrong output are no measurement.
+    return 0 if out.correct else 1
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Size sweeps: how one layer's time grows with its input.
 
-    python3 bench/sweep.py [--repeats 3] [--out sweep.json]
+    python3 bench/sweep.py [--out sweep.json]
 
 Each sweep drives commscale.cli.main in this process with the tracer
 installed and takes the inclusive time of one function's spans, the
-median over repeats, at each size. The time-vs-size exponent is the
+median over REPEATS calls, at each size. The time-vs-size exponent is the
 slope of ln time on ln size, fitted with commscale.ensemble.fit_power_law.
 A slope near 1 is linear, near 2 quadratic; a slope that keeps rising
 with size is worse than any fixed power (the ladder sweep).
@@ -39,6 +39,8 @@ def _ensemble(n: int):
     return "", ["ensemble", "--class", "interaction", "--D", "2", "--H", "1", "--n", str(n), "--seed", "7"]
 
 
+REPEATS = 3
+
 # name -> (traced function, sizes, input maker returning (stdin, argv))
 SWEEPS = {
     "reduce_vs_chain_depth": ("promisegraph.reduce_conditionals", [100, 200, 400, 800],
@@ -57,8 +59,6 @@ SWEEPS = {
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--only", nargs="*", choices=list(SWEEPS))
     ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
     commscale = load_commscale(BENCH.parent)
@@ -69,13 +69,13 @@ def main(argv=None) -> int:
     from commscale import cli
 
     report = {}
-    for name in args.only or SWEEPS:
+    for name in SWEEPS:
         target, sizes, make = SWEEPS[name]
         points = []
         for size in sizes:
             stdin, argv_ = make(size)
             times = []
-            for _ in range(args.repeats):
+            for _ in range(REPEATS):
                 tracer.clear()
                 tracer.begin(0)
                 rc, _, err = call(cli, argv_, stdin)

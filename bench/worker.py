@@ -7,7 +7,9 @@ rounds, stopping at the round boundary nearest the run length. Writes the output
 round for run.py to check, a digest of every later output, the
 operation times and, when tracing, the tracer's summary and spans.
 Operations marked as probes are attempted and checked like the others
-but kept out of the timings and the trace.
+but kept out of the timings and the trace. A reference loop runs before
+every operation and after the last one, so run.py can scale each
+operation's time by the machine's speed around it.
 
     python3 bench/worker.py SPEC.json RESULT.json
 """
@@ -53,6 +55,35 @@ def _run_op(cli, op: dict, texts: dict) -> tuple[float, list, str | None]:
     return perf_counter() - t0, outs, None
 
 
+# Nominal seconds of one reference loop: times are reported at the machine
+# speed at which reference_s() takes this long.
+REFERENCE_S = 0.040
+
+
+def reference_s() -> float:
+    """Wall time of a fixed pure-Python loop, a sample of the machine's current speed.
+
+    The garbage collector is off during the loop, so the objects the
+    program left behind do not change its time, and the loop holds about
+    100 KB, so it does not raise the process's peak memory.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t0 = perf_counter()
+        table = {}
+        acc = 0.0
+        for k in range(240_000):
+            table[k & 1023] = k * 0.5
+            acc += (k % 7) * 1.25
+        for _ in range(20):
+            sorted(table.values())
+        return perf_counter() - t0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_commscale(root: Path):
     """Import commscale from root/src and nowhere else."""
     src = Path(root) / "src"
@@ -68,7 +99,7 @@ def main(spec_path: str, result_path: str) -> int:
     spec = json.loads(Path(spec_path).read_text())
     commscale = load_commscale(spec["root"])
     tracer = None
-    if spec["trace"]:
+    if spec["spans"]:
         sys.path.insert(0, str(Path(__file__).resolve().parent))
         from tracer import Tracer
 
@@ -79,17 +110,18 @@ def main(spec_path: str, result_path: str) -> int:
     out_dir = Path(spec["out_dir"])
     ops = spec["ops"]
     texts = {c["stdin"]: Path(c["stdin"]).read_text() for op in ops for c in op["calls"] if c.get("stdin")}
-    times: list = [[] for _ in ops]
+    attempts: list = []  # [op index, seconds, error or None], in the order run
+    gc.collect()
+    refs = [reference_s()]  # one before every attempt and one after the last
+    slots: list = []  # seconds from one reference loop to the next
     digests: list = [None] * len(ops)
-    failures: list = []
-    probes: list = []
     mismatches = 0
     rounds = 0
     start = perf_counter()
     while True:
         round_start = perf_counter()
         for i, op in enumerate(ops):
-            gc.collect()
+            slot_start = perf_counter()
             probe = op.get("probe", False)
             if tracer is not None:
                 tracer.begin(None if probe else (rounds, i))
@@ -101,21 +133,18 @@ def main(spec_path: str, result_path: str) -> int:
                     traceback.print_exc()
             if tracer is not None:
                 tracer.begin(None)
-            if probe:
-                probes.append({"seconds": seconds, "error": error})
-            elif error is not None:
-                failures.append({"op": i, "round": rounds, "error": error})
-            else:
-                times[i].append(seconds)
-            if error is not None:
-                continue
-            digest = [hashlib.sha256(o.encode()).hexdigest() for o in outs]
-            if digests[i] is None:
-                digests[i] = digest
-                for j, o in enumerate(outs):
-                    (out_dir / f"op{i}_{j}.out").write_text(o)
-            elif digest != digests[i]:
-                mismatches += 1
+            attempts.append([i, seconds, error])
+            if error is None:
+                digest = [hashlib.sha256(o.encode()).hexdigest() for o in outs]
+                if digests[i] is None:
+                    digests[i] = digest
+                    for j, o in enumerate(outs):
+                        (out_dir / f"op{i}_{j}.out").write_text(o)
+                elif digest != digests[i]:
+                    mismatches += 1
+            gc.collect()
+            slots.append(perf_counter() - slot_start)
+            refs.append(reference_s())
         rounds += 1
         now = perf_counter()
         # Stop at the round boundary nearest the run length, judged by the last round.
@@ -124,7 +153,7 @@ def main(spec_path: str, result_path: str) -> int:
 
     if tracer is not None:
         tracer.uninstall()
-        tracer.write(out_dir / "spans.npz")
+        tracer.write(Path(spec["spans"]))
     # Untimed follow-up calls on the program's own outputs (round trips).
     for k, post in enumerate(spec.get("post", [])):
         i, j = post["input"]
@@ -137,9 +166,9 @@ def main(spec_path: str, result_path: str) -> int:
         json.dumps(
             {
                 "rounds": rounds,
-                "times": times,
-                "failures": failures,
-                "probes": probes,
+                "attempts": attempts,
+                "refs": refs,
+                "slots": slots,
                 "mismatches": mismatches,
                 "trace": tracer.summary() if tracer is not None else None,
             }
