@@ -79,7 +79,8 @@ def measure_setup(trace: bool) -> tuple[float, dict]:
     """Median wall time of fresh interpreters importing commscale.cli, scaled.
 
     With tracing, the interpreters run under -X importtime and the
-    per-layer import seconds are medians over the probes.
+    per-layer import seconds are medians over the probes, each scaled
+    like the probe's wall time.
     """
     walls, imports, refs = [], [], [reference_s()]
     cmd = [sys.executable] + (["-X", "importtime"] if trace else []) + ["-c", "import commscale.cli"]
@@ -91,7 +92,8 @@ def measure_setup(trace: bool) -> tuple[float, dict]:
         if proc.returncode != 0:
             raise SystemExit(f"error: importing commscale.cli failed:\n{proc.stderr[-2000:]}")
         if trace:
-            imports.append(tracing.import_times(proc.stderr))
+            k = len(walls) - 1
+            imports.append({m: scaled(t, k, refs) for m, t in tracing.import_times(proc.stderr).items()})
     layers = {m: statistics.median(t.get(m, 0.0) for t in imports) for m in tracing.LAYERS} if trace else {}
     return statistics.median(scaled(w, k, refs) for k, w in enumerate(walls)), layers
 
@@ -409,6 +411,8 @@ def end_to_end(out: Outcome, setup_s: float, spec: dict) -> dict:
 def per_layer(out: Outcome, imports: dict, spec: dict) -> dict:
     tr = out.trace
     ops = max(tr["ops"], 1)
+    # Self times are summed over the run, so they are scaled by its median reference loop.
+    speed = REFERENCE_S / statistics.median(out.refs)
     # The solver runs on uslkit's behalf: count its time in usl_fit.
     self_s = dict(tr["self_s"])
     self_s["uslkit.usl_fit"] = self_s.get("uslkit.usl_fit", 0.0) + self_s.get("uslkit.least_squares", 0.0)
@@ -420,7 +424,7 @@ def per_layer(out: Outcome, imports: dict, spec: dict) -> dict:
         elif name.endswith(".calls"):
             values[name] = tr["calls"].get(name[: -len(".calls")], 0) / ops
         elif name.endswith("_s"):
-            values[name] = self_s.get(SPAN_OF.get(name, name[: -len("_s")]), 0.0) / ops
+            values[name] = self_s.get(SPAN_OF.get(name, name[: -len("_s")]), 0.0) * speed / ops
         else:
             values[name] = tr["counts"].get(name, 0) / ops
     return _with_units(values, spec["per_layer"])
