@@ -6,8 +6,8 @@ Builds the workload's inputs from the seed, measures set-up time in
 fresh interpreters, runs operations from one closed-loop client in whole
 rounds, stopping at the round boundary nearest the run length, checks
 every output against the independent oracles in bench/oracles.py, and
-prints the metrics. Times are scaled to a fixed machine speed by a
-reference loop run before and after each operation (see scaled()). The
+prints the metrics. Times are scaled to a fixed machine speed by
+references run before and after each operation (see scaled()). The
 last line of stdout is one JSON object with the keys correct, attempted,
 failed and metrics: the end-to-end metrics with --trace 0, the
 per-layer metrics of a traced run with --trace 1.
@@ -40,7 +40,7 @@ sys.path.insert(0, str(BENCH))
 import inputs  # noqa: E402
 import oracles  # noqa: E402
 import tracer as tracing  # noqa: E402
-from worker import REFERENCE_S, reference_s  # noqa: E402
+from worker import REFERENCE_S  # noqa: E402
 
 # Per-layer metric names follow the span and counter names of
 # bench/tracer.py: "<layer>.import_s" is a layer's import time,
@@ -57,18 +57,33 @@ def load_spec() -> dict:
 SETUP_PROBES = 5
 
 
-def scaled(seconds: float, k: int, refs: list) -> float:
-    """seconds of the k-th timed interval at the speed where reference_s() takes REFERENCE_S.
+# Nominal seconds of one bare interpreter start (`python3 -I -c pass`):
+# process launches are reported at the speed at which it takes this long.
+PROCESS_REFERENCE_S = 0.040
 
-    refs[k] and refs[k + 1] are the reference loops run just before and
-    just after the interval. On a shared 2-core virtual machine every
-    process was seen to change speed by up to 2x, in phases of seconds to
-    minutes, and an operation's time followed the reference loops next to
-    it (correlation 0.7-0.9). Scaling by them removes most of that drift,
-    while a change in the program, which does not run in the loop, shows
+
+def process_slowdown() -> float:
+    """How many times slower than nominal a bare interpreter starts now."""
+    t0 = perf_counter()
+    subprocess.run([sys.executable, "-I", "-c", "pass"], capture_output=True, check=True)
+    return (perf_counter() - t0) / PROCESS_REFERENCE_S
+
+
+def scaled(seconds: float, k: int, slow: list) -> float:
+    """seconds of the k-th timed interval at the nominal machine speed.
+
+    slow[k] and slow[k + 1] are slowdowns measured just before and just
+    after the interval. On a shared 2-core virtual machine every process
+    was seen to change speed by up to 2x, in phases of seconds to minutes.
+    Work inside one interpreter followed the reference loop next to it
+    (correlation 0.7-0.9); a process launch followed a bare interpreter
+    start (0.79) but hardly the loop (0.3). So in-process operations are
+    scaled by the worker's reference loop (worker.reference_s) and process
+    launches by process_slowdown().
+    Neither reference runs the program, so a change in the program shows
     in full.
     """
-    return seconds * 2 * REFERENCE_S / (refs[k] + refs[k + 1])
+    return seconds * 2 / (slow[k] + slow[k + 1])
 
 
 def env() -> dict:
@@ -82,13 +97,13 @@ def measure_setup(trace: bool) -> tuple[float, dict]:
     per-layer import seconds are medians over the probes, each scaled
     like the probe's wall time.
     """
-    walls, imports, refs = [], [], [reference_s()]
+    walls, imports, refs = [], [], [process_slowdown()]
     cmd = [sys.executable] + (["-X", "importtime"] if trace else []) + ["-c", "import commscale.cli"]
     for _ in range(SETUP_PROBES):
         t0 = perf_counter()
         proc = subprocess.run(cmd, env=env(), cwd=ROOT, capture_output=True, text=True)
         walls.append(perf_counter() - t0)
-        refs.append(reference_s())
+        refs.append(process_slowdown())
         if proc.returncode != 0:
             raise SystemExit(f"error: importing commscale.cli failed:\n{proc.stderr[-2000:]}")
         if trace:
@@ -225,8 +240,8 @@ class Outcome:
     failed: int
     errors: list
     trace: dict | None
-    wall: float = 0.0  # scaled seconds of the run, reference loops left out
-    refs: list = field(default_factory=list)  # reference loop seconds
+    wall: float = 0.0  # scaled seconds of the run, references left out
+    refs: list = field(default_factory=list)  # slowdowns measured between operations
     rounds: int = 0
     correct: bool = True
     notes: list = field(default_factory=list)
@@ -245,7 +260,7 @@ def run_inprocess(wl: Workload, work: Path, seconds: float, spans: Path | None) 
     if proc.returncode != 0:
         raise SystemExit(f"error: worker failed with exit {proc.returncode}:\n{proc.stderr[-3000:]}")
     res = json.loads((work / "result.json").read_text())
-    refs = res["refs"]
+    refs = [r / REFERENCE_S for r in res["refs"]]
     out = Outcome(times=[], records=0, attempted=len(res["attempts"]), failed=0, errors=[], trace=res["trace"],
                   wall=sum(scaled(s, k, refs) for k, s in enumerate(res["slots"])), refs=refs, rounds=res["rounds"])
     for k, (i, seconds, error) in enumerate(res["attempts"]):
@@ -332,7 +347,7 @@ def run_cli(seed: int, work: Path, seconds: float, spans_path: Path | None) -> O
     mismatches = 0
     done = []  # (attempt number, seconds) of each completed operation
     slots = []  # seconds from one reference loop to the next
-    out.refs = [reference_s()]
+    out.refs = [process_slowdown()]
     start = perf_counter()
     while True:
         round_start = perf_counter()
@@ -368,7 +383,7 @@ def run_cli(seed: int, work: Path, seconds: float, spans_path: Path | None) -> O
                 elif first[i][0] != digest:
                     mismatches += 1
             slots.append(perf_counter() - slot_start)
-            out.refs.append(reference_s())
+            out.refs.append(process_slowdown())
         out.rounds += 1
         now = perf_counter()
         if now - start + (now - round_start) / 2 >= seconds:
@@ -411,8 +426,8 @@ def end_to_end(out: Outcome, setup_s: float, spec: dict) -> dict:
 def per_layer(out: Outcome, imports: dict, spec: dict) -> dict:
     tr = out.trace
     ops = max(tr["ops"], 1)
-    # Self times are summed over the run, so they are scaled by its median reference loop.
-    speed = REFERENCE_S / statistics.median(out.refs)
+    # Self times are summed over the run, so they are scaled by its median slowdown.
+    speed = 1 / statistics.median(out.refs)
     # The solver runs on uslkit's behalf: count its time in usl_fit.
     self_s = dict(tr["self_s"])
     self_s["uslkit.usl_fit"] = self_s.get("uslkit.usl_fit", 0.0) + self_s.get("uslkit.least_squares", 0.0)
@@ -460,7 +475,7 @@ def main(argv=None) -> int:
     e2e = end_to_end(out, setup_s, spec)
     print(f"workload {args.workload} seed {args.seed}: {out.rounds} rounds in {out.wall:.2f} scaled s, "
           f"attempted {out.attempted} failed {out.failed} correct {out.correct}")
-    print(f"  reference loop: median {statistics.median(out.refs) * 1e3:.1f} ms, nominal {REFERENCE_S * 1e3:.1f} ms")
+    print(f"  slowdown against the nominal machine speed: median {statistics.median(out.refs):.3f}")
     for note in out.notes + [f"failed: {e}" for e in sorted(set(out.errors))]:
         print(f"  {note}")
     if trace:

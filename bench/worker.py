@@ -55,8 +55,8 @@ def _run_op(cli, op: dict, texts: dict) -> tuple[float, list, str | None]:
     return perf_counter() - t0, outs, None
 
 
-# Nominal seconds of one reference loop: times are reported at the machine
-# speed at which reference_s() takes this long.
+# Nominal seconds of one reference loop: in-process times are reported at
+# the machine speed at which reference_s() takes this long.
 REFERENCE_S = 0.040
 
 
