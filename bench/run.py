@@ -346,7 +346,7 @@ def run_cli(seed: int, work: Path, seconds: float, spans_path: Path | None) -> O
     first: dict = {}  # op index -> (digest, argv, stdout, input)
     mismatches = 0
     done = []  # (attempt number, seconds) of each completed operation
-    slots = []  # seconds from one reference loop to the next
+    slots = []  # seconds from one process reference to the next
     out.refs = [process_slowdown()]
     start = perf_counter()
     while True:
