@@ -164,9 +164,9 @@ def _cmd_graph_value(args) -> int:
     bindings = promisegraph.find_bindings(reduced)
     return _emit_json(
         {
-            "total_value": _jnum(promisegraph.total_value(graph)),
-            "rho": _jnum(promisegraph.mesh_density(reduced)),
-            "largest_component": promisegraph.largest_binding_component(reduced),
+            "total_value": _jnum(promisegraph._value_of(reduced, bindings)),
+            "rho": _jnum(promisegraph._density_of(reduced, bindings)),
+            "largest_component": promisegraph._largest_component_of(reduced, bindings),
             "agents": len(graph.agents),
             "bindings": len(bindings),
         }
@@ -302,31 +302,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="promise-graph operations on the text format")
     gsub = p.add_subparsers(dest="graph_command", required=True)
 
-    g = gsub.add_parser("value", help="total value, mesh density and largest component, as JSON")
-    _add_input_flag(g)
-    g.add_argument("--calibration", type=float, default=1.0, help="currency value per binding type (default 1)")
+    shared = argparse.ArgumentParser(add_help=False)
+    _add_input_flag(shared)
+    shared.add_argument("--calibration", type=float, default=1.0, help="currency value per binding type (default 1)")
+
+    g = gsub.add_parser("value", parents=[shared], help="total value, mesh density and largest component, as JSON")
     g.set_defaults(func=_cmd_graph_value)
 
-    g = gsub.add_parser("bindings", help="list bindings as JSON")
-    _add_input_flag(g)
-    g.add_argument("--calibration", type=float, default=1.0)
+    g = gsub.add_parser("bindings", parents=[shared], help="list bindings as JSON")
     g.set_defaults(func=_cmd_graph_bindings)
 
-    g = gsub.add_parser("reduce", help="discharge assisted conditional promises; emits canonical text")
-    _add_input_flag(g)
-    g.add_argument("--calibration", type=float, default=1.0)
+    g = gsub.add_parser(
+        "reduce", parents=[shared], help="discharge assisted conditional promises; emits canonical text"
+    )
     g.set_defaults(func=_cmd_graph_reduce)
 
-    g = gsub.add_parser("aggregate", help="collapse members into a superagent; emits canonical text")
-    _add_input_flag(g)
-    g.add_argument("--calibration", type=float, default=1.0)
+    g = gsub.add_parser("aggregate", parents=[shared], help="collapse members into a superagent; emits canonical text")
     g.add_argument("--members", required=True, help="comma-separated member agent ids")
     g.add_argument("--super-id", dest="super_id", required=True, help="fresh id for the superagent")
     g.set_defaults(func=_cmd_graph_aggregate)
 
-    g = gsub.add_parser("classify", help="scaling class of one offer, as JSON")
-    _add_input_flag(g)
-    g.add_argument("--calibration", type=float, default=1.0)
+    g = gsub.add_parser("classify", parents=[shared], help="scaling class of one offer, as JSON")
     g.add_argument("--giver", required=True)
     g.add_argument("--receiver", required=True)
     g.add_argument("--type", required=True)
@@ -335,9 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_dh(g, required=False)
     g.set_defaults(func=_cmd_graph_classify)
 
-    g = gsub.add_parser("community", help="members mutually bound to an authority, as JSON")
-    _add_input_flag(g)
-    g.add_argument("--calibration", type=float, default=1.0)
+    g = gsub.add_parser("community", parents=[shared], help="members mutually bound to an authority, as JSON")
     g.add_argument("--authority", required=True)
     g.add_argument("--membership-type", dest="membership_type", default="member")
     g.set_defaults(func=_cmd_graph_community)
@@ -349,11 +343,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

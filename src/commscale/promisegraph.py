@@ -230,48 +230,75 @@ def find_bindings(graph: PromiseGraph) -> list[Binding]:
     the intersection is the binding's effective constraint. Conditional
     promises never bind (reduce them first).
     """
-    offers: dict[tuple, Promise] = {}
-    accepts: dict[tuple, Promise] = {}
-    for p in graph.promises:
-        if p.conditional:
-            continue
-        key = (p.giver, p.receiver, p.type_tag)
-        if p.polarity is Polarity.OFFER:
-            offers[key] = p
-        else:
-            accepts[key] = p
+    accepts, offers, _ = _supply_index(graph.promises)
+    return _bindings(accepts, offers.values())
+
+
+def _bindings(accepts, offers) -> list[Binding]:
+    # The bindings of the given unconditional offers, in their order.
     out = []
-    for (giver, receiver, tag), off in sorted(offers.items()):
-        acc = accepts.get((receiver, giver, tag))
-        if acc is None:
-            continue
-        effective = off.constraint & acc.constraint
-        if effective:
+    for off in offers:
+        acc = accepts.get((off.receiver, off.type_tag), {}).get(off.giver)
+        if acc is not None and (effective := off.constraint & acc.constraint):
             out.append(Binding(off, acc, effective))
     return out
 
 
-def _supply_maps(promises):
-    # (giver, type) -> receivers it accepts from, and the set of
-    # unconditional offer triples, both restricted to unconditional promises.
-    accepts_from: dict[tuple, set] = {}
-    offer_triples: set = set()
+def _supply_index(promises):
+    # (acceptor, type) -> {provider: its unconditional accept}, (giver,
+    # receiver, type) -> the unconditional offer, and the conditional
+    # offers; all in graph order.
+    accepts: dict[tuple, dict] = {}
+    offers: dict[tuple, Promise] = {}
+    pending: list = []
     for p in promises:
-        if p.conditional:
-            continue
         if p.polarity is Polarity.ACCEPT:
-            accepts_from.setdefault((p.giver, p.type_tag), set()).add(p.receiver)
+            if not p.condition:
+                accepts.setdefault((p.giver, p.type_tag), {})[p.receiver] = p
+        elif p.condition:
+            pending.append(p)
         else:
-            offer_triples.add((p.giver, p.receiver, p.type_tag))
-    return accepts_from, offer_triples
+            offers[(p.giver, p.receiver, p.type_tag)] = p
+    return accepts, offers, pending
 
 
-def _is_supplied(giver: str, dep: str, accepts_from, offer_triples) -> bool:
-    # Supplied means: some k with giver -dep-> k accepted and k +dep-> giver offered.
-    for k in accepts_from.get((giver, dep), ()):
-        if (k, giver, dep) in offer_triples:
-            return True
-    return False
+def _discharge(promises, inside=None) -> dict:
+    """Least fixed point of supply: {(g, d): witness offer} for every supplied pair.
+
+    g is supplied with d when it unconditionally accepts d from some k whose
+    offer of d to g is unconditional or has fired; a conditional offer fires
+    once its giver is supplied with every condition. Counting unmet conditions
+    per offer makes this linear in promises plus conditions (Dowling &
+    Gallier, 1984). With inside given, only offers among those agents count.
+    Offers are taken in rounds (unconditional ones, then those the previous
+    round fired), each in graph order, and the first to supply a pair is its
+    witness, so following witnesses always ends at unconditional offers.
+    """
+    accepts, offers, pending = _supply_index(promises)
+    round_ = list(offers.values())
+    if inside is not None:
+        round_ = [o for o in round_ if o.giver in inside and o.receiver in inside]
+        pending = [o for o in pending if o.giver in inside and o.receiver in inside]
+    waiting: dict[tuple, list] = {}
+    unmet: dict[int, int] = {}
+    for o in pending:
+        unmet[id(o)] = len(o.condition)
+        for d in o.condition:
+            waiting.setdefault((o.giver, d), []).append(o)
+    supplied: dict[tuple, Promise] = {}
+    while round_:
+        fired = []
+        for o in round_:
+            pair = (o.receiver, o.type_tag)
+            if pair in supplied or o.giver not in accepts.get(pair, ()):
+                continue
+            supplied[pair] = o
+            for w in waiting.get(pair, ()):
+                unmet[id(w)] -= 1
+                if not unmet[id(w)]:
+                    fired.append(w)
+        round_ = sorted(fired, key=Promise._sort_key)
+    return supplied
 
 
 def reduce_conditionals(graph: PromiseGraph) -> PromiseGraph:
@@ -283,24 +310,13 @@ def reduce_conditionals(graph: PromiseGraph) -> PromiseGraph:
     fixed point so chains of conditions resolve; unsatisfied
     conditionals (and conditional accepts) are retained unchanged.
     """
-    promises = list(graph.promises)
-    while True:
-        accepts_from, offer_triples = _supply_maps(promises)
-        changed = False
-        next_promises = []
-        for p in promises:
-            if (
-                p.conditional
-                and p.polarity is Polarity.OFFER
-                and all(_is_supplied(p.giver, d, accepts_from, offer_triples) for d in p.condition)
-            ):
-                next_promises.append(replace(p, condition=()))
-                changed = True
-            else:
-                next_promises.append(p)
-        promises = next_promises
-        if not changed:
-            break
+    supplied = _discharge(graph.promises)
+    promises = [
+        replace(p, condition=())
+        if p.conditional and p.polarity is Polarity.OFFER and all((p.giver, d) in supplied for d in p.condition)
+        else p
+        for p in graph.promises
+    ]
     return PromiseGraph(graph.agents, promises, graph.calibration)
 
 
@@ -321,7 +337,11 @@ def total_value(graph: PromiseGraph) -> float:
     math.fsum so the result is independent of binding order.
     """
     reduced = reduce_conditionals(graph)
-    return math.fsum(valuation(reduced, b) for b in find_bindings(reduced))
+    return _value_of(reduced, find_bindings(reduced))
+
+
+def _value_of(graph: PromiseGraph, bindings) -> float:
+    return math.fsum(valuation(graph, b) for b in bindings)
 
 
 def mesh_density(graph: PromiseGraph) -> float:
@@ -330,10 +350,14 @@ def mesh_density(graph: PromiseGraph) -> float:
     Measured on the graph as given (reduce first if conditional promises
     should count). Zero for graphs with fewer than two agents.
     """
+    return _density_of(graph, find_bindings(graph))
+
+
+def _density_of(graph: PromiseGraph, bindings) -> float:
     n = len(graph.agents)
     if n < 2:
         return 0.0
-    return len(find_bindings(graph)) / (n * (n - 1))
+    return len(bindings) / (n * (n - 1))
 
 
 def largest_binding_component(graph: PromiseGraph) -> int:
@@ -342,6 +366,10 @@ def largest_binding_component(graph: PromiseGraph) -> int:
     Bindings are treated as undirected edges; an agent with no bindings
     forms a component of size 1. Empty graph gives 0.
     """
+    return _largest_component_of(graph, find_bindings(graph))
+
+
+def _largest_component_of(graph: PromiseGraph, bindings) -> int:
     ids = graph.agent_ids()
     if not ids:
         return 0
@@ -353,7 +381,7 @@ def largest_binding_component(graph: PromiseGraph) -> int:
             a = parent[a]
         return a
 
-    for b in find_bindings(graph):
+    for b in bindings:
         ra, rb = find(b.offer.giver), find(b.offer.receiver)
         if ra != rb:
             parent[ra] = rb
@@ -368,34 +396,6 @@ def reputation(graph: PromiseGraph, agent_id: str) -> int:
     """Count of distinct agents that promise acceptance toward this agent."""
     graph.agent(agent_id)
     return len({p.giver for p in graph.promises if p.polarity is Polarity.ACCEPT and p.receiver == agent_id})
-
-
-def _interior_chain(members, accepts_from, offers_by, giver, dep, visited):
-    # Agents forming an interior supply chain for one dependency of giver,
-    # or None when no member supplies it. The giver's accept must be
-    # unconditional; the provider's offer may itself be conditional when its
-    # own conditions resolve interiorly (recursive, cycle-safe).
-    for k in sorted(accepts_from.get((giver, dep), ())):
-        if k not in members:
-            continue
-        offer = offers_by.get((k, giver, dep))
-        if offer is None:
-            continue
-        if not offer.condition:
-            return {k}
-        if (k, dep) in visited:
-            continue
-        chain = {k}
-        ok = True
-        for e in offer.condition:
-            sub = _interior_chain(members, accepts_from, offers_by, k, e, visited | {(k, dep)})
-            if sub is None:
-                ok = False
-                break
-            chain |= sub
-        if ok:
-            return chain
-    return None
 
 
 def aggregate(graph: PromiseGraph, members: Iterable[str], super_id: str) -> PromiseGraph:
@@ -421,15 +421,8 @@ def aggregate(graph: PromiseGraph, members: Iterable[str], super_id: str) -> Pro
     if graph.has_agent(super_id) or super_id in member_set:
         raise DomainError(f"superagent id {super_id!r} collides with an existing agent")
 
-    accepts_from: dict[tuple, set] = {}
-    offers_by: dict[tuple, Promise] = {}
-    for p in graph.promises:
-        if p.polarity is Polarity.ACCEPT and not p.conditional:
-            accepts_from.setdefault((p.giver, p.type_tag), set()).add(p.receiver)
-        elif p.polarity is Polarity.OFFER:
-            offers_by[(p.giver, p.receiver, p.type_tag)] = p
-
-    chain_agents: set = set()
+    supplied = _discharge(graph.promises, member_set)
+    todo = []
     new_promises = []
     for p in graph.promises:
         giver_in = p.giver in member_set
@@ -440,16 +433,22 @@ def aggregate(graph: PromiseGraph, members: Iterable[str], super_id: str) -> Pro
             new_promises.append(p)
             continue
         if giver_in:
-            residual = []
-            for d in p.condition:
-                chain = _interior_chain(member_set, accepts_from, offers_by, p.giver, d, frozenset())
-                if chain is None:
-                    residual.append(d)
-                else:
-                    chain_agents |= chain | {p.giver}
-            new_promises.append(replace(p, giver=super_id, condition=tuple(residual)))
+            todo += [(p.giver, d) for d in p.condition if (p.giver, d) in supplied]
+            residual = tuple(d for d in p.condition if (p.giver, d) not in supplied)
+            new_promises.append(replace(p, giver=super_id, condition=residual))
         else:
             new_promises.append(replace(p, receiver=super_id))
+
+    # The interior chains: each discharged condition's giver and its witnesses.
+    chain_agents: set = set()
+    seen = set(todo)
+    while todo:
+        g, d = todo.pop()
+        witness = supplied[(g, d)]
+        chain_agents |= {g, witness.giver}
+        fresh = {(witness.giver, e) for e in witness.condition} - seen
+        seen |= fresh
+        todo += fresh
 
     if chain_agents:
         alpha = math.prod(graph.agent(a).assessment for a in sorted(chain_agents))
@@ -504,9 +503,10 @@ def classify_pattern(
     behind their own conditional chains. Offers whose conditions are
     unrealized fall through to rule 2.
     """
+    key = output_promise._key()
     stored = None
     for p in graph.promises:
-        if p._key() == output_promise._key():
+        if p._key() == key:
             stored = p
             break
     if stored is None:
@@ -514,28 +514,26 @@ def classify_pattern(
     if stored.polarity is not Polarity.OFFER:
         raise DomainError("only offers can be classified")
 
-    accepts_from, offer_triples = _supply_maps(graph.promises)
+    accepts, offers, _ = _supply_index(graph.promises)
     if stored.condition:
-        providers: set = set()
-        all_bound = True
+        needed = {stored.giver}
         for d in stored.condition:
-            ks = {k for k in accepts_from.get((stored.giver, d), ()) if (k, stored.giver, d) in offer_triples}
+            ks = {k for k in accepts.get((stored.giver, d), ()) if (k, stored.giver, d) in offers}
             if not ks:
-                all_bound = False
                 break
-            providers |= ks
-        if all_bound:
-            needed = providers | {stored.giver}
-            for u in graph.agent_ids():
-                if needed <= community_members(graph, u, membership_type) | {u}:
-                    return ScalingClass.RECURSIVE_DEPENDENCY
+            needed |= ks
+        else:
+            communities: dict[str, set] = {}
+            for b in _bindings(accepts, (o for o in offers.values() if o.type_tag == membership_type)):
+                communities.setdefault(b.offer.receiver, set()).add(b.offer.giver)
+            # An agent without members is a community of itself alone, which
+            # holds the chain only when the giver is its own sole provider.
+            if len(needed) == 1 or any(needed - {u} <= members for u, members in communities.items()):
+                return ScalingClass.RECURSIVE_DEPENDENCY
             return ScalingClass.SCARCE_DEPENDENCY
 
-    consumers = {
-        b.offer.receiver
-        for b in find_bindings(graph)
-        if b.offer.giver == stored.giver and b.offer.type_tag == stored.type_tag
-    }
+    own = [o for o in offers.values() if o.giver == stored.giver and o.type_tag == stored.type_tag]
+    consumers = {b.offer.receiver for b in _bindings(accepts, own)}
     others = len(graph.agents) - 1
     fraction = len(consumers) / others if others > 0 else 0.0
     if fraction >= scarcity_threshold:

@@ -3,8 +3,9 @@
 Every series in the package moves through the same shape: a one-line
 header naming the two columns, then one `x,y` row per line, decimal
 point '.', rows terminated by '\\n'. Values are written with 12
-significant digits, which round-trips bit-identically on every
-platform. Errors carry 1-based row and column positions.
+significant digits, which gives the same bytes on every platform;
+parsing returns the value rounded to 12 digits, not the float that was
+written. Errors carry 1-based row and column positions.
 """
 
 from __future__ import annotations

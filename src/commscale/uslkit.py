@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DomainError, QueueInstabilityError, UnboundedPeakError, UnsupportedConfigError
 
@@ -103,12 +102,17 @@ def usl_fit(data) -> UslFit:
     pts = [(float(n), float(s)) for n, s in data]
     if not pts:
         raise DomainError("no data points")
+    if not all(math.isfinite(n) and math.isfinite(s) for n, s in pts):
+        raise DomainError("N and speedup values must be finite")
     if any(n < 1 for n, _ in pts):
         raise DomainError("N values must be >= 1")
     if any(s <= 0 for _, s in pts):
         raise DomainError("speedup values must be positive")
     if len({n for n, _ in pts}) < 3:
         raise DomainError("need at least 3 distinct N values to fit two parameters")
+    # Imported here: scipy takes longer to import than any other command runs.
+    from scipy.optimize import least_squares
+
     N = np.array([n for n, _ in pts])
     S = np.array([s for _, s in pts])
 

@@ -97,6 +97,11 @@ class TestYield:
         assert code == 0
         assert out == "383.876620733\n"
 
+    def test_overflow_is_an_error_line(self, run):
+        code, out, err = run(["yield", "--D", "2", "--H", "1", "--n", "1e300"])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestUsl:
     def test_speedup(self, run):
@@ -126,6 +131,11 @@ class TestUsl:
         assert fit["contention"] == pytest.approx(0.05, abs=1e-5)
         assert fit["coherency"] == pytest.approx(0.001, abs=1e-6)
         assert fit["residual"] <= 1e-6
+
+    def test_fit_rejects_non_finite_rows(self, run):
+        code, out, err = run(["usl-fit"], stdin_text="N,value\n1,1\n2,nan\n4,3\n8,5\n")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "finite" in err
 
     def test_fit_rejects_wrong_header(self, run):
         code, out, err = run(["usl-fit"], stdin_text="N,Y\n1,1\n2,1.8\n3,2.4\n")

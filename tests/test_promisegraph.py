@@ -1,8 +1,11 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commscale import promisegraph as pg
 from commscale.errors import DomainError, UnknownAgentError
@@ -31,6 +34,41 @@ def mesh_graph(n, calibration=1.0):
             if i != j:
                 promises += pair(agents[i].id, agents[j].id)
     return PromiseGraph(agents, promises, calibration)
+
+
+def supply_chain(depth):
+    """d0000 offers 'prod' to 'out' once supplied with 'part' by d0001, which
+    needs 'part' from d0002, and so on; the last link supplies unconditionally."""
+    ids = [f"d{i:04d}" for i in range(depth)]
+    promises = [offer(ids[0], "out", "prod", cond=("part",)), accept("out", ids[0], "prod")]
+    for i in range(depth - 1):
+        promises.append(offer(ids[i + 1], ids[i], "part", cond=("part",) if i + 2 < depth else ()))
+        promises.append(accept(ids[i], ids[i + 1], "part"))
+    return PromiseGraph([Agent(a) for a in ids] + [Agent("out")], promises), ids
+
+
+def naive_reduce(graph):
+    # Reference: re-derive every supplied (giver, type) pair from scratch
+    # and discharge one level per sweep until a sweep changes nothing.
+    promises = list(graph.promises)
+    while True:
+        supplied = {
+            (a.giver, a.type_tag)
+            for a in promises
+            for o in promises
+            if a.polarity is Polarity.ACCEPT
+            and o.polarity is Polarity.OFFER
+            and not a.conditional
+            and not o.conditional
+            and (o.giver, o.receiver, o.type_tag) == (a.receiver, a.giver, a.type_tag)
+        }
+        fired = [
+            p.polarity is Polarity.OFFER and p.conditional and all((p.giver, d) in supplied for d in p.condition)
+            for p in promises
+        ]
+        if not any(fired):
+            return PromiseGraph(graph.agents, promises, graph.calibration)
+        promises = [replace(p, condition=()) if f else p for p, f in zip(promises, fired)]
 
 
 def brute_force_bindings(graph):
@@ -323,6 +361,12 @@ class TestReduceConditionals:
             once = pg.reduce_conditionals(g)
             assert pg.reduce_conditionals(once) == once
 
+    def test_deep_chain_discharges_every_link(self):
+        g, _ = supply_chain(3000)
+        reduced = pg.reduce_conditionals(g)
+        assert not any(p.conditional for p in reduced.promises)
+        assert len(pg.find_bindings(reduced)) == 3000
+
     def test_multiple_conditions_all_required(self):
         g = PromiseGraph(
             [Agent("a"), Agent("b")],
@@ -487,6 +531,82 @@ class TestAggregate:
         assert svc.condition == ()
         assert g.agent("S").assessment == pytest.approx(0.9 * 0.5 * 0.8, rel=1e-15)
 
+    def test_sorted_first_provider_is_witness(self):
+        # b1 and b2 both supply fuel unconditionally; b1 sorts first.
+        base = PromiseGraph(
+            [Agent("a", 0.9), Agent("b1", 0.5), Agent("b2", 0.4), Agent("c")],
+            [
+                offer("a", "c", "svc", cond=("fuel",)),
+                accept("a", "b1", "fuel"),
+                offer("b1", "a", "fuel"),
+                accept("a", "b2", "fuel"),
+                offer("b2", "a", "fuel"),
+            ],
+        )
+        g = pg.aggregate(base, ["a", "b1", "b2"], "S")
+        assert g.agent("S").assessment == pytest.approx(0.9 * 0.5, rel=1e-15)
+
+    def test_shortest_supply_chain_is_witness(self):
+        # b1 sorts first but supplies fuel only once m powers it; b2 supplies
+        # it outright, one discharge round earlier, so b2 is the witness.
+        base = PromiseGraph(
+            [Agent("a", 0.9), Agent("b1", 0.5), Agent("b2", 0.3), Agent("m", 0.8), Agent("c")],
+            [
+                offer("a", "c", "svc", cond=("fuel",)),
+                accept("a", "b1", "fuel"),
+                offer("b1", "a", "fuel", cond=("power",)),
+                accept("b1", "m", "power"),
+                offer("m", "b1", "power"),
+                accept("a", "b2", "fuel"),
+                offer("b2", "a", "fuel"),
+            ],
+        )
+        g = pg.aggregate(base, ["a", "b1", "b2", "m"], "S")
+        assert g.agent("S").assessment == pytest.approx(0.9 * 0.3, rel=1e-15)
+
+    def test_interior_cycle_does_not_discharge(self):
+        # a needs fuel from b, which needs power from a, which needs fuel.
+        base = PromiseGraph(
+            [Agent("a", 0.9), Agent("b", 0.5), Agent("c")],
+            [
+                offer("a", "c", "svc", cond=("fuel",)),
+                accept("a", "b", "fuel"),
+                offer("b", "a", "fuel", cond=("power",)),
+                accept("b", "a", "power"),
+                offer("a", "b", "power", cond=("fuel",)),
+            ],
+        )
+        g = pg.aggregate(base, ["a", "b"], "S")
+        (svc,) = [p for p in g.promises if p.type_tag == "svc"]
+        assert svc.condition == ("fuel",)
+        assert g.agent("S").assessment == pytest.approx(0.7, rel=1e-15)
+        assert pg.reduce_conditionals(base) == base
+
+    def test_unconditional_twin_of_conditional_offer_supplies(self):
+        # b offers fuel to a twice: outright, and on a condition nobody
+        # supplies. The outright offer is enough, as it is for reduce.
+        base = PromiseGraph(
+            [Agent("a", 0.9), Agent("b", 0.5), Agent("c")],
+            [
+                offer("a", "c", "svc", cond=("fuel",)),
+                accept("a", "b", "fuel"),
+                offer("b", "a", "fuel"),
+                offer("b", "a", "fuel", cond=("zinc",)),
+            ],
+        )
+        g = pg.aggregate(base, ["a", "b"], "S")
+        (svc,) = [p for p in g.promises if p.type_tag == "svc"]
+        assert svc.condition == ()
+        assert g.agent("S").assessment == pytest.approx(0.9 * 0.5, rel=1e-15)
+        reduced = pg.reduce_conditionals(base)
+        assert not any(p.conditional for p in reduced.promises if p.type_tag == "svc")
+
+    def test_deep_interior_chain(self):
+        g, ids = supply_chain(3000)
+        agg = pg.aggregate(g, ids, "S")
+        assert agg.agent("S").assessment == 1.0
+        assert [(p.giver, p.receiver, p.condition) for p in agg.promises] == [("S", "out", ()), ("out", "S", ())]
+
     def test_exterior_condition_is_kept(self):
         base = PromiseGraph(
             [Agent("a"), Agent("b"), Agent("c")],
@@ -595,6 +715,20 @@ class TestClassifyPattern:
         p = offer("maker", "buyer", "widget", cond=("steel",))
         assert pg.classify_pattern(g, p) == ScalingClass.SCARCE_DEPENDENCY
 
+    def test_giver_as_its_own_provider_is_recursive(self):
+        # The giver accepts steel from itself and offers it to itself: the
+        # whole chain sits inside the giver, a community of one.
+        g = PromiseGraph(
+            [Agent("maker"), Agent("buyer")],
+            [
+                offer("maker", "buyer", "widget", cond=("steel",)),
+                accept("maker", "maker", "steel"),
+                offer("maker", "maker", "steel"),
+            ],
+        )
+        p = offer("maker", "buyer", "widget", cond=("steel",))
+        assert pg.classify_pattern(g, p) == ScalingClass.RECURSIVE_DEPENDENCY
+
     def test_unrealized_condition_falls_through_to_breadth(self):
         g = PromiseGraph(
             [Agent("a"), Agent("b")],
@@ -649,6 +783,39 @@ class TestRandomizedInvariants:
             reduced = pg.reduce_conditionals(g)
             manual = math.fsum(pg.valuation(reduced, b) for b in pg.find_bindings(reduced))
             assert pg.total_value(g) == manual
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from("abc"),
+                st.sampled_from("abc"),
+                st.sampled_from("st"),
+                st.sampled_from(list(Polarity)),
+                st.frozensets(st.sampled_from("*x"), min_size=1),
+                st.lists(st.sampled_from("st"), max_size=2),
+            ),
+            max_size=10,
+        ),
+        # Offers paired with the matching accept, so that supply chains form often.
+        st.lists(
+            st.tuples(
+                st.sampled_from("abc"),
+                st.sampled_from("abc"),
+                st.sampled_from("st"),
+                st.lists(st.sampled_from("st"), max_size=2),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_reduce_matches_naive_sweep(self, rows, links):
+        promises = [Promise(*row) for row in rows]
+        for giver, receiver, tag, cond in links:
+            promises += [offer(giver, receiver, tag, cond=cond), accept(receiver, giver, tag)]
+        g = PromiseGraph([Agent(a) for a in "abc"], promises)
+        reduced = pg.reduce_conditionals(g)
+        assert reduced == naive_reduce(g)
+        assert pg.reduce_conditionals(reduced) == reduced
 
     def test_density_bounds(self):
         # Single type, no self-promises: at most one binding per ordered pair.
