@@ -16,6 +16,7 @@ import sys
 from . import ensemble, graphio, meanfield, promisegraph, tabular, uslkit
 from .errors import DomainError
 from .meanfield import Population, ScalingClass, ScalingParams
+from .tabular import finite_float
 from .uslkit import QueueParams, SerialModel, UslParams
 
 __all__ = ["main"]
@@ -96,19 +97,17 @@ def _cmd_fit(args) -> int:
     return _emit_json(_fit_to_json(ensemble.fit_power_law(samples)))
 
 
+_FIT_DEFAULTS = (("log_intercept", 0.0), ("r_squared", 1.0), ("stderr_beta", 0.0))
+
+
 def _cmd_compare(args) -> int:
     try:
         obj = json.loads(_read_input(args))
-        beta = float(obj["beta"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-        raise DomainError("input must be fit JSON with at least a numeric 'beta' field") from None
-    fit = ensemble.PowerLawFit(
-        beta=beta,
-        log_intercept=float(obj.get("log_intercept", 0.0)),
-        r_squared=float(obj.get("r_squared", 1.0)),
-        stderr_beta=float(obj.get("stderr_beta", 0.0)),
-        n=int(obj.get("n", 0)),
-    )
+        values = [finite_float(obj["beta"])] + [finite_float(obj.get(k, d)) for k, d in _FIT_DEFAULTS]
+        n = int(obj.get("n", 0))
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
+        raise DomainError("input must be fit JSON with at least a 'beta' field, all numeric fields finite") from None
+    fit = ensemble.PowerLawFit(*values, n=n)
     report = ensemble.compare(fit, ScalingClass(args.scaling_class), ScalingParams(D=args.D, H=args.H), k=args.k)
     return _emit_json(
         {
@@ -232,7 +231,7 @@ def _add_input_flag(parser) -> None:
 
 def _add_dh(parser, required: bool = True) -> None:
     parser.add_argument("--D", type=int, required=required, help="embedding dimension (integer >= 1)")
-    parser.add_argument("--H", type=float, required=required, help="trajectory dimension (0 <= H <= D)")
+    parser.add_argument("--H", type=finite_float, required=required, help="trajectory dimension (0 <= H <= D)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -248,8 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("yield", help="interaction yield at the equilibrium volume")
     _add_dh(p)
-    p.add_argument("--n", type=float, required=True, help="total population N")
-    p.add_argument("--inactive", type=float, default=0.0, help="inactive fraction N_0/N (default 0)")
+    p.add_argument("--n", type=finite_float, required=True, help="total population N")
+    p.add_argument("--inactive", type=finite_float, default=0.0, help="inactive fraction N_0/N (default 0)")
     p.set_defaults(func=_cmd_yield)
 
     p = sub.add_parser("ensemble", help="generate a synthetic (N,Y) ensemble as CSV")
@@ -257,10 +256,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="scaling_class", choices=class_names, required=True)
     _add_dh(p)
     p.add_argument("--n", type=int, default=500, help="sample count (default 500)")
-    p.add_argument("--nmin", type=float, default=1e3, help="smallest population (default 1e3)")
-    p.add_argument("--nmax", type=float, default=1e7, help="largest population (default 1e7)")
-    p.add_argument("--noise", type=float, default=0.1, help="log-normal noise sigma (default 0.1)")
-    p.add_argument("--inactive", type=float, default=0.0, help="inactive fraction N_0/N (default 0)")
+    p.add_argument("--nmin", type=finite_float, default=1e3, help="smallest population (default 1e3)")
+    p.add_argument("--nmax", type=finite_float, default=1e7, help="largest population (default 1e7)")
+    p.add_argument("--noise", type=finite_float, default=0.1, help="log-normal noise sigma (default 0.1)")
+    p.add_argument("--inactive", type=finite_float, default=0.0, help="inactive fraction N_0/N (default 0)")
     p.add_argument("--seed", type=int, default=0, help="64-bit unsigned seed (default 0)")
     p.set_defaults(func=_cmd_ensemble)
 
@@ -271,14 +270,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare fit JSON against the theoretical exponent")
     p.add_argument("--class", dest="scaling_class", choices=class_names, required=True)
     _add_dh(p)
-    p.add_argument("--k", type=float, default=2.0, help="stderr multiple for the pass flag (default 2)")
+    p.add_argument("--k", type=finite_float, default=2.0, help="stderr multiple for the pass flag (default 2)")
     _add_input_flag(p)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("usl-eval", help="evaluate the scalability law")
-    p.add_argument("--contention", type=float, required=True)
-    p.add_argument("--coherency", type=float, default=0.0)
-    p.add_argument("--n", type=float, help="concurrency level N >= 1")
+    p.add_argument("--contention", type=finite_float, required=True)
+    p.add_argument("--coherency", type=finite_float, default=0.0)
+    p.add_argument("--n", type=finite_float, help="concurrency level N >= 1")
     p.add_argument("--peak", action="store_true", help="print the speedup-maximizing N instead")
     p.set_defaults(func=_cmd_usl_eval)
 
@@ -287,16 +286,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_usl_fit)
 
     p = sub.add_parser("serial", help="serial-fraction completion time sigma + pi/N + kappa*N")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--pi", type=float, default=0.0)
-    p.add_argument("--kappa", type=float, default=0.0)
-    p.add_argument("--n", type=float, required=True)
+    p.add_argument("--sigma", type=finite_float, required=True)
+    p.add_argument("--pi", type=finite_float, default=0.0)
+    p.add_argument("--kappa", type=finite_float, default=0.0)
+    p.add_argument("--n", type=finite_float, required=True)
     p.add_argument("--exponent", action="store_true", help="print the local power-law slope (kappa=0 regime)")
     p.set_defaults(func=_cmd_serial)
 
     p = sub.add_parser("queue", help="steady-state response time 1/(mu - lambda)")
-    p.add_argument("--lambda", dest="lam", type=float, required=True, help="arrival rate")
-    p.add_argument("--mu", type=float, required=True, help="service rate")
+    p.add_argument("--lambda", dest="lam", type=finite_float, required=True, help="arrival rate")
+    p.add_argument("--mu", type=finite_float, required=True, help="service rate")
     p.set_defaults(func=_cmd_queue)
 
     p = sub.add_parser("graph", help="promise-graph operations on the text format")
@@ -304,7 +303,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     shared = argparse.ArgumentParser(add_help=False)
     _add_input_flag(shared)
-    shared.add_argument("--calibration", type=float, default=1.0, help="currency value per binding type (default 1)")
+    shared.add_argument(
+        "--calibration", type=finite_float, default=1.0, help="currency value per binding type (default 1)"
+    )
 
     g = gsub.add_parser("value", parents=[shared], help="total value, mesh density and largest component, as JSON")
     g.set_defaults(func=_cmd_graph_value)
@@ -326,7 +327,9 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--giver", required=True)
     g.add_argument("--receiver", required=True)
     g.add_argument("--type", required=True)
-    g.add_argument("--threshold", type=float, default=0.1, help="scarcity consumer-fraction threshold (default 0.1)")
+    g.add_argument(
+        "--threshold", type=finite_float, default=0.1, help="scarcity consumer-fraction threshold (default 0.1)"
+    )
     g.add_argument("--membership-type", dest="membership_type", default="member")
     _add_dh(g, required=False)
     g.set_defaults(func=_cmd_graph_classify)

@@ -23,16 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CsvFormatError, DomainError
-from .meanfield import (
-    Population,
-    ScalingClass,
-    ScalingParams,
-    equilibrium_volume,
-    infrastructure_volume,
-    node_degree,
-    predicted_exponent,
-    yield_output,
-)
+from .meanfield import Population, ScalingClass, ScalingParams, _law, predicted_exponent
 from .tabular import format_pairs, parse_pairs
 
 __all__ = [
@@ -131,27 +122,7 @@ def model_value(scaling_class: ScalingClass, N: float, inactive_fraction: float,
     if N <= 0:
         raise DomainError(f"population must be positive, got {N}")
     n0 = inactive_fraction * N
-    pop = Population(N - n0, n0)
-    cls = ScalingClass(scaling_class)
-    if cls is ScalingClass.INFRASTRUCTURE_VOLUME:
-        return infrastructure_volume(equilibrium_volume(pop, params), pop, params)
-    if cls is ScalingClass.LINEAR_CONSUMPTION:
-        return pop.N
-    if cls is ScalingClass.INTERACTION:
-        return yield_output(pop, params)
-    if cls is ScalingClass.SCARCE_AGENT:
-        return node_degree(pop, equilibrium_volume(pop, params), params)
-    if cls is ScalingClass.SCARCE_DEPENDENCY:
-        return yield_output(pop, params) * node_degree(pop, equilibrium_volume(pop, params), params)
-    if cls is ScalingClass.RECURSIVE_DEPENDENCY:
-        # Validates H = 1; hands back the same unsupported-configuration error.
-        predicted_exponent(cls, params)
-        chain_volume = (equilibrium_volume(pop, params) / pop.N_I) ** (1 / params.D**2) * pop.N_I
-        return pop.N_I**2 / chain_volume
-    if cls is ScalingClass.VIRTUAL_INTERACTION:
-        hd = params.H / params.D
-        return pop.N_I ** (2 * hd) * pop.N**-hd
-    raise DomainError(f"unknown scaling class {scaling_class!r}")
+    return _law(scaling_class, params).value(Population(N - n0, n0), params)
 
 
 def _sample_rng(seed: int, index: int) -> np.random.Generator:

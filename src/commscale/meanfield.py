@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import DomainError, UnsupportedConfigError
 
@@ -246,28 +247,81 @@ def linear_consumption(pop: Population, coeffs: ConsumptionCoeffs) -> tuple[floa
     return coeffs.e_minus * pop.N, coeffs.e_plus * pop.N
 
 
-_RECURSIVE_H_NOTE = "the recursive dependency exponent is only derived for H = 1"
+@dataclass(frozen=True)
+class _ClassLaw:
+    """One scaling class: exponent beta, split share p and model value.
+
+    exponent and share take (D, H, delta) and return exact rationals. p is
+    the power of the (1 + N_0/N_I) factor: a class value N_I**q * N**p with
+    N = N_I (1 + N_0/N_I) is N_I**(p+q) * (1 + N_0/N_I)**p. Shares are
+    written through delta, which makes them exact at D = 2H (the headline
+    regime); the recursive and virtual shares are exact at every supported
+    D, H. value(pop, params) is the noise-free class output at the
+    equilibrium volume; unit_h_only marks a class derived for H = 1 only.
+    """
+
+    exponent: Callable[[int, Fraction, Fraction], Fraction]
+    share: Callable[[int, Fraction, Fraction], Fraction]
+    value: Callable[[Population, ScalingParams], float]
+    unit_h_only: bool = False
 
 
-def _exponent_fraction(scaling_class: ScalingClass, D: int, H: Fraction) -> Fraction:
-    delta = _delta(D, H)
-    if scaling_class is ScalingClass.INFRASTRUCTURE_VOLUME:
-        return 1 - delta
-    if scaling_class is ScalingClass.LINEAR_CONSUMPTION:
-        return Fraction(1)
-    if scaling_class is ScalingClass.INTERACTION:
-        return 1 + delta
-    if scaling_class is ScalingClass.SCARCE_AGENT:
-        return delta
-    if scaling_class is ScalingClass.SCARCE_DEPENDENCY:
-        return 1 + 2 * delta
-    if scaling_class is ScalingClass.RECURSIVE_DEPENDENCY:
-        if H != 1:
-            raise UnsupportedConfigError(_RECURSIVE_H_NOTE)
-        return 1 + Fraction(1, D * D) - Fraction(1, D * (D + 1))
-    if scaling_class is ScalingClass.VIRTUAL_INTERACTION:
-        return H / D
-    raise DomainError(f"unknown scaling class {scaling_class!r}")
+_LAWS = {
+    ScalingClass.INFRASTRUCTURE_VOLUME: _ClassLaw(
+        exponent=lambda D, H, d: 1 - d,
+        share=lambda D, H, d: d - 1,
+        value=lambda pop, p: infrastructure_volume(equilibrium_volume(pop, p), pop, p),
+    ),
+    ScalingClass.LINEAR_CONSUMPTION: _ClassLaw(
+        exponent=lambda D, H, d: Fraction(1),
+        share=lambda D, H, d: Fraction(1),
+        value=lambda pop, p: pop.N,
+    ),
+    ScalingClass.INTERACTION: _ClassLaw(
+        exponent=lambda D, H, d: 1 + d,
+        share=lambda D, H, d: 1 - d,
+        value=yield_output,
+    ),
+    ScalingClass.SCARCE_AGENT: _ClassLaw(
+        exponent=lambda D, H, d: d,
+        share=lambda D, H, d: 1 - d,
+        value=lambda pop, p: node_degree(pop, equilibrium_volume(pop, p), p),
+    ),
+    ScalingClass.SCARCE_DEPENDENCY: _ClassLaw(
+        exponent=lambda D, H, d: 1 + 2 * d,
+        share=lambda D, H, d: 2 * (1 - d),
+        value=lambda pop, p: yield_output(pop, p) * node_degree(pop, equilibrium_volume(pop, p), p),
+    ),
+    ScalingClass.RECURSIVE_DEPENDENCY: _ClassLaw(
+        exponent=lambda D, H, d: 1 + Fraction(1, D * D) - Fraction(1, D * (D + 1)),
+        share=lambda D, H, d: d,
+        # N_I**2 over the cascaded chain volume (V_eq/N_I)**(1/D**2) * N_I.
+        value=lambda pop, p: pop.N_I**2 / ((equilibrium_volume(pop, p) / pop.N_I) ** (1 / p.D**2) * pop.N_I),
+        unit_h_only=True,
+    ),
+    ScalingClass.VIRTUAL_INTERACTION: _ClassLaw(
+        exponent=lambda D, H, d: H / D,
+        share=lambda D, H, d: -H / D,
+        value=lambda pop, p: pop.N_I ** (2 * p.H / p.D) * pop.N ** (-p.H / p.D),
+    ),
+}
+
+
+def _law(scaling_class, params: ScalingParams) -> _ClassLaw:
+    """The record of a ScalingClass or its string value, checked against params."""
+    try:
+        cls = ScalingClass(scaling_class)
+    except ValueError:
+        raise DomainError(f"unknown scaling class {scaling_class!r}") from None
+    law = _LAWS[cls]
+    if law.unit_h_only and params.H != 1:
+        raise UnsupportedConfigError(f"the {cls.value.replace('_', ' ')} exponent is only derived for H = 1")
+    return law
+
+
+def _rational(part: Callable[[int, Fraction, Fraction], Fraction], params: ScalingParams) -> float:
+    H = _as_fraction(params.H)
+    return float(part(params.D, H, _delta(params.D, H)))
 
 
 def predicted_exponent(scaling_class: ScalingClass, params: ScalingParams, pervasive: bool = True) -> float:
@@ -292,47 +346,20 @@ def predicted_exponent(scaling_class: ScalingClass, params: ScalingParams, perva
             "exponents are single powers only for a pervasive network (N ~= N_I); "
             "use correction_factor for the (1 + N_0/N_I) adjustment"
         )
-    return float(_exponent_fraction(scaling_class, params.D, _as_fraction(params.H)))
-
-
-def _split_share(scaling_class: ScalingClass, D: int, H: Fraction) -> Fraction:
-    # Exponent p of the (1 + N_0/N_I) factor. Writing a class value as
-    # N_I**q * N**p and N = N_I (1 + N_0/N_I) gives N_I**(p+q) * (1+N_0/N_I)**p.
-    # Shares are expressed through delta, the parameterization in which the
-    # composed pipeline is reproduced exactly at D = 2H (the headline regime);
-    # the recursive and virtual shares are exact for all supported D, H.
-    delta = _delta(D, H)
-    if scaling_class is ScalingClass.INFRASTRUCTURE_VOLUME:
-        return -(1 - delta)
-    if scaling_class is ScalingClass.LINEAR_CONSUMPTION:
-        return Fraction(0)
-    if scaling_class is ScalingClass.INTERACTION:
-        return 1 - delta
-    if scaling_class is ScalingClass.SCARCE_AGENT:
-        return 1 - delta
-    if scaling_class is ScalingClass.SCARCE_DEPENDENCY:
-        return 2 * (1 - delta)
-    if scaling_class is ScalingClass.RECURSIVE_DEPENDENCY:
-        if H != 1:
-            raise UnsupportedConfigError(_RECURSIVE_H_NOTE)
-        return delta
-    if scaling_class is ScalingClass.VIRTUAL_INTERACTION:
-        return -H / D
-    raise DomainError(f"unknown scaling class {scaling_class!r}")
+    return _rational(_law(scaling_class, params).exponent, params)
 
 
 def correction_factor(scaling_class: ScalingClass, pop: Population, params: ScalingParams) -> float:
     """Multiplier on the pervasive power law when part of the population idles.
 
     Returns (1 + N_0/N_I)**p with the class share p documented in
-    _split_share; exactly 1 for every class when N_0 = 0. For
-    Interaction at D=2, H=1 this is the (1 + N_0/N_I)**(5/6) factor that
-    multiplies N_I**(7/6).
+    _ClassLaw; exactly 1 for every class when N_0 = 0. For Interaction
+    at D=2, H=1 this is the (1 + N_0/N_I)**(5/6) factor that multiplies
+    N_I**(7/6).
     """
     if pop.N_I == 0:
         raise DomainError("correction factor requires N_I > 0")
-    share = _split_share(scaling_class, params.D, _as_fraction(params.H))
-    return (1 + pop.N_0 / pop.N_I) ** float(share)
+    return (1 + pop.N_0 / pop.N_I) ** _rational(_law(scaling_class, params).share, params)
 
 
 def node_degree(pop: Population, V: float, params: ScalingParams) -> float:

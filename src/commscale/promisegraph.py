@@ -308,15 +308,17 @@ def reduce_conditionals(graph: PromiseGraph) -> PromiseGraph:
     for every named dependency d, the giver unconditionally accepts d
     from some agent that unconditionally offers d back. Iterates to a
     fixed point so chains of conditions resolve; unsatisfied
-    conditionals (and conditional accepts) are retained unchanged.
+    conditionals (and conditional accepts) are retained unchanged. When
+    no offer fires, the graph itself is returned.
     """
     supplied = _discharge(graph.promises)
-    promises = [
-        replace(p, condition=())
-        if p.conditional and p.polarity is Polarity.OFFER and all((p.giver, d) in supplied for d in p.condition)
-        else p
+    fires = [
+        p.conditional and p.polarity is Polarity.OFFER and all((p.giver, d) in supplied for d in p.condition)
         for p in graph.promises
     ]
+    if not any(fires):
+        return graph
+    promises = [replace(p, condition=()) if fire else p for p, fire in zip(graph.promises, fires)]
     return PromiseGraph(graph.agents, promises, graph.calibration)
 
 

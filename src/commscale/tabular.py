@@ -10,17 +10,28 @@ written. Errors carry 1-based row and column positions.
 
 from __future__ import annotations
 
+import math
+
 from .errors import CsvFormatError
 
-__all__ = ["parse_pairs", "format_pairs"]
+__all__ = ["finite_float", "parse_pairs", "format_pairs"]
+
+
+def finite_float(text) -> float:
+    """float(text), raising ValueError for anything but a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 def parse_pairs(text: str, expected_header: str) -> list[tuple[int, float, float]]:
     """Parse two-column CSV text into (row number, x, y) triples.
 
-    The header row must match expected_header exactly. Row numbers are
-    1-based file line numbers (the header is row 1), kept so callers can
-    locate their own validation errors.
+    The header row must match expected_header exactly and every cell
+    must be a finite number. Row numbers are 1-based file line numbers
+    (the header is row 1), kept so callers can locate their own
+    validation errors.
     """
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -37,9 +48,9 @@ def parse_pairs(text: str, expected_header: str) -> list[tuple[int, float, float
         values = []
         for col, cell in enumerate(cells, 1):
             try:
-                values.append(float(cell))
+                values.append(finite_float(cell))
             except ValueError:
-                raise CsvFormatError(f"row {row}, column {col}: {cell!r} is not a number") from None
+                raise CsvFormatError(f"row {row}, column {col}: {cell!r} is not a finite number") from None
         out.append((row, values[0], values[1]))
     return out
 

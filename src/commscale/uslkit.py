@@ -1,9 +1,11 @@
 """Universal Scalability Law, serial-fraction time models, M/M/1 response time.
 
 The one-dimensional counterpart of the community model: speedup of N
-cooperating workers under contention and coherency costs, the
-sigma + pi/N + kappa*N completion-time family, its local power-law
-slope, and the stability-gated queue response time.
+cooperating workers under contention and coherency costs and its
+bounded least-squares fit in numpy (Gunther's linearisation as the
+start, then damped Gauss-Newton), the sigma + pi/N + kappa*N
+completion-time family, its local power-law slope, and the
+stability-gated queue response time.
 """
 
 from __future__ import annotations
@@ -47,15 +49,11 @@ class UslParams:
             raise DomainError(f"coherency must be >= 0, got {self.coherency}")
 
 
-def _denominator(N, p: UslParams):
-    return 1.0 + p.contention * (N - 1.0) + p.coherency * N * (N - 1.0)
-
-
 def usl_speedup(N: float, p: UslParams) -> float:
     """S(N) = N / (1 + contention*(N-1) + coherency*N*(N-1)); S(1) = 1 exactly."""
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    den = _denominator(N, p)
+    den = 1.0 + p.contention * (N - 1.0) + p.coherency * N * (N - 1.0)
     if den <= 0:
         raise DomainError(f"speedup denominator is not positive at N={N} (contention too negative)")
     return N / den
@@ -86,18 +84,57 @@ class UslFit:
     residual: float
 
 
-_START = (0.1, 0.001)
-_MULTISTART = [(a0, b0) for a0 in (-0.5, 0.05, 0.5) for b0 in (1e-6, 1e-3, 0.1)]
+_LOWER = np.array([-1.0, 0.0])
+_MULTISTART = np.array([(a0, b0) for a0 in (-0.5, 0.05, 0.5) for b0 in (1e-6, 1e-3, 0.1)])
+
+
+def _refine(basis, N, S, theta):
+    """Damped Gauss-Newton (Levenberg-Marquardt): (theta, sum of squared errors).
+
+    A denominator is 1 + basis @ theta, and theta with one <= 0 has an
+    infinite error. The step is undamped until one fails to lower the
+    error. A parameter on its bound with the gradient pointing out is
+    held fixed, and steps are clipped to the bounds.
+    """
+
+    def sse(t):
+        den = 1.0 + basis @ t
+        return float(((N / den - S) ** 2).sum()) if np.all(den > 0) else math.inf
+
+    cost, damping = sse(theta), 0.0
+    for _ in range(500 if cost < math.inf else 0):
+        den = 1.0 + basis @ theta
+        J = -(N / den**2)[:, None] * basis
+        grad = J.T @ (N / den - S)
+        free = (theta > _LOWER) | (grad <= 0)
+        A = (J.T @ J)[np.ix_(free, free)]
+        step = np.zeros(2)
+        try:
+            step[free] = np.linalg.solve(A + damping * np.diag(np.diag(A)), -grad[free])
+        except np.linalg.LinAlgError:
+            break
+        trial = np.maximum(theta + step, _LOWER)
+        if (trial_cost := sse(trial)) < cost:
+            theta, cost = trial, trial_cost
+            damping = damping / 10.0 if damping > 1e-4 else 0.0
+        elif damping > 1e11 or (damping == 0.0 and np.all(np.abs(step) <= 1e-14 * np.abs(theta))):
+            break
+        else:
+            damping = max(1e-4, 10.0 * damping)
+    return theta, cost
 
 
 def usl_fit(data) -> UslFit:
     """Least-squares (contention, coherency) fit of measured speedups.
 
     Nonlinear least squares on the speedup values directly, which stays
-    well-behaved when the data are superlinear: contention may go
-    negative, coherency is clamped to >= 0. Deterministic: one fixed
-    starting point, then a fixed 3x3 grid of restarts only if the first
-    solution leaves a visible relative residual.
+    well-behaved when the data are superlinear. Bounds: contention >= -1
+    (it may go negative), coherency >= 0. The start is Gunther's
+    linearisation N/S - 1 = contention*(N-1) + coherency*N*(N-1), solved
+    by ordinary least squares and clamped to the bounds; a damped
+    Gauss-Newton iteration refines it. Deterministic: only if that
+    leaves a relative residual above 1e-6 is the fit restarted from a
+    fixed 3x3 grid, skipping grid points where a denominator is <= 0.
     """
     pts = [(float(n), float(s)) for n, s in data]
     if not pts:
@@ -110,29 +147,19 @@ def usl_fit(data) -> UslFit:
         raise DomainError("speedup values must be positive")
     if len({n for n, _ in pts}) < 3:
         raise DomainError("need at least 3 distinct N values to fit two parameters")
-    # Imported here: scipy takes longer to import than any other command runs.
-    from scipy.optimize import least_squares
-
-    N = np.array([n for n, _ in pts])
-    S = np.array([s for _, s in pts])
-
-    def residuals(theta):
-        den = _denominator(N, UslParams(max(theta[0], -1.0), max(theta[1], 0.0)))
-        den = np.where(den > 1e-12, den, 1e-12)
-        return N / den - S
-
-    def solve(x0):
-        return least_squares(residuals, x0=x0, bounds=([-1.0, 0.0], [np.inf, np.inf]))
-
-    best = solve(_START)
-    scale = max(1.0, float(np.linalg.norm(S)))
-    if math.sqrt(2.0 * best.cost) / scale > 1e-6:
-        for x0 in _MULTISTART:
-            candidate = solve(x0)
-            if candidate.cost < best.cost:
-                best = candidate
-    params = UslParams(float(best.x[0]), float(best.x[1]))
-    return UslFit(params, float(2.0 * best.cost))
+    N, S = np.array(pts).T
+    with np.errstate(all="ignore"):
+        basis = np.stack([N - 1.0, N * (N - 1.0)], axis=1)
+        linear = N / S - 1.0
+        if not (np.isfinite(basis).all() and np.isfinite(linear).all()):
+            raise DomainError("N*(N-1) and N/speedup must be finite")
+        best = _refine(basis, N, S, np.maximum(np.linalg.lstsq(basis, linear, rcond=None)[0], _LOWER))
+        if math.sqrt(best[1]) / max(1.0, float(np.linalg.norm(S))) > 1e-6:
+            best = min([best, *(_refine(basis, N, S, x0) for x0 in _MULTISTART)], key=lambda fit: fit[1])
+    theta, residual = best
+    if not math.isfinite(residual):
+        raise DomainError("the squared speedup error overflows at every start")
+    return UslFit(UslParams(float(theta[0]), float(theta[1])), residual)
 
 
 @dataclass(frozen=True)

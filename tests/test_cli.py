@@ -306,6 +306,40 @@ class TestGraphCommands:
         assert via_stdin == via_file
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv, stdin_text",
+        [
+            (["queue", "--lambda", "nan", "--mu", "1"], None),
+            (["usl-eval", "--contention", "nan", "--n", "4"], None),
+            (["serial", "--sigma", "nan", "--n", "4"], None),
+            (["yield", "--D", "2", "--H", "1", "--n", "inf"], None),
+            (["ensemble", "--class", "interaction", "--D", "2", "--H", "1", "--noise", "nan"], None),
+            (["fit"], "N,Y\n10,1\n20,nan\n40,3\n"),
+            (["graph", "value", "--calibration", "nan"], MESH3),
+            (["compare", "--class", "interaction", "--D", "2", "--H", "1"], '{"beta": NaN}'),
+            (["compare", "--class", "interaction", "--D", "2", "--H", "1"], '{"beta": 1.1, "stderr_beta": Infinity}'),
+        ],
+        ids=["queue", "usl-eval", "serial", "yield", "ensemble", "fit", "graph-value", "compare-nan", "compare-inf"],
+    )
+    def test_rejected_without_output(self, monkeypatch, capsys, argv, stdin_text):
+        if stdin_text is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (1, 2)
+        assert out == ""
+        assert "Traceback" not in err and "finite" in err
+
+    def test_csv_error_names_row_and_column(self, run):
+        code, out, err = run(["fit"], stdin_text="N,Y\n10,1\n20,inf\n")
+        assert code == 1 and out == ""
+        assert "row 3, column 2" in err
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:

@@ -85,6 +85,10 @@ class TestModelValue:
     def test_accepts_class_by_string_value(self):
         assert ens.model_value("linear_consumption", 7.0, 0.0, D2H1) == 7.0
 
+    def test_unknown_class_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="unknown scaling class"):
+            ens.model_value("sublinear_magic", 7.0, 0.0, D2H1)
+
 
 class TestGenerate:
     def test_deterministic(self):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from commscale import meanfield as mf
+from commscale.ensemble import model_value
 from commscale.errors import DomainError, UnsupportedConfigError
 from commscale.meanfield import Population, ScalingClass, ScalingParams
 
@@ -182,6 +183,24 @@ class TestCorrectionFactor:
         for n0 in (10.0, 50.0, 300.0):
             ratio = mf.yield_output(Population(100, n0), p) / base
             assert ratio == pytest.approx(mf.correction_factor(ScalingClass.INTERACTION, Population(100, n0), p), rel=1e-12)
+        # Every class value at fixed N_I, with and without bystanders, differs
+        # by exactly this factor: for every class at D = 2H, and for the
+        # recursive and virtual classes, whose shares are exact, at any D, H.
+        # The recursive class is derived for H = 1 only, so not at (4, 2).
+        cases = [
+            (cls, D, H)
+            for cls in ScalingClass
+            for D, H in ((2, 1.0), (4, 2.0))
+            if H == 1 or cls is not ScalingClass.RECURSIVE_DEPENDENCY
+        ]
+        cases += [(ScalingClass.RECURSIVE_DEPENDENCY, D, 1.0) for D in (1, 3)]
+        cases += [(ScalingClass.VIRTUAL_INTERACTION, D, H) for D, H in ((1, 0.5), (3, 1.0), (3, 2.5))]
+        for cls, D, H in cases:
+            p = params(D, H)
+            for n, f in ((1000.0, 0.3), (5e5, 0.9)):
+                ratio = model_value(cls, n, f, p) / model_value(cls, (1 - f) * n, 0.0, p)
+                factor = mf.correction_factor(cls, Population((1 - f) * n, f * n), p)
+                assert ratio == pytest.approx(factor, rel=1e-12), (cls, D, H, n, f)
 
     def test_rejects_zero_connected(self):
         with pytest.raises(DomainError):

@@ -320,6 +320,13 @@ class TestReduceConditionals:
         assert reduced == g
         assert pg.find_bindings(reduced) == []
 
+    def test_graph_where_nothing_fires_is_returned_as_is(self):
+        # Graphs are immutable, so reduce hands back its input rather than a rebuilt copy.
+        unconditional = mesh_graph(4)
+        assert pg.reduce_conditionals(unconditional) is unconditional
+        unsupplied = PromiseGraph([Agent("a"), Agent("b")], [offer("a", "b", "svc", cond=("fuel",))])
+        assert pg.reduce_conditionals(unsupplied) is unsupplied
+
     def test_offer_without_matching_accept_does_not_supply(self):
         # b offers fuel but a never accepts it: the dependency stays open.
         g = PromiseGraph(
@@ -447,6 +454,28 @@ class TestLargestBindingComponent:
     def test_unbound_promises_do_not_connect(self):
         g = PromiseGraph([Agent("a"), Agent("b")], [offer("a", "b", "svc")])
         assert pg.largest_binding_component(g) == 1
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from("abcdef"),
+                st.sampled_from("abcdef"),
+                st.sampled_from("st"),
+                st.sampled_from(list(Polarity)),
+                st.frozensets(st.sampled_from("*x"), min_size=1),
+            ),
+            max_size=24,
+        )
+    )
+    def test_matches_networkx_components(self, rows):
+        nx = pytest.importorskip("networkx")
+        g = PromiseGraph([Agent(a) for a in "abcdef"], [Promise(*row) for row in rows])
+        oracle = nx.Graph()
+        oracle.add_nodes_from("abcdef")
+        oracle.add_edges_from((offer_key[0], offer_key[1]) for offer_key, _, _ in brute_force_bindings(g))
+        assert pg.largest_binding_component(g) == max(len(c) for c in nx.connected_components(oracle))
 
 
 class TestReputation:

@@ -1,6 +1,11 @@
+import json
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from commscale import uslkit
@@ -197,3 +202,87 @@ class TestQueue:
             QueueParams(-0.1, 1.0)
         with pytest.raises(DomainError):
             QueueParams(0.1, -1.0)
+
+
+def scipy_reference_fit(data):
+    """The scipy fit usl_fit replaced: least_squares from (0.1, 0.001), then the 3x3 grid.
+
+    Returns (contention, coherency) and the sum of squared errors.
+    """
+    least_squares = pytest.importorskip("scipy.optimize").least_squares
+    N = np.array([float(n) for n, _ in data])
+    S = np.array([float(s) for _, s in data])
+
+    def residuals(theta):
+        den = 1.0 + max(theta[0], -1.0) * (N - 1.0) + max(theta[1], 0.0) * N * (N - 1.0)
+        den = np.where(den > 1e-12, den, 1e-12)
+        return N / den - S
+
+    def solve(x0):
+        return least_squares(residuals, x0=x0, bounds=([-1.0, 0.0], [np.inf, np.inf]))
+
+    best = solve((0.1, 0.001))
+    if math.sqrt(2.0 * best.cost) / max(1.0, float(np.linalg.norm(S))) > 1e-6:
+        for x0 in [(a0, b0) for a0 in (-0.5, 0.05, 0.5) for b0 in (1e-6, 1e-3, 0.1)]:
+            candidate = solve(x0)
+            if candidate.cost < best.cost:
+                best = candidate
+    return tuple(best.x), 2.0 * best.cost
+
+
+def reference_corpus():
+    """(name, data, true parameters or None): exact, 1%-noisy, superlinear and off-model curves."""
+    rng = random.Random(2016)
+    out = []
+    for k in range(24):
+        superlinear = k % 4 == 3
+        truth = (rng.uniform(-0.012, -0.004) if superlinear else rng.uniform(0.005, 0.1), rng.uniform(1e-5, 1e-3))
+        ns = range(1, 65) if k % 2 else [1, 2, 4, 8, 16, 32, 48, 64]
+        exact = [(n, float(f"{uslkit.usl_speedup(n, UslParams(*truth)):.12g}")) for n in ns]
+        out.append((f"exact-{k}", exact, truth))
+        out.append((f"noisy-{k}", [(n, s * (1 + 0.01 * rng.gauss(0, 1))) for n, s in exact], None))
+    ns = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
+    out += [
+        ("sqrt", [(n, math.sqrt(n)) for n in ns], None),
+        ("log", [(n, 1 + math.log(n)) for n in ns], None),
+        ("amdahl", [(n, n / (1 + 0.2 * (n - 1))) for n in ns], None),
+        ("flat", [(n, 1.0) for n in ns], None),
+        ("quadratic", [(n, n * (1 + 0.01 * n)) for n in ns], None),
+        ("retrograde", [(n, 8 * n / (n + 10) * math.exp(-n / 40)) for n in ns], None),
+        ("scatter", [(n, rng.uniform(0.5, 3.0)) for n in ns], None),
+    ]
+    return out
+
+
+class TestUslFitAgainstScipy:
+    @pytest.mark.parametrize(
+        "data, truth", [case[1:] for case in reference_corpus()], ids=[case[0] for case in reference_corpus()]
+    )
+    def test_residual_no_worse_than_scipy(self, data, truth):
+        (ref_a, ref_b), ref_residual = scipy_reference_fit(data)
+        fit = uslkit.usl_fit(data)
+        # Evaluating a sum of squared errors rounds each error by a few ulps
+        # of the speedup, so residuals cannot be told apart below
+        # 8 eps |S| sqrt(residual); that floor matters only for exact curves,
+        # whose residual is the 12-digit rounding of their values.
+        S = np.array([s for _, s in data])
+        floor = 8 * np.finfo(float).eps * float(np.linalg.norm(S)) * math.sqrt(ref_residual)
+        assert fit.residual <= ref_residual * (1 + 1e-9) + floor
+        if truth is not None:
+            for got, ref, true in zip((fit.params.contention, fit.params.coherency), (ref_a, ref_b), truth):
+                assert got == pytest.approx(true, rel=1e-6)
+                assert got == pytest.approx(ref, rel=1e-6)
+
+    def test_cli_fit_does_not_import_scipy(self, tmp_path):
+        path = tmp_path / "speedups.csv"
+        path.write_text("N,value\n1,1\n2,1.9\n4,3.4\n8,5.5\n16,7.1\n", encoding="utf-8")
+        src = Path(uslkit.__file__).resolve().parents[1]
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); from commscale.cli import main; "
+            "code = main(['usl-fit', '--input', sys.argv[2]]); "
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy')); "
+            "sys.exit(code)"
+        )
+        proc = subprocess.run([sys.executable, "-I", "-c", code, str(src), str(path)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["residual"] >= 0
