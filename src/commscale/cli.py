@@ -4,13 +4,14 @@ One command per invocation; scalar results print as bare numbers,
 reports as JSON, series as CSV, graphs in the text format documented in
 graphio. All numbers carry 12 significant digits. Exit codes: 0 on
 success, 1 on domain errors (message on stderr, nothing on stdout),
-2 on usage errors.
+2 on usage errors. A non-finite result is a domain error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import ensemble, graphio, meanfield, promisegraph, tabular, uslkit
@@ -23,7 +24,10 @@ __all__ = ["main"]
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"result {x} is not a finite number")
+    return format(x, ".12g")
 
 
 def _jnum(x: float) -> float:
@@ -37,7 +41,7 @@ def _emit(text: str) -> int:
 
 
 def _emit_json(obj) -> int:
-    return _emit(json.dumps(obj, indent=2) + "\n")
+    return _emit(json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 def _read_input(args) -> str:

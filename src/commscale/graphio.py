@@ -34,18 +34,28 @@ __all__ = ["parse_graph", "emit_graph"]
 _TOKEN = re.compile(r"[^\s,|#]+\Z")
 
 
-def _check_token(token: str, what: str, lineno: int | None = None) -> str:
-    if not _TOKEN.match(token):
-        where = f"line {lineno}: " if lineno is not None else ""
-        raise GraphFormatError(f"{where}invalid {what} {token!r} (whitespace, ',', '|' and '#' are reserved)")
+def _check_token(token: str, what: str, passed: set, lineno: int | None = None) -> str:
+    # passed holds the tokens this call has already accepted; a failing token is never added.
+    if token not in passed:
+        if not _TOKEN.match(token):
+            where = f"line {lineno}: " if lineno is not None else ""
+            raise GraphFormatError(f"{where}invalid {what} {token!r} (whitespace, ',', '|' and '#' are reserved)")
+        passed.add(token)
     return token
 
 
-def _split_csv(text: str, what: str, lineno: int) -> list[str]:
+def _split_csv(text: str, what: str, passed: set, lineno: int) -> list[str]:
     parts = text.split(",")
     if any(not p for p in parts):
         raise GraphFormatError(f"line {lineno}: empty entry in {what} {text!r}")
-    return [_check_token(p, f"{what} entry", lineno) for p in parts]
+    return [_check_token(p, f"{what} entry", passed, lineno) for p in parts]
+
+
+def _joined(entries, what: str, passed: set, memo: dict) -> str:
+    text = memo.get(entries)
+    if text is None:
+        text = memo[entries] = ",".join(_check_token(t, what, passed) for t in sorted(entries))
+    return text
 
 
 def parse_graph(text: str, calibration: Calibration = 1.0) -> PromiseGraph:
@@ -57,6 +67,11 @@ def parse_graph(text: str, calibration: Calibration = 1.0) -> PromiseGraph:
     agents: dict[str, Agent] = {}
     agent_lines: dict[str, int] = {}
     promises: list[tuple[int, Promise]] = []
+    # Each distinct token is checked once, and each distinct csv field is
+    # parsed once into one shared value.
+    passed: set[str] = set()
+    constraints: dict[str, frozenset] = {}
+    conditions: dict[str, tuple] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -66,7 +81,7 @@ def parse_graph(text: str, calibration: Calibration = 1.0) -> PromiseGraph:
         if kind == "agent":
             if len(fields) != 3:
                 raise GraphFormatError(f"line {lineno}: agent records take exactly 2 fields, got {len(fields) - 1}")
-            agent_id = _check_token(fields[1], "agent id", lineno)
+            agent_id = _check_token(fields[1], "agent id", passed, lineno)
             if agent_id in agents:
                 raise GraphFormatError(
                     f"line {lineno}: duplicate agent {agent_id!r} (first declared on line {agent_lines[agent_id]})"
@@ -81,23 +96,28 @@ def parse_graph(text: str, calibration: Calibration = 1.0) -> PromiseGraph:
             agent_lines[agent_id] = lineno
         elif kind == "promise":
             if len(fields) == 8 and fields[6] == "|":
-                condition = tuple(_split_csv(fields[7], "condition", lineno))
+                condition = conditions.get(fields[7])
+                if condition is None:
+                    parts = _split_csv(fields[7], "condition", passed, lineno)
+                    condition = conditions[fields[7]] = tuple(sorted(set(parts)))
             elif len(fields) == 6:
                 condition = ()
             else:
                 raise GraphFormatError(
                     f"line {lineno}: promise records take 5 fields plus an optional '| <cond-csv>', got {line!r}"
                 )
-            giver = _check_token(fields[1], "agent id", lineno)
-            receiver = _check_token(fields[2], "agent id", lineno)
-            type_tag = _check_token(fields[3], "promise type", lineno)
+            giver = _check_token(fields[1], "agent id", passed, lineno)
+            receiver = _check_token(fields[2], "agent id", passed, lineno)
+            type_tag = _check_token(fields[3], "promise type", passed, lineno)
             if fields[4] == "+":
                 polarity = Polarity.OFFER
             elif fields[4] == "-":
                 polarity = Polarity.ACCEPT
             else:
                 raise GraphFormatError(f"line {lineno}: polarity must be '+' or '-', got {fields[4]!r}")
-            constraint = frozenset(_split_csv(fields[5], "constraint", lineno))
+            constraint = constraints.get(fields[5])
+            if constraint is None:
+                constraint = constraints[fields[5]] = frozenset(_split_csv(fields[5], "constraint", passed, lineno))
             promises.append((lineno, Promise(giver, receiver, type_tag, polarity, constraint, condition)))
         else:
             raise GraphFormatError(f"line {lineno}: unknown record {kind!r} (expected 'agent' or 'promise')")
@@ -111,17 +131,19 @@ def parse_graph(text: str, calibration: Calibration = 1.0) -> PromiseGraph:
 
 def emit_graph(graph: PromiseGraph) -> str:
     """Emit the canonical text form of a graph."""
+    passed: set[str] = set()
     lines = []
     for agent_id in graph.agent_ids():
-        _check_token(agent_id, "agent id")
+        _check_token(agent_id, "agent id", passed)
         lines.append(f"agent {agent_id} {graph.agent(agent_id).assessment!r}")
+    # Every promise endpoint is a graph agent, checked above.
+    constraints: dict[frozenset, str] = {}
+    conditions: dict[tuple, str] = {}
     for p in graph.promises:
-        for token in (p.giver, p.receiver):
-            _check_token(token, "agent id")
-        _check_token(p.type_tag, "promise type")
-        chi = ",".join(_check_token(t, "constraint entry") for t in sorted(p.constraint))
+        _check_token(p.type_tag, "promise type", passed)
+        chi = _joined(p.constraint, "constraint entry", passed, constraints)
         record = f"promise {p.giver} {p.receiver} {p.type_tag} {p.polarity.value} {chi}"
         if p.condition:
-            record += " | " + ",".join(_check_token(t, "condition entry") for t in p.condition)
+            record += " | " + _joined(p.condition, "condition entry", passed, conditions)
         lines.append(record)
     return "\n".join(lines) + "\n" if lines else ""

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 import numpy as np
 
@@ -55,7 +56,7 @@ __all__ = [
 ANY_BODY = "*"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Agent:
     """An autonomous agent with an impartial promise-keeping assessment in [0, 1]."""
 
@@ -75,7 +76,7 @@ class Polarity(enum.Enum):
     ACCEPT = "-"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Promise:
     """One declared intention: giver -> receiver, a type, a polarity, a body.
 
@@ -95,7 +96,9 @@ class Promise:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "constraint", frozenset(self.constraint))
-        object.__setattr__(self, "condition", tuple(sorted(set(self.condition))))
+        condition = tuple(sorted(set(self.condition)))
+        if condition != self.condition:
+            object.__setattr__(self, "condition", condition)
         if not self.constraint:
             raise DomainError("constraint set must be non-empty")
         if not isinstance(self.polarity, Polarity):
@@ -108,18 +111,21 @@ class Promise:
     def _key(self):
         return (self.giver, self.receiver, self.type_tag, self.polarity.value, self.condition)
 
-    def _sort_key(self):
-        return (
-            self.giver,
-            self.receiver,
-            self.type_tag,
-            self.polarity.value,
-            tuple(sorted(self.constraint)),
-            self.condition,
-        )
+
+def _in_graph_order(promises) -> list:
+    """Promises sorted by (giver, receiver, type, polarity, sorted constraint, condition), '+' before '-'."""
+    ordered: dict[frozenset, tuple] = {}
+
+    def key(p):
+        chi = ordered.get(p.constraint)
+        if chi is None:
+            chi = ordered[p.constraint] = tuple(sorted(p.constraint))
+        return (p.giver, p.receiver, p.type_tag, p.polarity is Polarity.ACCEPT, chi, p.condition)
+
+    return sorted(promises, key=key)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binding:
     """A matched offer/accept pair of one type with overlapping bodies."""
 
@@ -158,7 +164,7 @@ class PromiseGraph:
             else:
                 merged[key] = p
         self._agents = agent_map
-        self._promises = tuple(sorted(merged.values(), key=Promise._sort_key))
+        self._promises = tuple(_in_graph_order(merged.values()))
         self._calibration = calibration
 
     @property
@@ -297,7 +303,7 @@ def _discharge(promises, inside=None) -> dict:
                 unmet[id(w)] -= 1
                 if not unmet[id(w)]:
                     fired.append(w)
-        round_ = sorted(fired, key=Promise._sort_key)
+        round_ = _in_graph_order(fired)
     return supplied
 
 

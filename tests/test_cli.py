@@ -340,6 +340,22 @@ class TestNonFiniteInput:
         assert "row 3, column 2" in err
 
 
+class TestNonFiniteResult:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serial", "--sigma", "1e308", "--kappa", "1e308", "--n", "1e308"],
+            ["queue", "--lambda", "0", "--mu", "1e-320"],
+            ["usl-eval", "--contention", "-1", "--coherency", "1e-320", "--peak"],
+        ],
+        ids=["serial", "queue", "usl-eval-peak"],
+    )
+    def test_overflowing_result_exits_1_without_output(self, run, argv):
+        code, out, err = run(argv)
+        assert code == 1 and out == ""
+        assert "Traceback" not in err and "finite" in err
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:

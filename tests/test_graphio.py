@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commscale.errors import GraphFormatError
 from commscale.graphio import emit_graph, parse_graph
@@ -75,6 +77,25 @@ class TestParseErrors:
             parse_graph(text)
         assert "line 4" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "bad_line,fragment",
+        [
+            ("promise a|x b svc + x,y | c", "invalid agent id 'a|x'"),
+            ("promise a b svc|x + x,y | c", "invalid promise type 'svc|x'"),
+            ("promise a b svc + x,y|z | c", "invalid constraint entry 'y|z'"),
+            ("promise a b svc + x,y | c,d|e", "invalid condition entry 'd|e'"),
+        ],
+        ids=["agent-id", "type", "constraint", "condition"],
+    )
+    def test_invalid_token_after_many_valid_repeats_names_its_line(self, bad_line, fragment):
+        # Lines 3-4999 repeat every field of the bad line in valid form, so
+        # each token and csv field is seen thousands of times before it.
+        lines = ["agent a 1.0", "agent b 1.0"] + ["promise a b svc + x,y | c"] * 4997 + [bad_line]
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph("\n".join(lines) + "\n")
+        assert str(err.value).startswith("line 5000: ")
+        assert fragment in str(err.value)
+
 
 class TestEmit:
     def test_canonical_round_trip_is_byte_identical(self):
@@ -97,6 +118,18 @@ class TestEmit:
         )
         assert "promise a b svc + x,z | c,q\n" in emit_graph(g)
 
+    def test_constraint_orders_promises_before_condition(self):
+        # Promises that tie on (giver, receiver, type, polarity) are ordered
+        # by their sorted constraint entries first, then by their condition.
+        text = (
+            "agent a 1.0\nagent b 1.0\n"
+            "promise a b svc + x | c\n"
+            "promise a b svc + y\n"
+            "promise a b svc - a,z | c\n"
+            "promise a b svc - m\n"
+        )
+        assert emit_graph(parse_graph(text)) == text
+
     def test_empty_graph_emits_empty_string(self):
         assert emit_graph(PromiseGraph([])) == ""
 
@@ -104,6 +137,26 @@ class TestEmit:
         g = PromiseGraph([Agent("a,b")])
         with pytest.raises(GraphFormatError):
             emit_graph(g)
+
+    @pytest.mark.parametrize(
+        "bad,fragment",
+        [
+            ({"type_tag": "svc|x"}, "invalid promise type"),
+            ({"constraint": frozenset({"x", "y z"})}, "invalid constraint entry"),
+            ({"condition": ("c", "d,e")}, "invalid condition entry"),
+        ],
+        ids=["type", "constraint", "condition"],
+    )
+    def test_invalid_token_on_a_later_promise_rejected(self, bad, fragment):
+        good = Promise("a", "b", "svc", Polarity.OFFER, frozenset({"x", "y"}), ("c", "d"))
+        fields = {"giver": "b", "receiver": "a", "type_tag": "svc", "polarity": Polarity.OFFER,
+                  "constraint": frozenset({"x", "y"}), "condition": ("c", "d")}
+        later = Promise(**{**fields, **bad})
+        g = PromiseGraph([Agent("a"), Agent("b")], [good, later])
+        assert g.promises == (good, later)
+        with pytest.raises(GraphFormatError) as err:
+            emit_graph(g)
+        assert fragment in str(err.value)
 
     def test_random_graphs_round_trip(self):
         rng = random.Random(7)
@@ -130,3 +183,36 @@ class TestEmit:
             text = emit_graph(g)
             assert parse_graph(text) == g
             assert emit_graph(parse_graph(text)) == text
+
+
+_TOKENS = st.sampled_from(["*", "x", "y", "z", "svc", "member", "q"])
+_IDS = [f"n{i}" for i in range(6)]
+
+
+@st.composite
+def graphs_sharing_constraint_sets(draw):
+    """Graphs whose promises draw their constraint sets and conditions from small pools."""
+    chis = draw(st.lists(st.frozensets(_TOKENS, min_size=1, max_size=3), min_size=1, max_size=3))
+    conds = draw(st.lists(st.lists(_TOKENS, max_size=3).map(tuple), min_size=1, max_size=3))
+    ids = _IDS[: draw(st.integers(1, len(_IDS)))]
+    agents = [Agent(i, draw(st.floats(0, 1))) for i in ids]
+    promise = st.builds(
+        Promise,
+        st.sampled_from(ids),
+        st.sampled_from(ids),
+        st.sampled_from(["svc", "member", "t"]),
+        st.sampled_from(list(Polarity)),
+        st.sampled_from(chis),
+        st.sampled_from(conds),
+    )
+    return PromiseGraph(agents, draw(st.lists(promise, max_size=30)))
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_sharing_constraint_sets())
+    def test_emit_parse_round_trip(self, g):
+        text = emit_graph(g)
+        again = parse_graph(text)
+        assert again == g
+        assert emit_graph(again) == text

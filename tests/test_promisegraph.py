@@ -1,6 +1,8 @@
+import copy
 import math
+import pickle
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -124,6 +126,39 @@ class TestPromise:
     def test_polarity_must_be_typed(self):
         with pytest.raises(DomainError):
             Promise("a", "b", "svc", "+")
+
+
+class TestSlottedRecords:
+    OFFER = Promise("a", "b", "svc", Polarity.OFFER, frozenset({"x", "y"}), ("q", "c"))
+    ACCEPT = Promise("b", "a", "svc", Polarity.ACCEPT, frozenset({"y"}))
+
+    def records(self):
+        return [Agent("a", 0.5), self.OFFER, Binding(self.OFFER, self.ACCEPT, frozenset({"y"}))]
+
+    def test_records_have_no_instance_dict(self):
+        for record in self.records():
+            assert not hasattr(record, "__dict__")
+
+    @pytest.mark.parametrize(
+        "clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_records_and_graph_round_trip(self, clone):
+        promises = [replace(self.OFFER, condition=()), self.ACCEPT]
+        g = PromiseGraph([Agent("a", 0.5), Agent("b")], promises, {"svc": 2.0})
+        for value in self.records() + [g]:
+            again = clone(value)
+            assert again == value and type(again) is type(value)
+        assert pg.total_value(clone(g)) == pg.total_value(g) == 1.0
+
+    def test_replace_resorts_condition(self):
+        p = replace(self.OFFER, condition=("z", "d", "z"))
+        assert p.condition == ("d", "z")
+        assert self.OFFER.condition == ("c", "q")
+
+    @pytest.mark.parametrize("index,field", [(0, "id"), (1, "giver"), (2, "offer")])
+    def test_setting_an_attribute_raises(self, index, field):
+        with pytest.raises(FrozenInstanceError):
+            setattr(self.records()[index], field, "c")
 
 
 class TestPromiseGraph:
