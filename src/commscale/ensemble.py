@@ -8,11 +8,14 @@ exponent to machine precision, for any fixed inactive fraction: the
 (1 + N_0/N_I) factor is constant across the ensemble and moves only the
 intercept.
 
-Randomness contract: each sample i of a run comes from its own Philox
+Randomness contract: each sample i of a run is drawn from a Philox
 counter-based generator keyed by the two 64-bit words (seed, i). Sample
 i therefore depends only on (seed, i), never on evaluation order, so
 parallel generation, re-runs and different platforms all produce
-byte-identical CSV.
+byte-identical CSV. generate() builds one generator per call and, before
+each sample, re-keys it to (seed, i) with its counter at zero and its
+output buffer empty. Philox is a keyed bijection of its counter, so that
+gives exactly the draws of a fresh generator keyed (seed, i).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CsvFormatError, DomainError
-from .meanfield import Population, ScalingClass, ScalingParams, _law, predicted_exponent
+from .meanfield import Population, ScalingClass, ScalingParams, _ClassLaw, _law, predicted_exponent
 from .tabular import format_pairs, parse_pairs
 
 __all__ = [
@@ -76,14 +79,15 @@ class EnsembleSpec:
 
 @dataclass(frozen=True)
 class EnsembleSample:
-    """One (population, output) observation; both strictly positive."""
+    """One (population, output) observation; both finite and strictly positive."""
 
     N: float
     Y: float
 
     def __post_init__(self) -> None:
-        if self.N <= 0 or self.Y <= 0:
-            raise DomainError(f"samples must be positive, got N={self.N}, Y={self.Y}")
+        # The chained comparisons are false for nan as well as for inf and non-positive values.
+        if not (0 < self.N < math.inf and 0 < self.Y < math.inf):
+            raise DomainError(f"samples must be finite and positive, got N={self.N}, Y={self.Y}")
 
 
 @dataclass(frozen=True)
@@ -121,26 +125,35 @@ def model_value(scaling_class: ScalingClass, N: float, inactive_fraction: float,
     """
     if N <= 0:
         raise DomainError(f"population must be positive, got {N}")
+    return _law_value(_law(scaling_class, params), N, inactive_fraction, params)
+
+
+def _law_value(law: _ClassLaw, N: float, inactive_fraction: float, params: ScalingParams) -> float:
     n0 = inactive_fraction * N
-    return _law(scaling_class, params).value(Population(N - n0, n0), params)
-
-
-def _sample_rng(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return law.value(Population(N - n0, n0), params)
 
 
 def generate(spec: EnsembleSpec) -> list[EnsembleSample]:
-    """Draw the ensemble described by spec; deterministic given spec.seed."""
+    """Draw the ensemble described by spec; deterministic given spec.seed.
+
+    Raises DomainError when a sample is not finite and positive, for
+    instance when the noise overflows the output.
+    """
+    law = _law(spec.scaling_class, spec.params)
+    bits = np.random.Philox(key=np.array([spec.seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bits)
+    fresh = bits.state  # a copy: counter 0, empty buffer (buffer_pos 4), no cached uint32
+    key = fresh["state"]["key"]
     ln_lo = math.log(spec.N_min)
     ln_hi = math.log(spec.N_max)
     out = []
     for i in range(spec.n_samples):
-        rng = _sample_rng(spec.seed, i)
+        key[1] = i
+        bits.state = fresh
         u = rng.random()
         z = rng.standard_normal()
         n = math.exp(ln_lo + u * (ln_hi - ln_lo))
-        y = model_value(spec.scaling_class, n, spec.inactive_fraction, spec.params)
+        y = _law_value(law, n, spec.inactive_fraction, spec.params)
         out.append(EnsembleSample(n, y * math.exp(spec.noise_sigma * z)))
     return out
 

@@ -95,10 +95,12 @@ class Promise:
     condition: tuple = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "constraint", frozenset(self.constraint))
-        condition = tuple(sorted(set(self.condition)))
-        if condition != self.condition:
-            object.__setattr__(self, "condition", condition)
+        if type(self.constraint) is not frozenset:
+            object.__setattr__(self, "constraint", frozenset(self.constraint))
+        if self.condition != ():
+            condition = tuple(sorted(set(self.condition)))
+            if condition != self.condition:
+                object.__setattr__(self, "condition", condition)
         if not self.constraint:
             raise DomainError("constraint set must be non-empty")
         if not isinstance(self.polarity, Polarity):
@@ -109,7 +111,7 @@ class Promise:
         return bool(self.condition)
 
     def _key(self):
-        return (self.giver, self.receiver, self.type_tag, self.polarity.value, self.condition)
+        return (self.giver, self.receiver, self.type_tag, self.polarity is Polarity.ACCEPT, self.condition)
 
 
 def _in_graph_order(promises) -> list:

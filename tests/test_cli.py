@@ -1,11 +1,14 @@
+import contextlib
 import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from commscale import ensemble, uslkit
+from commscale import ensemble, tabular, uslkit
 from commscale.cli import main
 from commscale.meanfield import ScalingClass, ScalingParams
 from commscale.uslkit import UslParams
@@ -347,13 +350,95 @@ class TestNonFiniteResult:
             ["serial", "--sigma", "1e308", "--kappa", "1e308", "--n", "1e308"],
             ["queue", "--lambda", "0", "--mu", "1e-320"],
             ["usl-eval", "--contention", "-1", "--coherency", "1e-320", "--peak"],
+            ["ensemble", "--class", "interaction", "--D", "1", "--H", "1", "--n", "20",
+             "--nmin", "1e140", "--nmax", "1e150", "--noise", "100", "--seed", "3"],
         ],
-        ids=["serial", "queue", "usl-eval-peak"],
+        ids=["serial", "queue", "usl-eval-peak", "ensemble-overflow"],
     )
     def test_overflowing_result_exits_1_without_output(self, run, argv):
         code, out, err = run(argv)
         assert code == 1 and out == ""
         assert "Traceback" not in err and "finite" in err
+
+
+EDGE_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-320", "1e150", "1e308"]
+# Ordinary values per flag of ensemble, fit and compare; edge values replace them on a few flags per run.
+ORDINARY = {
+    "--D": ["1", "2", "3"],
+    "--H": ["0.5", "1", "2"],
+    "--n": [str(k) for k in range(2, 65)],
+    "--nmin": ["1", "10", "1e3"],
+    "--nmax": ["1e4", "1e7"],
+    "--noise": ["0", "0.1", "2"],
+    "--inactive": ["0", "0.25", "0.9"],
+    "--seed": ["0", "7", "123456789"],
+    "--k": ["0.5", "2"],
+}
+EDGE = {flag: EDGE_VALUES for flag in ORDINARY}
+EDGE["--n"] = [str(k) for k in range(-1, 2)] + EDGE_VALUES
+EDGE["--seed"] = ["-1", str(2**64 - 1), str(2**64)]
+
+
+@st.composite
+def pipeline_flags(draw):
+    """{flag: value}: every flag left at its default or set to an ordinary value, up to three set to edge values."""
+    edged = draw(st.sets(st.sampled_from(sorted(ORDINARY)), max_size=3))
+    flags = {}
+    for flag, ordinary in ORDINARY.items():
+        if flag in edged:
+            flags[flag] = draw(st.sampled_from(EDGE[flag]))
+        elif flag in ("--D", "--H") or draw(st.booleans()):
+            flags[flag] = draw(st.sampled_from(ordinary))
+    return flags
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _run_isolated(argv, stdin_text=""):
+    """main(argv) with its own stdin, stdout and stderr; a usage error's SystemExit becomes its code."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestEnsemblePipelineFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(cls=st.sampled_from([c.value for c in ScalingClass]), flags=pipeline_flags())
+    def test_ensemble_fit_compare(self, cls, flags):
+        def opts(*names):
+            return [x for f in names if f in flags for x in (f, flags[f])]
+
+        stages = [
+            (["ensemble", "--class", cls, *opts("--D", "--H", "--n", "--nmin", "--nmax", "--noise", "--inactive",
+                                                "--seed")],
+             lambda out: tabular.parse_pairs(out, "N,Y")),
+            (["fit"], _strict_json),
+            (["compare", "--class", cls, *opts("--D", "--H", "--k")], _strict_json),
+        ]
+        stdin_text = ""
+        for command, strict in stages:
+            code, out, err = _run_isolated(command, stdin_text)
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err
+            if code != 0:
+                assert out == ""
+                return
+            strict(out)
+            stdin_text = out
 
 
 class TestUsageErrors:

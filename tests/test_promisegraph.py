@@ -123,6 +123,12 @@ class TestPromise:
     def test_unconditional(self):
         assert not offer("a", "b", "svc").conditional
 
+    def test_set_and_list_fields_are_normalised(self):
+        p = Promise("a", "b", "svc", Polarity.OFFER, {"y", "x"}, [])
+        assert type(p.constraint) is frozenset and p.constraint == {"x", "y"}
+        assert p.condition == () and type(p.condition) is tuple
+        assert Promise("a", "b", "svc", Polarity.OFFER, ["x"], ["q", "c", "q"]).condition == ("c", "q")
+
     def test_polarity_must_be_typed(self):
         with pytest.raises(DomainError):
             Promise("a", "b", "svc", "+")
