@@ -16,14 +16,15 @@ byte-identical CSV. generate() builds one generator per call and, before
 each sample, re-keys it to (seed, i) with its counter at zero and its
 output buffer empty. Philox is a keyed bijection of its counter, so that
 gives exactly the draws of a fresh generator keyed (seed, i).
+
+numpy is imported inside generate() and fit_power_law(), so that the
+commands which neither draw nor fit start without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import CsvFormatError, DomainError
 from .meanfield import Population, ScalingClass, ScalingParams, _ClassLaw, _law, predicted_exponent
@@ -140,6 +141,7 @@ def generate(spec: EnsembleSpec) -> list[EnsembleSample]:
     instance when the noise overflows the output.
     """
     law = _law(spec.scaling_class, spec.params)
+    import numpy as np
     bits = np.random.Philox(key=np.array([spec.seed, 0], dtype=np.uint64))
     rng = np.random.Generator(bits)
     fresh = bits.state  # a copy: counter 0, empty buffer (buffer_pos 4), no cached uint32
@@ -169,6 +171,7 @@ def fit_power_law(samples) -> PowerLawFit:
     pts = list(samples)
     if any(s.N <= 0 or s.Y <= 0 for s in pts):
         raise DomainError("samples must be positive for log-log fitting")
+    import numpy as np
     x = np.array([math.log(s.N) for s in pts])
     y = np.array([math.log(s.Y) for s in pts])
     if len(set(x.tolist())) < 2:

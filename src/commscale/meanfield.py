@@ -247,6 +247,18 @@ def linear_consumption(pop: Population, coeffs: ConsumptionCoeffs) -> tuple[floa
     return coeffs.e_minus * pop.N, coeffs.e_plus * pop.N
 
 
+def _yield_times_degree(pop: Population, params: ScalingParams) -> float:
+    """yield_output(pop, params) * node_degree(pop, V_eq, params) at the equilibrium volume V_eq.
+
+    Computes V_eq and V_I once instead of twice, with the same float
+    operations in the same order and the same errors as the two calls.
+    """
+    if pop.N_I == 0:
+        raise DomainError("yield requires N_I > 0")
+    v_i = infrastructure_volume(equilibrium_volume(pop, params), pop, params)
+    return params.G_Y * pop.N_I**2 / v_i * (pop.N_I / v_i)
+
+
 @dataclass(frozen=True)
 class _ClassLaw:
     """One scaling class: exponent beta, split share p and model value.
@@ -290,7 +302,7 @@ _LAWS = {
     ScalingClass.SCARCE_DEPENDENCY: _ClassLaw(
         exponent=lambda D, H, d: 1 + 2 * d,
         share=lambda D, H, d: 2 * (1 - d),
-        value=lambda pop, p: yield_output(pop, p) * node_degree(pop, equilibrium_volume(pop, p), p),
+        value=_yield_times_degree,
     ),
     ScalingClass.RECURSIVE_DEPENDENCY: _ClassLaw(
         exponent=lambda D, H, d: 1 + Fraction(1, D * D) - Fraction(1, D * (D + 1)),

@@ -24,12 +24,13 @@ import enum
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .errors import DomainError, UnknownAgentError
 from .meanfield import ScalingClass
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Agent",
@@ -215,6 +216,7 @@ class PromiseGraph:
 def adjacency(graph: PromiseGraph, type_tag: str) -> np.ndarray:
     """0/1 matrix over sorted agent ids: entry (i, j) = 1 iff any promise of
     this type runs from agent i to agent j. Unknown types give the zero matrix."""
+    import numpy as np
     ids = graph.agent_ids()
     index = {a: i for i, a in enumerate(ids)}
     out = np.zeros((len(ids), len(ids)), dtype=np.int64)

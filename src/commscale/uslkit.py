@@ -6,14 +6,15 @@ bounded least-squares fit in numpy (Gunther's linearisation as the
 start, then damped Gauss-Newton), the sigma + pi/N + kappa*N
 completion-time family, its local power-law slope, and the
 stability-gated queue response time.
+
+Only usl_fit() needs numpy, and it imports numpy when called, so the
+closed forms here start without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, QueueInstabilityError, UnboundedPeakError, UnsupportedConfigError
 
@@ -84,8 +85,9 @@ class UslFit:
     residual: float
 
 
-_LOWER = np.array([-1.0, 0.0])
-_MULTISTART = np.array([(a0, b0) for a0 in (-0.5, 0.05, 0.5) for b0 in (1e-6, 1e-3, 0.1)])
+# Tuples, not arrays, so that importing this module does not import numpy.
+_LOWER = (-1.0, 0.0)
+_MULTISTART = tuple((a0, b0) for a0 in (-0.5, 0.05, 0.5) for b0 in (1e-6, 1e-3, 0.1))
 
 
 def _refine(basis, N, S, theta):
@@ -96,6 +98,7 @@ def _refine(basis, N, S, theta):
     error. A parameter on its bound with the gradient pointing out is
     held fixed, and steps are clipped to the bounds.
     """
+    import numpy as np
 
     def sse(t):
         den = 1.0 + basis @ t
@@ -147,6 +150,7 @@ def usl_fit(data) -> UslFit:
         raise DomainError("speedup values must be positive")
     if len({n for n, _ in pts}) < 3:
         raise DomainError("need at least 3 distinct N values to fit two parameters")
+    import numpy as np
     N, S = np.array(pts).T
     with np.errstate(all="ignore"):
         basis = np.stack([N - 1.0, N * (N - 1.0)], axis=1)
@@ -155,7 +159,7 @@ def usl_fit(data) -> UslFit:
             raise DomainError("N*(N-1) and N/speedup must be finite")
         best = _refine(basis, N, S, np.maximum(np.linalg.lstsq(basis, linear, rcond=None)[0], _LOWER))
         if math.sqrt(best[1]) / max(1.0, float(np.linalg.norm(S))) > 1e-6:
-            best = min([best, *(_refine(basis, N, S, x0) for x0 in _MULTISTART)], key=lambda fit: fit[1])
+            best = min([best, *(_refine(basis, N, S, x0) for x0 in np.array(_MULTISTART))], key=lambda fit: fit[1])
     theta, residual = best
     if not math.isfinite(residual):
         raise DomainError("the squared speedup error overflows at every start")

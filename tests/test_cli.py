@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from commscale import ensemble, tabular, uslkit
 from commscale.cli import main
+from commscale.graphio import emit_graph, parse_graph
 from commscale.meanfield import ScalingClass, ScalingParams
 from commscale.uslkit import UslParams
 
@@ -439,6 +441,155 @@ class TestEnsemblePipelineFuzz:
                 return
             strict(out)
             stdin_text = out
+
+
+GRAPH_COMMANDS = {
+    "value": [],
+    "bindings": [],
+    "reduce": [],
+    "aggregate": ["--members", "a,b", "--super-id", "S"],
+    "classify": ["--giver", "a", "--receiver", "b", "--type", "svc", "--D", "2", "--H", "1"],
+    "community": ["--authority", "hub"],
+}
+# One valid graph with a mesh, a conditional promise and a community.
+FUZZ_BASE = (MESH3 + LAB + COMMUNITY).splitlines()
+FUZZ_LINES = [
+    "", "# comment", "agent d 0.5", "agent a 1.0", "agent S 1.0", "promise a d svc + *", "promise d a svc - *",
+    "promise b a svc + x,y | member", "promise m2 hub member - *", "promise", "agent", "promise a b svc + * |",
+]
+# Half the tokens come from the graph's own vocabulary, which often keeps the text valid.
+FUZZ_TOKENS = st.one_of(
+    st.sampled_from(["a", "b", "c", "hub", "m1", "m2", "researcher", "svc", "member", "lab_access", "*", "x,y", "-"]),
+    st.sampled_from(["d", "S", "agent", "promise", "+", "|", "#", ",", "x,,y", "", "\t", "nan", "inf", "-1", "2",
+                     "0", "1e-320", "\u00e9", "a#b"]),
+)
+
+
+@st.composite
+def mutated_graph_text(draw):
+    """FUZZ_BASE after up to four random line edits and token edits."""
+    lines = list(FUZZ_BASE)
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["delete", "duplicate", "swap", "insert", "retoken", "untoken", "addtoken"]))
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if op == "insert" or not lines:
+            lines.insert(i, draw(st.sampled_from(FUZZ_LINES)))
+        elif op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            tokens = lines[i].split(" ")
+            k = draw(st.integers(0, len(tokens) - 1))
+            if op == "retoken":
+                tokens[k] = draw(FUZZ_TOKENS)
+            elif op == "untoken":
+                del tokens[k]
+            else:
+                tokens.insert(k, draw(FUZZ_TOKENS))
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+class TestGraphTextFuzz:
+    """Regression gate: mutated graph text through every graph subcommand."""
+
+    def test_base_graph_runs_every_command(self):
+        for command, flags in GRAPH_COMMANDS.items():
+            code, out, err = _run_isolated(["graph", command, *flags], "\n".join(FUZZ_BASE) + "\n")
+            assert code == 0 and out and err == "", command
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=mutated_graph_text())
+    def test_mutated_text(self, text):
+        for command, flags in GRAPH_COMMANDS.items():
+            code, out, err = _run_isolated(["graph", command, *flags], text)
+            assert code in (0, 1, 2), command
+            assert "Traceback" not in err, command
+            if code != 0:
+                assert out == "", command
+            elif command in ("reduce", "aggregate"):
+                assert emit_graph(parse_graph(out)) == out, command
+
+
+SRC = Path(uslkit.__file__).resolve().parents[1]
+# Runs cli.main(argv) in a fresh interpreter, then reports the exit code and
+# whether numpy was imported as the last line of stderr.
+START_PROBE = (
+    "import sys; sys.path.insert(0, sys.argv[1]); from commscale.cli import main\n"
+    "try:\n    code = main(sys.argv[2:])\nexcept SystemExit as exc:\n    code = exc.code\n"
+    "print(code, 'numpy' in sys.modules, file=sys.stderr)\n"
+)
+
+
+def _fresh_main(argv, stdin_text=""):
+    """(exit code, numpy imported) of main(argv) in a fresh `python -I` interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", START_PROBE, str(SRC), *argv],
+        input=stdin_text, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, numpy_loaded = proc.stderr.splitlines()[-1].split()
+    return int(code), numpy_loaded == "True"
+
+
+FIT_JSON = '{"beta": 1.17, "log_intercept": 0.1, "r_squared": 0.99, "stderr_beta": 0.01, "n": 50}'
+SPEEDUPS = "N,value\n1,1\n2,1.9\n4,3.4\n8,5.5\n16,7.1\n"
+
+
+class TestNumpyFreeStart:
+    """Only drawing an ensemble, fitting and building an adjacency matrix import numpy."""
+
+    @pytest.mark.parametrize(
+        "argv, stdin_text, want_code",
+        [
+            pytest.param(["exponents", "--D", "2", "--H", "1"], "", 0, id="exponents"),
+            pytest.param(["yield", "--D", "2", "--H", "1", "--n", "1000"], "", 0, id="yield"),
+            pytest.param(["compare", "--class", "interaction", "--D", "2", "--H", "1"], FIT_JSON, 0, id="compare"),
+            pytest.param(["usl-eval", "--contention", "0.1", "--coherency", "0.01", "--n", "8"], "", 0, id="usl-eval"),
+            pytest.param(["usl-eval", "--contention", "0.1", "--coherency", "0.01", "--peak"], "", 0,
+                         id="usl-eval-peak"),
+            pytest.param(["serial", "--sigma", "1", "--pi", "4", "--n", "8"], "", 0, id="serial"),
+            pytest.param(["serial", "--sigma", "1", "--pi", "4", "--n", "8", "--exponent"], "", 0,
+                         id="serial-exponent"),
+            pytest.param(["queue", "--lambda", "1", "--mu", "2"], "", 0, id="queue"),
+            *[pytest.param(["graph", command, *flags], MESH3 + COMMUNITY, 0, id=f"graph-{command}")
+              for command, flags in GRAPH_COMMANDS.items()],
+            pytest.param(["--help"], "", 0, id="help"),
+            pytest.param(["yield", "--D", "2", "--H", "1"], "", 2, id="usage-error"),
+        ],
+    )
+    def test_command_does_not_import_numpy(self, argv, stdin_text, want_code):
+        assert _fresh_main(argv, stdin_text) == (want_code, False)
+
+    @pytest.mark.parametrize(
+        "argv, stdin_text",
+        [
+            (["ensemble", "--class", "interaction", "--D", "2", "--H", "1", "--n", "20"], ""),
+            (["fit"], "N,Y\n10,1\n20,2.2\n40,4.9\n"),
+            (["usl-fit"], SPEEDUPS),
+        ],
+        ids=["ensemble", "fit", "usl-fit"],
+    )
+    def test_drawing_and_fitting_import_numpy(self, argv, stdin_text):
+        # Keeps the gate above from passing because the probe cannot see numpy.
+        assert _fresh_main(argv, stdin_text) == (0, True)
+
+    def test_package_import_and_adjacency(self):
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import commscale\n"
+            "assert 'numpy' not in sys.modules\n"
+            "a = commscale.adjacency(commscale.parse_graph(sys.stdin.read()), 'svc')\n"
+            "print(type(a).__module__, type(a).__name__, a.dtype, a.tolist())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", code, str(SRC)], input=MESH3, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "numpy ndarray int64 [[0, 1, 1], [1, 0, 1], [1, 1, 0]]\n"
 
 
 class TestUsageErrors:

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from commscale import meanfield as mf
 from commscale.ensemble import model_value
@@ -231,6 +233,47 @@ class TestNodeDegree:
     def test_rejects_zero_infrastructure(self):
         with pytest.raises(DomainError):
             mf.node_degree(Population(0, 10), 100.0, params())
+
+
+def _outcome(f):
+    """f()'s value, or the type and message of the exception it raises."""
+    try:
+        return f()
+    except (DomainError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+positive = st.floats(1e-6, 1e6)
+
+
+class TestScarceDependencyLaw:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        N_I=st.one_of(st.just(0.0), st.floats(0.0, 1e200)),
+        N_0=st.one_of(st.just(0.0), st.floats(0.0, 1e200)),
+        D=st.integers(1, 4),
+        H_share=st.floats(0.0, 1.0),
+        couplings=st.tuples(*[positive] * 5),
+        g_I=st.floats(1e-6, 1.0),
+    )
+    @example(N_I=1e-300, N_0=0.0, D=1, H_share=1.0, couplings=(1.0,) * 5, g_I=1.0)
+    @example(N_I=1e200, N_0=1e200, D=2, H_share=0.5, couplings=(1e6, 1e-6, 1.0, 1e6, 1e-6), g_I=1e-6)
+    @example(N_I=1e-50, N_0=1e200, D=2, H_share=1.0, couplings=(1e6, 1.0, 1e-6, 1e6, 1.0), g_I=1e-6)
+    def test_equals_yield_times_node_degree(self, N_I, N_0, D, H_share, couplings, g_I):
+        # The class law computes the equilibrium and infrastructure volumes
+        # once; it must give exactly the value, or exactly the error, of
+        # the two public calls it replaces.
+        g_Y, G_Y, c_Y, v_Y, L = couplings
+        p = params(D, D * H_share, g_I=g_I, g_Y=g_Y, G_Y=G_Y, c_Y=c_Y, v_Y=v_Y, L=L)
+        pop = Population(N_I, N_0)
+        law = mf._LAWS[ScalingClass.SCARCE_DEPENDENCY].value
+        got = _outcome(lambda: law(pop, p))
+        want = _outcome(lambda: mf.yield_output(pop, p) * mf.node_degree(pop, mf.equilibrium_volume(pop, p), p))
+        assert got == want or (got != got and want != want)
+
+    def test_no_connected_agents_is_the_yield_error(self):
+        with pytest.raises(DomainError, match=r"^yield requires N_I > 0$"):
+            model_value(ScalingClass.SCARCE_DEPENDENCY, 10.0, 1.0, params())
 
 
 class TestSupportCounts:
