@@ -83,7 +83,7 @@ def _cmd_ensemble(args) -> int:
         inactive_fraction=args.inactive,
         seed=args.seed,
     )
-    return _emit(ensemble.samples_to_csv(ensemble.generate(spec)))
+    return _emit(tabular.format_pairs(zip(*ensemble._draw(spec)), ensemble._HEADER))
 
 
 def _fit_to_json(fit: ensemble.PowerLawFit) -> dict:
@@ -97,8 +97,8 @@ def _fit_to_json(fit: ensemble.PowerLawFit) -> dict:
 
 
 def _cmd_fit(args) -> int:
-    samples = ensemble.parse_csv(_read_input(args))
-    return _emit_json(_fit_to_json(ensemble.fit_power_law(samples)))
+    ns, ys = ensemble._parse_csv_columns(_read_input(args))
+    return _emit_json(_fit_to_json(ensemble._fit_columns(ns, ys)))
 
 
 _FIT_DEFAULTS = (("log_intercept", 0.0), ("r_squared", 1.0), ("stderr_beta", 0.0))
@@ -203,20 +203,9 @@ def _cmd_graph_aggregate(args) -> int:
 
 def _cmd_graph_classify(args) -> int:
     graph = _load_graph(args)
-    stored = None
-    for p in graph.promises:
-        if (
-            p.giver == args.giver
-            and p.receiver == args.receiver
-            and p.type_tag == args.type
-            and p.polarity is promisegraph.Polarity.OFFER
-        ):
-            stored = p
-            break
-    if stored is None:
-        raise DomainError(f"no offer of type {args.type!r} from {args.giver!r} to {args.receiver!r} in the graph")
+    offer = promisegraph._find_offer(graph, args.giver, args.receiver, args.type)
     cls = promisegraph.classify_pattern(
-        graph, stored, scarcity_threshold=args.threshold, membership_type=args.membership_type
+        graph, offer, scarcity_threshold=args.threshold, membership_type=args.membership_type
     )
     out = {"class": cls.value}
     if args.D is not None and args.H is not None:

@@ -12,23 +12,35 @@ Randomness contract: each sample i of a run is drawn from a Philox
 counter-based generator keyed by the two 64-bit words (seed, i). Sample
 i therefore depends only on (seed, i), never on evaluation order, so
 parallel generation, re-runs and different platforms all produce
-byte-identical CSV. generate() builds one generator per call and, before
-each sample, re-keys it to (seed, i) with its counter at zero and its
-output buffer empty. Philox is a keyed bijection of its counter, so that
-gives exactly the draws of a fresh generator keyed (seed, i).
+byte-identical CSV. Every sample's draws are exactly those of a fresh
+numpy Generator(Philox(key=[seed, i])): one random() for N, then one
+standard_normal() for the noise.
 
-numpy is imported inside generate() and fit_power_law(), so that the
-commands which neither draw nor fit start without it.
+generate() takes them for all samples at once from the _philox module,
+which evaluates Philox4x64-10 and numpy's ziggurat with numpy array
+operations where that is surely exact, and draws the rest, about 2% of
+the samples, from one scalar generator re-keyed to (seed, i). N, the
+class law and the noise factor are then computed per sample with
+scalar `math`: numpy's vector exp can differ from math.exp in the last
+bit, which would change 12-digit CSV cells.
+
+Ensembles travel as two float columns (N, Y): the CLI formats CSV from
+them and fits the columns it parses. generate(), parse_csv() and
+fit_power_law() wrap the columns in EnsembleSample records.
+
+numpy (with the _philox module) is imported inside the functions that
+draw or fit, so that the commands which do neither start without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 
 from .errors import CsvFormatError, DomainError
 from .meanfield import Population, ScalingClass, ScalingParams, _ClassLaw, _law, predicted_exponent
-from .tabular import format_pairs, parse_pairs
+from .tabular import _parse_columns, format_pairs
 
 __all__ = [
     "EnsembleSpec",
@@ -45,6 +57,7 @@ __all__ = [
 ]
 
 _MAX_SEED = 2**64
+_HEADER = "N,Y"
 
 
 @dataclass(frozen=True)
@@ -86,9 +99,13 @@ class EnsembleSample:
     Y: float
 
     def __post_init__(self) -> None:
-        # The chained comparisons are false for nan as well as for inf and non-positive values.
-        if not (0 < self.N < math.inf and 0 < self.Y < math.inf):
-            raise DomainError(f"samples must be finite and positive, got N={self.N}, Y={self.Y}")
+        _require_sample(self.N, self.Y)
+
+
+def _require_sample(n: float, y: float) -> None:
+    # The chained comparisons are false for nan as well as for inf and non-positive values.
+    if not (0 < n < math.inf and 0 < y < math.inf):
+        raise DomainError(f"samples must be finite and positive, got N={n}, Y={y}")
 
 
 @dataclass(frozen=True)
@@ -140,24 +157,25 @@ def generate(spec: EnsembleSpec) -> list[EnsembleSample]:
     Raises DomainError when a sample is not finite and positive, for
     instance when the noise overflows the output.
     """
+    return [EnsembleSample(n, y) for n, y in zip(*_draw(spec))]
+
+
+def _draw(spec: EnsembleSpec) -> tuple[list, list]:
+    """The N and Y columns of generate(spec)."""
     law = _law(spec.scaling_class, spec.params)
-    import numpy as np
-    bits = np.random.Philox(key=np.array([spec.seed, 0], dtype=np.uint64))
-    rng = np.random.Generator(bits)
-    fresh = bits.state  # a copy: counter 0, empty buffer (buffer_pos 4), no cached uint32
-    key = fresh["state"]["key"]
+    from . import _philox
+
+    us, zs = _philox.first_draws(spec.seed, spec.n_samples)
     ln_lo = math.log(spec.N_min)
     ln_hi = math.log(spec.N_max)
-    out = []
-    for i in range(spec.n_samples):
-        key[1] = i
-        bits.state = fresh
-        u = rng.random()
-        z = rng.standard_normal()
+    ns, ys = [], []
+    for u, z in zip(us, zs):
         n = math.exp(ln_lo + u * (ln_hi - ln_lo))
-        y = _law_value(law, n, spec.inactive_fraction, spec.params)
-        out.append(EnsembleSample(n, y * math.exp(spec.noise_sigma * z)))
-    return out
+        y = _law_value(law, n, spec.inactive_fraction, spec.params) * math.exp(spec.noise_sigma * z)
+        _require_sample(n, y)
+        ns.append(n)
+        ys.append(y)
+    return ns, ys
 
 
 def fit_power_law(samples) -> PowerLawFit:
@@ -171,10 +189,16 @@ def fit_power_law(samples) -> PowerLawFit:
     pts = list(samples)
     if any(s.N <= 0 or s.Y <= 0 for s in pts):
         raise DomainError("samples must be positive for log-log fitting")
+    return _fit_columns([s.N for s in pts], [s.Y for s in pts])
+
+
+def _fit_columns(ns: list, ys: list) -> PowerLawFit:
+    """fit_power_law on columns already known to be positive."""
     import numpy as np
-    x = np.array([math.log(s.N) for s in pts])
-    y = np.array([math.log(s.Y) for s in pts])
-    if len(set(x.tolist())) < 2:
+
+    x = np.array(list(map(math.log, ns)))
+    y = np.array(list(map(math.log, ys)))
+    if not ns or x.min() == x.max():
         raise DomainError("need at least 2 distinct N values to fit a slope")
     xbar = x.mean()
     ybar = y.mean()
@@ -185,7 +209,7 @@ def fit_power_law(samples) -> PowerLawFit:
     resid = y - (intercept + beta * x)
     ssr = float((resid**2).sum())
     sst = float(((y - ybar) ** 2).sum())
-    n = len(pts)
+    n = len(ns)
     r_squared = 1.0 if sst == 0 else max(0.0, min(1.0, 1.0 - ssr / sst))
     stderr = math.sqrt(ssr / (n - 2) / sxx) if n > 2 else 0.0
     return PowerLawFit(beta, intercept, r_squared, stderr, n)
@@ -212,12 +236,17 @@ def compare(fit: PowerLawFit, scaling_class: ScalingClass, params: ScalingParams
 
 def parse_csv(text: str) -> list[EnsembleSample]:
     """Parse `N,Y` CSV text into samples, rejecting non-positive rows by number."""
-    out = []
-    for row, n, y in parse_pairs(text, "N,Y"):
-        if n <= 0 or y <= 0:
-            raise CsvFormatError(f"row {row}: samples must be positive, got N={n:g}, Y={y:g}")
-        out.append(EnsembleSample(n, y))
-    return out
+    return [EnsembleSample(n, y) for n, y in zip(*_parse_csv_columns(text))]
+
+
+def _parse_csv_columns(text: str) -> tuple[list, list]:
+    """The N and Y columns of parse_csv(text)."""
+    ns, ys = _parse_columns(text, _HEADER)
+    if ns and (min(ns) <= 0 or min(ys) <= 0):
+        for row, n, y in zip(count(2), ns, ys):
+            if n <= 0 or y <= 0:
+                raise CsvFormatError(f"row {row}: samples must be positive, got N={n:g}, Y={y:g}")
+    return ns, ys
 
 
 def ingest_csv(path) -> list[EnsembleSample]:
@@ -228,4 +257,4 @@ def ingest_csv(path) -> list[EnsembleSample]:
 
 def samples_to_csv(samples) -> str:
     """Render samples as `N,Y` CSV, 12 significant digits, bytewise reproducible."""
-    return format_pairs(((s.N, s.Y) for s in samples), "N,Y")
+    return format_pairs(((s.N, s.Y) for s in samples), _HEADER)

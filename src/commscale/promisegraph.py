@@ -513,20 +513,21 @@ def classify_pattern(
 
     The graph is inspected as given; reduce first when providers sit
     behind their own conditional chains. Offers whose conditions are
-    unrealized fall through to rule 2.
+    unrealized fall through to rule 2. output_promise must be an offer
+    stored in graph (same giver, receiver, type and condition); the
+    supply index the rules use is also where it is looked up.
     """
+    if output_promise.polarity is not Polarity.OFFER:
+        raise DomainError("only offers can be classified")
+    accepts, offers, pending = _supply_index(graph.promises)
     key = output_promise._key()
-    stored = None
-    for p in graph.promises:
-        if p._key() == key:
-            stored = p
-            break
+    if output_promise.condition:
+        stored = next((p for p in pending if p._key() == key), None)
+    else:
+        stored = offers.get(key[:3])
     if stored is None:
         raise DomainError("output promise not found in graph")
-    if stored.polarity is not Polarity.OFFER:
-        raise DomainError("only offers can be classified")
 
-    accepts, offers, _ = _supply_index(graph.promises)
     if stored.condition:
         needed = {stored.giver}
         for d in stored.condition:
@@ -551,3 +552,11 @@ def classify_pattern(
     if fraction >= scarcity_threshold:
         return ScalingClass.INTERACTION
     return ScalingClass.SCARCE_AGENT
+
+
+def _find_offer(graph: PromiseGraph, giver: str, receiver: str, type_tag: str) -> Promise:
+    """The first offer giver -> receiver of type_tag in graph order, whatever its condition."""
+    for p in graph.promises:
+        if p.giver == giver and p.receiver == receiver and p.type_tag == type_tag and p.polarity is Polarity.OFFER:
+            return p
+    raise DomainError(f"no offer of type {type_tag!r} from {giver!r} to {receiver!r} in the graph")

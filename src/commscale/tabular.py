@@ -6,11 +6,18 @@ point '.', rows terminated by '\\n'. Values are written with 12
 significant digits, which gives the same bytes on every platform;
 parsing returns the value rounded to 12 digits, not the float that was
 written. Errors carry 1-based row and column positions.
+
+Parsing is column-wise: the rows' cells are converted by one float()
+over all of them and checked finite in one pass, and only input that
+fails is read again row by row, to name the first bad row and column.
+Valid and invalid input therefore get the results and messages of a
+row-by-row reader.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 from .errors import CsvFormatError
 
@@ -33,6 +40,16 @@ def parse_pairs(text: str, expected_header: str) -> list[tuple[int, float, float
     (the header is row 1), kept so callers can locate their own
     validation errors.
     """
+    xs, ys = _parse_columns(text, expected_header)
+    return list(zip(range(2, len(xs) + 2), xs, ys))
+
+
+def _parse_columns(text: str, expected_header: str) -> tuple[list, list]:
+    """The x and y columns of parse_pairs, row i + 2 of the file at index i.
+
+    All cells are converted in one pass; only when that pass fails does
+    a row-by-row pass run, to name the first bad row and column.
+    """
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -40,19 +57,31 @@ def parse_pairs(text: str, expected_header: str) -> list[tuple[int, float, float
         raise CsvFormatError(f"empty input: expected header {expected_header!r}")
     if lines[0] != expected_header:
         raise CsvFormatError(f"row 1: header must be exactly {expected_header!r}, got {lines[0]!r}")
-    out = []
-    for row, line in enumerate(lines[1:], 2):
+    body = lines[1:]
+    try:
+        if set(map(str.count, body, repeat(","))) != {1}:
+            raise ValueError("a row without exactly two cells")
+        values = list(map(float, ",".join(body).split(",")))
+        if not all(map(math.isfinite, values)):
+            raise ValueError("a non-finite cell")
+    except ValueError:
+        values = _parse_rows(body)
+    return values[0::2], values[1::2]
+
+
+def _parse_rows(body: list) -> list:
+    """Cells of the rows after the header, in file order; raises at the first bad row and column."""
+    values = []
+    for row, line in enumerate(body, 2):
         cells = line.split(",")
         if len(cells) != 2:
             raise CsvFormatError(f"row {row}: expected 2 columns, got {len(cells)}")
-        values = []
         for col, cell in enumerate(cells, 1):
             try:
                 values.append(finite_float(cell))
             except ValueError:
                 raise CsvFormatError(f"row {row}, column {col}: {cell!r} is not a finite number") from None
-        out.append((row, values[0], values[1]))
-    return out
+    return values
 
 
 def format_pairs(pairs, header: str) -> str:

@@ -1,16 +1,19 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commscale import ensemble, tabular, uslkit
 from commscale.cli import main
+from commscale.errors import CsvFormatError, DomainError
 from commscale.graphio import emit_graph, parse_graph
 from commscale.meanfield import ScalingClass, ScalingParams
 from commscale.uslkit import UslParams
@@ -441,6 +444,132 @@ class TestEnsemblePipelineFuzz:
                 return
             strict(out)
             stdin_text = out
+
+
+def seed_parse_pairs(text, expected_header):
+    """The row-by-row reader tabular.parse_pairs must agree with, kept as the reference."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise CsvFormatError(f"empty input: expected header {expected_header!r}")
+    if lines[0] != expected_header:
+        raise CsvFormatError(f"row 1: header must be exactly {expected_header!r}, got {lines[0]!r}")
+    out = []
+    for row, line in enumerate(lines[1:], 2):
+        cells = line.split(",")
+        if len(cells) != 2:
+            raise CsvFormatError(f"row {row}: expected 2 columns, got {len(cells)}")
+        values = []
+        for col, cell in enumerate(cells, 1):
+            try:
+                values.append(tabular.finite_float(cell))
+            except ValueError:
+                raise CsvFormatError(f"row {row}, column {col}: {cell!r} is not a finite number") from None
+        out.append((row, values[0], values[1]))
+    return out
+
+
+def seed_parse_csv(text):
+    out = []
+    for row, n, y in seed_parse_pairs(text, "N,Y"):
+        if n <= 0 or y <= 0:
+            raise CsvFormatError(f"row {row}: samples must be positive, got N={n:g}, Y={y:g}")
+        out.append(ensemble.EnsembleSample(n, y))
+    return out
+
+
+def seed_fit_power_law(samples):
+    pts = list(samples)
+    if any(s.N <= 0 or s.Y <= 0 for s in pts):
+        raise DomainError("samples must be positive for log-log fitting")
+    x = np.array([math.log(s.N) for s in pts])
+    y = np.array([math.log(s.Y) for s in pts])
+    if len(set(x.tolist())) < 2:
+        raise DomainError("need at least 2 distinct N values to fit a slope")
+    xbar = x.mean()
+    ybar = y.mean()
+    sxx = float(((x - xbar) ** 2).sum())
+    sxy = float(((x - xbar) * (y - ybar)).sum())
+    beta = sxy / sxx
+    intercept = ybar - beta * xbar
+    resid = y - (intercept + beta * x)
+    ssr = float((resid**2).sum())
+    sst = float(((y - ybar) ** 2).sum())
+    n = len(pts)
+    r_squared = 1.0 if sst == 0 else max(0.0, min(1.0, 1.0 - ssr / sst))
+    stderr = math.sqrt(ssr / (n - 2) / sxx) if n > 2 else 0.0
+    return ensemble.PowerLawFit(beta, intercept, r_squared, stderr, n)
+
+
+def seed_fit_command(text):
+    """(exit code, stdout, stderr) of `fit` built from the row-by-row reader and fit."""
+    try:
+        fit = seed_fit_power_law(seed_parse_csv(text))
+        fields = {"beta": fit.beta, "log_intercept": fit.log_intercept, "r_squared": fit.r_squared,
+                  "stderr_beta": fit.stderr_beta}
+        out = {}
+        for name, value in fields.items():
+            if not math.isfinite(value):
+                raise DomainError(f"result {value} is not a finite number")
+            out[name] = float(format(value, ".12g"))
+        out["n"] = fit.n
+    except DomainError as exc:
+        return 1, "", f"error: {exc}\n"
+    return 0, json.dumps(out, indent=2, allow_nan=False) + "\n", ""
+
+
+CSV_BASE = "N,Y\n1000,20\n2500.5,61.25\n1e4,333\n31622.7766017,1500\n1e5,7000.5\n"
+CSV_CELLS = ["nan", "NaN", "inf", "-inf", "1e999", "x", "", " 7", "8 ", "0", "-3", "-0.0", "1e-320", "1_000", "0x10",
+             "4\r", "5,6", "1000", "2500.5"]
+CSV_ROWS = ["", "\r", "7", "7,8,9", "0,5", "5,-1", "-1,x", "N,Y", "12,13", "12,13\r", ",", "1000,20"]
+CSV_HEADERS = ["n,y", "N,Y,Z", "N;Y", "N,Y\r", "", " N,Y", "N,value"]
+
+
+@st.composite
+def mutated_csv_text(draw):
+    """CSV_BASE after up to four cell, row, header and line-ending edits."""
+    rows = [line.split(",") for line in CSV_BASE.splitlines()]
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["cell", "cell", "insert", "insert", "delete", "nonpositive", "header"]))
+        i = draw(st.integers(1, max(len(rows) - 1, 1)))
+        if op == "cell" and i < len(rows) and len(rows[i]) > 0:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(CSV_CELLS))
+        elif op == "insert":
+            rows.insert(i, draw(st.sampled_from(CSV_ROWS)).split(","))
+        elif op == "delete" and i < len(rows):
+            del rows[i]
+        elif op == "header" and rows:
+            rows[0] = draw(st.sampled_from(CSV_HEADERS)).split(",")
+        elif op == "nonpositive" and i < len(rows) and len(rows[i]) == 2:
+            rows[i][draw(st.integers(0, 1))] = draw(st.sampled_from(["0", "-2.5", "-1e-300"]))
+    newline = "\r\n" if draw(st.integers(0, 7)) == 0 else "\n"
+    text = newline.join(",".join(cells) for cells in rows)
+    return text + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+class TestFitCsvMatchesRowReader:
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_csv_text())
+    @example(CSV_BASE)
+    @example("")
+    @example("N,Y\n")
+    @example("N,Y\n0,5\n3,x\n")  # a bad cell after a non-positive row: the cell error wins
+    @example("N,Y\r\n1,2\r\n3,4\r\n")
+    @example("N,Y\n1,2\n\n3,4\n")
+    @example("N,Y\n1,2\n3,4,5\n6\n")  # comma counts that balance across rows
+    @example("N,Y\n10,5\n10,7\n")
+    @example("N,Y\n1e308,1e308\n1e-308,1e-308\n")
+    def test_same_result_or_error(self, text):
+        assert _run_isolated(["fit"], text) == seed_fit_command(text)
+        try:
+            expected = seed_parse_pairs(text, "N,Y")
+        except CsvFormatError as exc:
+            with pytest.raises(CsvFormatError) as err:
+                tabular.parse_pairs(text, "N,Y")
+            assert str(err.value) == str(exc)
+        else:
+            assert tabular.parse_pairs(text, "N,Y") == expected
 
 
 GRAPH_COMMANDS = {

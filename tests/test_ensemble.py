@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from commscale import _philox
 from commscale import ensemble as ens
 from commscale.errors import CsvFormatError, DomainError, UnsupportedConfigError
 from commscale.ensemble import EnsembleSample, EnsembleSpec, PowerLawFit
@@ -170,6 +172,78 @@ class TestGenerateMatchesReference:
         # run past the first four-word Philox block.
         s = spec(n_samples=20_000, seed=31, inactive_fraction=0.25)
         assert ens.generate(s) == reference_generate(s)
+
+
+def numpy_normal_from_word(word):
+    """numpy's standard_normal() when the next buffered Philox word is word, and whether it read only that word."""
+    bits = np.random.Philox(key=0)
+    state = bits.state
+    state["buffer"] = np.array([word, 0, 0, 0], dtype=np.uint64)
+    state["buffer_pos"] = 0
+    bits.state = state
+    z = np.random.Generator(bits).standard_normal()
+    return z, bits.state["buffer_pos"] == 1 and bits.state["state"]["counter"][0] == 0
+
+
+def numpy_ki(layer):
+    """The smallest rabs at which numpy's ziggurat leaves its fast path in layer (>= 2), by bisection."""
+    lo, hi = 0, 2**52
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if numpy_normal_from_word((mid << 9) | layer)[1]:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+class TestVectorisedDraws:
+    @pytest.mark.parametrize("seed", [0, 31, 2**63, 2**64 - 1])
+    def test_philox_words_match_numpy(self, seed):
+        w0, w1 = _philox.first_words(seed, 300)
+        for i in (0, 1, 2, 157, 299):
+            raw = np.random.Philox(key=np.array([seed, i], dtype=np.uint64)).random_raw(2)
+            assert (int(w0[i]), int(w1[i])) == (int(raw[0]), int(raw[1]))
+
+    def test_fast_path_settles_only_what_numpy_settles_the_same_way(self):
+        # Per layer: rabs at 0 and 1, on both sides of numpy's own threshold
+        # ki, within the 2 kept below it, and at the top; both signs; the top
+        # three bits of the word set or clear.
+        words, expect_slow, expect_fast = [], [], []
+        for layer in range(256):
+            ki = numpy_ki(layer) if layer >= 2 else None
+            for rabs in {0, 1, 2**52 - 1} | ({ki - 4, ki - 3, ki - 2, ki - 1, ki, ki + 1} if ki else set()):
+                for sign in (0, 1):
+                    for top in (0, 0b101 << 61):
+                        words.append(top | (rabs << 9) | (sign << 8) | layer)
+                        # Layers 0 (the tail) and 1 and every rabs within 2 of ki go to the fallback.
+                        expect_slow.append(layer < 2 or rabs >= ki - 2)
+                        expect_fast.append(layer >= 2 and rabs < ki - 3)
+        z, slow = _philox.normal_fast_path(np.array(words, dtype=np.uint64))
+        assert not np.any(np.array(expect_slow) & ~slow)
+        assert not np.any(np.array(expect_fast) & slow)
+        for word, zi, si in zip(words, z.tolist(), slow.tolist()):
+            if not si:
+                want, fast = numpy_normal_from_word(word)
+                assert fast
+                assert math.copysign(1.0, zi) == math.copysign(1.0, want) and zi == want
+
+    def test_fallback_samples_are_exact(self):
+        # 2,000 samples at seed 7 send layer-0 and layer-1 samples, and others
+        # that fail the fast path, through the re-keyed scalar generator.
+        s = spec(n_samples=2000, seed=7, inactive_fraction=0.1)
+        _, w1 = _philox.first_words(s.seed, s.n_samples)
+        _, slow = _philox.normal_fast_path(w1)
+        layers = set((w1[slow] & np.uint64(0xFF)).tolist())
+        assert {0, 1} <= layers and len(layers) > 2
+        assert ens.generate(s) == reference_generate(s)
+
+    def test_no_numpy_warnings(self):
+        # numpy warns on uint64 scalar overflow; the Philox rounds must wrap without it.
+        _philox._tables.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ens.generate(spec(n_samples=20_000, seed=2**64 - 1))
 
 
 class TestFitPowerLaw:

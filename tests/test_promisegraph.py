@@ -816,6 +816,23 @@ class TestClassifyPattern:
         with pytest.raises(DomainError):
             pg.classify_pattern(g, accept("a", "b", "svc"))
 
+    def test_lookup_matches_the_condition(self):
+        g = PromiseGraph([Agent("a"), Agent("b")], [offer("a", "b", "svc", cond=("fuel",)), accept("b", "a", "svc")])
+        for missing in (offer("a", "b", "svc"), offer("a", "b", "svc", cond=("oil",)), offer("b", "a", "svc")):
+            with pytest.raises(DomainError, match="output promise not found in graph"):
+                pg.classify_pattern(g, missing)
+        assert pg.classify_pattern(g, offer("a", "b", "svc", chi=("x",), cond=("fuel",))) == ScalingClass.SCARCE_AGENT
+
+    def test_find_offer_takes_the_first_in_graph_order(self):
+        g = PromiseGraph(
+            [Agent("a"), Agent("b")],
+            [offer("a", "b", "svc", chi=("z",)), offer("a", "b", "svc", chi=("y",), cond=("fuel",)),
+             accept("a", "b", "svc", chi=("a",))],
+        )
+        assert pg._find_offer(g, "a", "b", "svc").condition == ("fuel",)
+        with pytest.raises(DomainError, match="no offer of type 'svc' from 'b' to 'a' in the graph"):
+            pg._find_offer(g, "b", "a", "svc")
+
 
 class TestRandomizedInvariants:
     def random_graph(self, rng, n_max=10, conditional_rate=0.15):
