@@ -135,8 +135,7 @@ def _cmd_usl_eval(args) -> int:
 
 
 def _cmd_usl_fit(args) -> int:
-    rows = tabular.parse_pairs(_read_input(args), "N,value")
-    fit = uslkit.usl_fit([(n, value) for _, n, value in rows])
+    fit = uslkit.usl_fit(zip(*tabular.parse_pairs(_read_input(args), "N,value")))
     return _emit_json(
         {
             "contention": _jnum(fit.params.contention),
@@ -299,6 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--calibration", type=finite_float, default=1.0, help="currency value per binding type (default 1)"
     )
+    membership = argparse.ArgumentParser(add_help=False)
+    membership.add_argument("--membership-type", dest="membership_type", default="member")
 
     g = gsub.add_parser("value", parents=[shared], help="total value, mesh density and largest component, as JSON")
     g.set_defaults(func=_cmd_graph_value)
@@ -316,20 +317,20 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--super-id", dest="super_id", required=True, help="fresh id for the superagent")
     g.set_defaults(func=_cmd_graph_aggregate)
 
-    g = gsub.add_parser("classify", parents=[shared], help="scaling class of one offer, as JSON")
+    g = gsub.add_parser("classify", parents=[shared, membership], help="scaling class of one offer, as JSON")
     g.add_argument("--giver", required=True)
     g.add_argument("--receiver", required=True)
     g.add_argument("--type", required=True)
     g.add_argument(
         "--threshold", type=finite_float, default=0.1, help="scarcity consumer-fraction threshold (default 0.1)"
     )
-    g.add_argument("--membership-type", dest="membership_type", default="member")
     _add_dh(g, required=False)
     g.set_defaults(func=_cmd_graph_classify)
 
-    g = gsub.add_parser("community", parents=[shared], help="members mutually bound to an authority, as JSON")
+    g = gsub.add_parser(
+        "community", parents=[shared, membership], help="members mutually bound to an authority, as JSON"
+    )
     g.add_argument("--authority", required=True)
-    g.add_argument("--membership-type", dest="membership_type", default="member")
     g.set_defaults(func=_cmd_graph_community)
 
     return parser

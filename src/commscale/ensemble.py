@@ -35,12 +35,13 @@ draw or fit, so that the commands which do neither start without it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import count
 
 from .errors import CsvFormatError, DomainError
 from .meanfield import Population, ScalingClass, ScalingParams, _ClassLaw, _law, predicted_exponent
-from .tabular import _parse_columns, format_pairs
+from .tabular import format_pairs, parse_pairs
 
 __all__ = [
     "EnsembleSpec",
@@ -79,12 +80,17 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_samples", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.n_samples < 2:
             raise DomainError(f"n_samples must be >= 2, got {self.n_samples}")
-        if not 1 <= self.N_min < self.N_max:
-            raise DomainError(f"population bounds must satisfy 1 <= N_min < N_max, got [{self.N_min}, {self.N_max}]")
-        if self.noise_sigma < 0:
-            raise DomainError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 1 <= self.N_min < self.N_max < math.inf:
+            raise DomainError(f"population bounds need 1 <= N_min < N_max < inf, got [{self.N_min}, {self.N_max}]")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise DomainError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not 0 <= self.inactive_fraction < 1:
             raise DomainError(f"inactive_fraction must be in [0, 1), got {self.inactive_fraction}")
         if not 0 <= self.seed < _MAX_SEED:
@@ -241,7 +247,7 @@ def parse_csv(text: str) -> list[EnsembleSample]:
 
 def _parse_csv_columns(text: str) -> tuple[list, list]:
     """The N and Y columns of parse_csv(text)."""
-    ns, ys = _parse_columns(text, _HEADER)
+    ns, ys = parse_pairs(text, _HEADER)
     if ns and (min(ns) <= 0 or min(ys) <= 0):
         for row, n, y in zip(count(2), ns, ys):
             if n <= 0 or y <= 0:

@@ -26,6 +26,7 @@ so reported values carry no accumulated drift.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -80,14 +81,14 @@ class ScalingParams:
     L: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.D != int(self.D) or self.D < 1:
+        if not 1 <= self.D < math.inf or self.D != int(self.D):
             raise DomainError(f"D must be an integer >= 1, got {self.D}")
         object.__setattr__(self, "D", int(self.D))
         if not 0 <= self.H <= self.D:
             raise DomainError(f"H must satisfy 0 <= H <= D, got H={self.H} with D={self.D}")
         for name in ("g_I", "g_Y", "G_Y", "c_Y", "v_Y", "L"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be strictly positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and strictly positive, got {getattr(self, name)}")
         if self.g_I > 1:
             raise DomainError(f"g_I is a volume fraction and must not exceed 1, got {self.g_I}")
 
@@ -105,7 +106,8 @@ class Population:
     N_0: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.N_I < 0 or self.N_0 < 0:
+        # False for nan. inf is let through: ensembles build one Population per sample, and a bound costs time there.
+        if not (self.N_I >= 0 and self.N_0 >= 0):
             raise DomainError(f"population counts must be non-negative, got N_I={self.N_I}, N_0={self.N_0}")
 
     @property
@@ -134,8 +136,8 @@ class ConsumptionCoeffs:
     e_plus: float
 
     def __post_init__(self) -> None:
-        if self.e_minus < 0 or self.e_plus < 0:
-            raise DomainError("consumption coefficients must be non-negative")
+        if not (0 <= self.e_minus < math.inf and 0 <= self.e_plus < math.inf):
+            raise DomainError("consumption coefficients must be finite and non-negative")
 
 
 class Channel(enum.Enum):
@@ -172,13 +174,8 @@ class ImpulseParams:
         if not 0 <= self.alpha_tau <= 1:
             raise DomainError(f"alpha_tau is a probability, got {self.alpha_tau}")
         for name in ("r", "T_explore", "B", "density_I", "c_phys", "c_virt", "N_D", "N_W"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be non-negative, got {getattr(self, name)}")
-
-
-def _as_fraction(x: float) -> Fraction:
-    # Exact: every float is a binary rational.
-    return x if isinstance(x, Fraction) else Fraction(x)
+            if not 0 <= getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
 
 
 def _delta(D: int, H: Fraction) -> Fraction:
@@ -191,7 +188,7 @@ def delta_exponent(params: ScalingParams) -> float:
     Reduces to 1/(D(D+1)) for H=1 and to 0 for unconnected nodes (H=0).
     For 0 < H <= D it lies in (0, 1/2].
     """
-    return float(_delta(params.D, _as_fraction(params.H)))
+    return float(_delta(params.D, Fraction(params.H)))
 
 
 def infrastructure_volume(V: float, pop: Population, params: ScalingParams) -> float:
@@ -332,7 +329,7 @@ def _law(scaling_class, params: ScalingParams) -> _ClassLaw:
 
 
 def _rational(part: Callable[[int, Fraction, Fraction], Fraction], params: ScalingParams) -> float:
-    H = _as_fraction(params.H)
+    H = Fraction(params.H)
     return float(part(params.D, H, _delta(params.D, H)))
 
 

@@ -147,10 +147,13 @@ class PromiseGraph:
     condition) collapse into one, with their constraint sets unioned:
     adjacency is 0/1, a repeated declaration is not a stronger link.
     calibration is either one scalar applied to every type or a mapping
-    from type tag to currency value.
+    from type tag to currency value; calibration values must be finite.
     """
 
     def __init__(self, agents: Iterable[Agent], promises: Iterable[Promise] = (), calibration: Calibration = 1.0):
+        values = calibration.values() if isinstance(calibration, Mapping) else (calibration,)
+        if not all(-math.inf < c < math.inf for c in values):
+            raise DomainError(f"calibration values must be finite numbers, got {calibration!r}")
         agent_map: dict[str, Agent] = {}
         for a in agents:
             if a.id in agent_map:
@@ -272,8 +275,8 @@ def _supply_index(promises):
     return accepts, offers, pending
 
 
-def _discharge(promises, inside=None) -> dict:
-    """Least fixed point of supply: {(g, d): witness offer} for every supplied pair.
+def _discharge(promises, inside=None) -> tuple[dict, list]:
+    """Least fixed point of supply: {(g, d): witness offer} for every supplied pair, and the fired offers.
 
     g is supplied with d when it unconditionally accepts d from some k whose
     offer of d to g is unconditional or has fired; a conditional offer fires
@@ -296,8 +299,9 @@ def _discharge(promises, inside=None) -> dict:
         for d in o.condition:
             waiting.setdefault((o.giver, d), []).append(o)
     supplied: dict[tuple, Promise] = {}
+    fired: list = []
     while round_:
-        fired = []
+        start = len(fired)
         for o in round_:
             pair = (o.receiver, o.type_tag)
             if pair in supplied or o.giver not in accepts.get(pair, ()):
@@ -307,8 +311,8 @@ def _discharge(promises, inside=None) -> dict:
                 unmet[id(w)] -= 1
                 if not unmet[id(w)]:
                     fired.append(w)
-        round_ = _in_graph_order(fired)
-    return supplied
+        round_ = _in_graph_order(fired[start:])
+    return supplied, fired
 
 
 def reduce_conditionals(graph: PromiseGraph) -> PromiseGraph:
@@ -321,14 +325,10 @@ def reduce_conditionals(graph: PromiseGraph) -> PromiseGraph:
     conditionals (and conditional accepts) are retained unchanged. When
     no offer fires, the graph itself is returned.
     """
-    supplied = _discharge(graph.promises)
-    fires = [
-        p.conditional and p.polarity is Polarity.OFFER and all((p.giver, d) in supplied for d in p.condition)
-        for p in graph.promises
-    ]
-    if not any(fires):
+    fired = {id(p) for p in _discharge(graph.promises)[1]}
+    if not fired:
         return graph
-    promises = [replace(p, condition=()) if fire else p for p, fire in zip(graph.promises, fires)]
+    promises = [replace(p, condition=()) if id(p) in fired else p for p in graph.promises]
     return PromiseGraph(graph.agents, promises, graph.calibration)
 
 
@@ -430,10 +430,10 @@ def aggregate(graph: PromiseGraph, members: Iterable[str], super_id: str) -> Pro
         raise DomainError("member set must be non-empty")
     for m in member_set:
         graph.agent(m)
-    if graph.has_agent(super_id) or super_id in member_set:
+    if graph.has_agent(super_id):
         raise DomainError(f"superagent id {super_id!r} collides with an existing agent")
 
-    supplied = _discharge(graph.promises, member_set)
+    supplied, _ = _discharge(graph.promises, member_set)
     todo = []
     new_promises = []
     for p in graph.promises:
@@ -480,11 +480,16 @@ def community_members(graph: PromiseGraph, authority: str, membership_type: str 
     sides to itself.
     """
     graph.agent(authority)
-    return {
-        b.offer.giver
-        for b in find_bindings(graph)
-        if b.offer.type_tag == membership_type and b.offer.receiver == authority
-    }
+    accepts, offers, _ = _supply_index(graph.promises)
+    return _communities(accepts, offers, membership_type).get(authority, set())
+
+
+def _communities(accepts, offers, membership_type: str) -> dict:
+    """{authority: the givers bound to it by a membership_type offer it accepts back}."""
+    communities: dict[str, set] = {}
+    for b in _bindings(accepts, (o for o in offers.values() if o.type_tag == membership_type)):
+        communities.setdefault(b.offer.receiver, set()).add(b.offer.giver)
+    return communities
 
 
 def classify_pattern(
@@ -536,9 +541,7 @@ def classify_pattern(
                 break
             needed |= ks
         else:
-            communities: dict[str, set] = {}
-            for b in _bindings(accepts, (o for o in offers.values() if o.type_tag == membership_type)):
-                communities.setdefault(b.offer.receiver, set()).add(b.offer.giver)
+            communities = _communities(accepts, offers, membership_type)
             # An agent without members is a community of itself alone, which
             # holds the chain only when the giver is its own sole provider.
             if len(needed) == 1 or any(needed - {u} <= members for u, members in communities.items()):

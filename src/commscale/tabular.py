@@ -7,11 +7,11 @@ significant digits, which gives the same bytes on every platform;
 parsing returns the value rounded to 12 digits, not the float that was
 written. Errors carry 1-based row and column positions.
 
-Parsing is column-wise: the rows' cells are converted by one float()
-over all of them and checked finite in one pass, and only input that
-fails is read again row by row, to name the first bad row and column.
-Valid and invalid input therefore get the results and messages of a
-row-by-row reader.
+Parsing returns the two columns, not rows: the rows' cells are
+converted by one float() over all of them and checked finite in one
+pass, and only input that fails is read again row by row, to name the
+first bad row and column. Valid and invalid input therefore get the
+values and messages of a row-by-row reader.
 """
 
 from __future__ import annotations
@@ -32,23 +32,15 @@ def finite_float(text) -> float:
     return value
 
 
-def parse_pairs(text: str, expected_header: str) -> list[tuple[int, float, float]]:
-    """Parse two-column CSV text into (row number, x, y) triples.
+def parse_pairs(text: str, expected_header: str) -> tuple[list, list]:
+    """Parse two-column CSV text into its x and y columns.
 
     The header row must match expected_header exactly and every cell
-    must be a finite number. Row numbers are 1-based file line numbers
-    (the header is row 1), kept so callers can locate their own
-    validation errors.
-    """
-    xs, ys = _parse_columns(text, expected_header)
-    return list(zip(range(2, len(xs) + 2), xs, ys))
-
-
-def _parse_columns(text: str, expected_header: str) -> tuple[list, list]:
-    """The x and y columns of parse_pairs, row i + 2 of the file at index i.
-
-    All cells are converted in one pass; only when that pass fails does
-    a row-by-row pass run, to name the first bad row and column.
+    must be a finite number. Index i of each column is row i + 2 of the
+    file (the header is row 1), so callers can name the row of their own
+    validation errors. All cells are converted in one pass; only when
+    that pass fails does a row-by-row pass run, to name the first bad
+    row and column.
     """
     lines = text.split("\n")
     if lines and lines[-1] == "":

@@ -44,10 +44,10 @@ class UslParams:
     coherency: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.contention < -1:
-            raise DomainError(f"contention must be >= -1, got {self.contention}")
-        if self.coherency < 0:
-            raise DomainError(f"coherency must be >= 0, got {self.coherency}")
+        if not -1 <= self.contention < math.inf:
+            raise DomainError(f"contention must be finite and >= -1, got {self.contention}")
+        if not 0 <= self.coherency < math.inf:
+            raise DomainError(f"coherency must be finite and >= 0, got {self.coherency}")
 
 
 def usl_speedup(N: float, p: UslParams) -> float:
@@ -179,10 +179,10 @@ class SerialModel:
     kappa: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
-        if self.pi_par < 0 or self.kappa < 0:
-            raise DomainError("pi_par and kappa must be non-negative")
+        if not 0 < self.sigma < math.inf:
+            raise DomainError(f"sigma must be finite and positive, got {self.sigma}")
+        if not (0 <= self.pi_par < math.inf and 0 <= self.kappa < math.inf):
+            raise DomainError("pi_par and kappa must be finite and non-negative")
 
 
 def serial_time(N: float, m: SerialModel) -> float:
@@ -217,8 +217,8 @@ class QueueParams:
     mu: float
 
     def __post_init__(self) -> None:
-        if self.lam < 0 or self.mu < 0:
-            raise DomainError("rates must be non-negative")
+        if not (0 <= self.lam < math.inf and 0 <= self.mu < math.inf):
+            raise DomainError("rates must be finite and non-negative")
 
 
 def response_time(q: QueueParams) -> float:

@@ -569,7 +569,7 @@ class TestFitCsvMatchesRowReader:
                 tabular.parse_pairs(text, "N,Y")
             assert str(err.value) == str(exc)
         else:
-            assert tabular.parse_pairs(text, "N,Y") == expected
+            assert tabular.parse_pairs(text, "N,Y") == ([n for _, n, _ in expected], [y for _, _, y in expected])
 
 
 GRAPH_COMMANDS = {

@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ class TestSpecValidation:
     def test_sample_count(self):
         with pytest.raises(DomainError):
             spec(n_samples=1)
+        with pytest.raises(DomainError):
+            spec(n_samples=10.5)
+        assert spec(n_samples=np.int64(10)) == spec(n_samples=10)
 
     def test_population_bounds(self):
         with pytest.raises(DomainError):
@@ -44,7 +48,11 @@ class TestSpecValidation:
             spec(seed=-1)
         with pytest.raises(DomainError):
             spec(seed=2**64)
+        with pytest.raises(DomainError):
+            spec(seed=3.5)
         spec(seed=2**64 - 1)
+        top = 2**64 - 1
+        assert ens.generate(spec(n_samples=5, seed=np.uint64(top))) == ens.generate(spec(n_samples=5, seed=top))
 
     def test_sample_positivity(self):
         with pytest.raises(DomainError):
@@ -261,6 +269,11 @@ class TestFitPowerLaw:
         assert fit.beta == pytest.approx(1.0, rel=1e-12)
         assert fit.stderr_beta == 0.0
 
+    def test_rejects_nonpositive_duck_typed_samples(self):
+        # fit_power_law takes any objects with N and Y; EnsembleSample's own check does not run for them.
+        with pytest.raises(DomainError, match="positive"):
+            ens.fit_power_law([SimpleNamespace(N=10.0, Y=1.0), SimpleNamespace(N=0.0, Y=1.0)])
+
     def test_needs_two_distinct_populations(self):
         with pytest.raises(DomainError):
             ens.fit_power_law([EnsembleSample(10, 1), EnsembleSample(10, 2)])
@@ -372,8 +385,10 @@ class TestTabular:
         assert "row 3, column 2" in str(err.value)
 
     def test_rows_are_numbered_from_the_header(self):
-        rows = parse_pairs("N,Y\n1,2\n3,4\n", "N,Y")
-        assert rows == [(2, 1.0, 2.0), (3, 3.0, 4.0)]
+        # Index i of each column is file row i + 2, as error messages count rows.
+        assert parse_pairs("N,Y\n1,2\n3,4\n", "N,Y") == ([1.0, 3.0], [2.0, 4.0])
+        with pytest.raises(CsvFormatError, match="row 3, column 1"):
+            parse_pairs("N,Y\n1,2\nx,4\n", "N,Y")
 
     def test_format_emits_trailing_newline_and_12_digits(self):
         text = format_pairs([(1 / 3, 2e-7)], "a,b")

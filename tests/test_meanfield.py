@@ -7,9 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commscale import meanfield as mf
-from commscale.ensemble import model_value
+from commscale.ensemble import EnsembleSpec, model_value
 from commscale.errors import DomainError, UnsupportedConfigError
 from commscale.meanfield import Population, ScalingClass, ScalingParams
+from commscale.promisegraph import Agent, PromiseGraph
+from commscale.uslkit import QueueParams, SerialModel, UslParams
 
 
 def params(D=2, H=1.0, **kw):
@@ -290,6 +292,12 @@ class TestSupportCounts:
         with pytest.raises(DomainError):
             mf.infra_agent_count(100, 10, 1.0, 0.0)
 
+    def test_infra_agent_count_rejects_small_valency_and_negative_clients(self):
+        with pytest.raises(DomainError, match="valency"):
+            mf.infra_agent_count(100, 0.5, 1.0, 1.0)
+        with pytest.raises(DomainError, match="client count"):
+            mf.infra_agent_count(-1, 10, 1.0, 1.0)
+
     def test_serialized_client_count_unit_capture(self):
         assert mf.serialized_client_count(100, 100, 2, 1.0) == pytest.approx(100.0)
 
@@ -306,6 +314,10 @@ class TestSupportCounts:
             mf.serialized_client_count(0, 10, 2, 1.0)
         with pytest.raises(DomainError):
             mf.serialized_client_count(10, 0, 2, 1.0)
+        with pytest.raises(DomainError, match="cross-section"):
+            mf.serialized_client_count(10, 10, 2, 0.0)
+        with pytest.raises(DomainError, match="D must be"):
+            mf.serialized_client_count(10, 10, 0, 1.0)
 
 
 class TestImpulseRates:
@@ -327,6 +339,10 @@ class TestImpulseRates:
     def test_physical_rejects_nonpositive_volume(self):
         with pytest.raises(DomainError):
             mf.impulse_rate(mf.Channel.PHYSICAL, 0.0, mf.ImpulseParams(), 2)
+
+    def test_unknown_channel(self):
+        with pytest.raises(DomainError, match="unknown channel"):
+            mf.impulse_rate("physical", 100.0, mf.ImpulseParams(), 2)
 
     def test_city_idea_rate_hand_value(self):
         p = mf.ImpulseParams(N_W=10, N_D=5, c_phys=1.0, c_virt=0.0)
@@ -406,3 +422,38 @@ class TestValidation:
     def test_impulse_rejects_bad_receptivity(self):
         with pytest.raises(DomainError):
             mf.ImpulseParams(alpha_tau=1.5)
+
+
+# One valid instance per parameter record; each numeric field is replaced in turn.
+RECORDS = {
+    "ScalingParams": (ScalingParams, dict(D=2, H=1.0, g_I=0.5, g_Y=1.0, G_Y=1.0, c_Y=1.0, v_Y=1.0, L=1.0)),
+    "Population": (Population, dict(N_I=10.0, N_0=1.0)),
+    "ConsumptionCoeffs": (mf.ConsumptionCoeffs, dict(e_minus=1.0, e_plus=1.0)),
+    "ImpulseParams": (mf.ImpulseParams, dict(r=1.0, T_explore=1.0, B=1.0, density_I=1.0, alpha_tau=0.5, c_phys=1.0,
+                                             c_virt=1.0, N_D=1.0, N_W=1.0)),
+    "UslParams": (UslParams, dict(contention=0.1, coherency=0.01)),
+    "SerialModel": (SerialModel, dict(sigma=1.0, pi_par=1.0, kappa=1.0)),
+    "QueueParams": (QueueParams, dict(lam=0.5, mu=1.0)),
+    "EnsembleSpec": (lambda **kw: EnsembleSpec(ScalingClass.INTERACTION, ScalingParams(D=2, H=1.0), **kw),
+                     dict(n_samples=10, N_min=10.0, N_max=100.0, noise_sigma=0.1, inactive_fraction=0.1, seed=1)),
+    "PromiseGraph": (lambda calibration: PromiseGraph([Agent("a")], calibration=calibration), dict(calibration=2.0)),
+    "PromiseGraph-mapping": (lambda svc: PromiseGraph([Agent("a")], calibration={"svc": svc}), dict(svc=2.0)),
+}
+
+
+@pytest.mark.parametrize(
+    "record,field,bad",
+    [
+        pytest.param(record, field, bad, id=f"{record}-{field}-{bad}")
+        for record, (_, kwargs) in RECORDS.items()
+        for field in kwargs
+        for bad in (math.nan, math.inf, -math.inf)
+        # Population rejects nan and negative counts but not inf, to keep ensemble draws cheap.
+        if not (record == "Population" and bad == math.inf)
+    ],
+)
+def test_non_finite_parameters_are_domain_errors(record, field, bad):
+    make, kwargs = RECORDS[record]
+    make(**kwargs)
+    with pytest.raises(DomainError):
+        make(**{**kwargs, field: bad})

@@ -138,6 +138,12 @@ class TestUslFit:
             uslkit.usl_fit([(1, 1.0), (2, 0.0), (3, 2.0)])
         with pytest.raises(DomainError):
             uslkit.usl_fit([(1, 1.0), (1, 1.1), (2, 1.5)])
+        with pytest.raises(DomainError, match="finite"):
+            uslkit.usl_fit([(1, 1.0), (2, math.nan), (3, 2.0)])
+        with pytest.raises(DomainError, match="N\\*\\(N-1\\)"):
+            uslkit.usl_fit([(1, 1.0), (2, 1.5), (1e200, 2.0)])
+        with pytest.raises(DomainError, match="overflows at every start"):
+            uslkit.usl_fit([(1, 1e200), (2, 1e200), (3, 1e200)])
 
 
 class TestSerialModel:
@@ -148,6 +154,8 @@ class TestSerialModel:
     def test_time_rejects_small_n(self):
         with pytest.raises(DomainError):
             uslkit.serial_time(0.0, SerialModel(1.0))
+        with pytest.raises(DomainError):
+            uslkit.effective_exponent(0.5, SerialModel(1.0))
 
     def test_validation(self):
         with pytest.raises(DomainError):
