@@ -10,7 +10,6 @@ command line.
 
 from .ensemble import (
     CompareReport,
-    EnsembleSample,
     EnsembleSpec,
     PowerLawFit,
     compare,

@@ -83,7 +83,7 @@ def _cmd_ensemble(args) -> int:
         inactive_fraction=args.inactive,
         seed=args.seed,
     )
-    return _emit(tabular.format_pairs(zip(*ensemble._draw(spec)), ensemble._HEADER))
+    return _emit(ensemble.samples_to_csv(*ensemble.generate(spec)))
 
 
 def _fit_to_json(fit: ensemble.PowerLawFit) -> dict:
@@ -97,8 +97,7 @@ def _fit_to_json(fit: ensemble.PowerLawFit) -> dict:
 
 
 def _cmd_fit(args) -> int:
-    ns, ys = ensemble._parse_csv_columns(_read_input(args))
-    return _emit_json(_fit_to_json(ensemble._fit_columns(ns, ys)))
+    return _emit_json(_fit_to_json(ensemble.fit_power_law(*ensemble.parse_csv(_read_input(args)))))
 
 
 _FIT_DEFAULTS = (("log_intercept", 0.0), ("r_squared", 1.0), ("stderr_beta", 0.0))

@@ -24,9 +24,9 @@ class law and the noise factor are then computed per sample with
 scalar `math`: numpy's vector exp can differ from math.exp in the last
 bit, which would change 12-digit CSV cells.
 
-Ensembles travel as two float columns (N, Y): the CLI formats CSV from
-them and fits the columns it parses. generate(), parse_csv() and
-fit_power_law() wrap the columns in EnsembleSample records.
+An ensemble is two float columns (N, Y), with no per-sample record:
+generate() returns them, samples_to_csv() renders them, parse_csv() and
+ingest_csv() read them back, and fit_power_law() fits them.
 
 numpy (with the _philox module) is imported inside the functions that
 draw or fit, so that the commands which do neither start without it.
@@ -45,7 +45,6 @@ from .tabular import format_pairs, parse_pairs
 
 __all__ = [
     "EnsembleSpec",
-    "EnsembleSample",
     "PowerLawFit",
     "CompareReport",
     "model_value",
@@ -97,17 +96,6 @@ class EnsembleSpec:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class EnsembleSample:
-    """One (population, output) observation; both finite and strictly positive."""
-
-    N: float
-    Y: float
-
-    def __post_init__(self) -> None:
-        _require_sample(self.N, self.Y)
-
-
 def _require_sample(n: float, y: float) -> None:
     # The chained comparisons are false for nan as well as for inf and non-positive values.
     if not (0 < n < math.inf and 0 < y < math.inf):
@@ -157,54 +145,51 @@ def _law_value(law: _ClassLaw, N: float, inactive_fraction: float, params: Scali
     return law.value(Population(N - n0, n0), params)
 
 
-def generate(spec: EnsembleSpec) -> list[EnsembleSample]:
-    """Draw the ensemble described by spec; deterministic given spec.seed.
+def generate(spec: EnsembleSpec) -> tuple[list, list]:
+    """Draw the N and Y columns of the ensemble described by spec; deterministic given spec.seed.
 
     Raises DomainError when a sample is not finite and positive, for
     instance when the noise overflows the output.
     """
-    return [EnsembleSample(n, y) for n, y in zip(*_draw(spec))]
-
-
-def _draw(spec: EnsembleSpec) -> tuple[list, list]:
-    """The N and Y columns of generate(spec)."""
     law = _law(spec.scaling_class, spec.params)
     from . import _philox
 
     us, zs = _philox.first_draws(spec.seed, spec.n_samples)
     ln_lo = math.log(spec.N_min)
     ln_hi = math.log(spec.N_max)
+    fraction, params, sigma = spec.inactive_fraction, spec.params, spec.noise_sigma
     ns, ys = [], []
     for u, z in zip(us, zs):
         n = math.exp(ln_lo + u * (ln_hi - ln_lo))
-        y = _law_value(law, n, spec.inactive_fraction, spec.params) * math.exp(spec.noise_sigma * z)
+        y = _law_value(law, n, fraction, params) * math.exp(sigma * z)
         _require_sample(n, y)
         ns.append(n)
         ys.append(y)
     return ns, ys
 
 
-def fit_power_law(samples) -> PowerLawFit:
-    """Ordinary least squares on (ln N, ln Y).
+def fit_power_law(ns, ys) -> PowerLawFit:
+    """Ordinary least squares on (ln N, ln Y) over the N and Y columns.
 
-    Needs at least two distinct N values. stderr_beta follows the
-    standard slope formula with n-2 degrees of freedom (0.0 when there
-    are exactly two points); r_squared is 1.0 for an exact fit,
-    including the degenerate all-equal-Y case.
+    The columns must have equal length and hold finite, strictly
+    positive values, and N needs at least two distinct values.
+    stderr_beta follows the standard slope formula with n-2 degrees of
+    freedom (0.0 when there are exactly two points); r_squared is 1.0
+    for an exact fit, including the degenerate all-equal-Y case.
     """
-    pts = list(samples)
-    if any(s.N <= 0 or s.Y <= 0 for s in pts):
-        raise DomainError("samples must be positive for log-log fitting")
-    return _fit_columns([s.N for s in pts], [s.Y for s in pts])
-
-
-def _fit_columns(ns: list, ys: list) -> PowerLawFit:
-    """fit_power_law on columns already known to be positive."""
     import numpy as np
 
-    x = np.array(list(map(math.log, ns)))
-    y = np.array(list(map(math.log, ys)))
-    if not ns or x.min() == x.max():
+    if len(ns) != len(ys):
+        raise DomainError(f"N and Y columns differ in length: {len(ns)} and {len(ys)}")
+    try:
+        # math.log raises ValueError for values <= 0; nan and inf pass it and leave non-finite logs.
+        x = np.array(list(map(math.log, ns)))
+        y = np.array(list(map(math.log, ys)))
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError
+    except ValueError:
+        raise DomainError("samples must be finite and positive for log-log fitting") from None
+    if x.size == 0 or x.min() == x.max():
         raise DomainError("need at least 2 distinct N values to fit a slope")
     xbar = x.mean()
     ybar = y.mean()
@@ -240,13 +225,8 @@ def compare(fit: PowerLawFit, scaling_class: ScalingClass, params: ScalingParams
     return CompareReport(theory, fit.beta, gap, fit.stderr_beta, k, gap <= k * fit.stderr_beta)
 
 
-def parse_csv(text: str) -> list[EnsembleSample]:
-    """Parse `N,Y` CSV text into samples, rejecting non-positive rows by number."""
-    return [EnsembleSample(n, y) for n, y in zip(*_parse_csv_columns(text))]
-
-
-def _parse_csv_columns(text: str) -> tuple[list, list]:
-    """The N and Y columns of parse_csv(text)."""
+def parse_csv(text: str) -> tuple[list, list]:
+    """Parse `N,Y` CSV text into its N and Y columns, rejecting non-positive rows by number."""
     ns, ys = parse_pairs(text, _HEADER)
     if ns and (min(ns) <= 0 or min(ys) <= 0):
         for row, n, y in zip(count(2), ns, ys):
@@ -255,12 +235,12 @@ def _parse_csv_columns(text: str) -> tuple[list, list]:
     return ns, ys
 
 
-def ingest_csv(path) -> list[EnsembleSample]:
-    """Read and parse an `N,Y` CSV file."""
+def ingest_csv(path) -> tuple[list, list]:
+    """Read an `N,Y` CSV file into its N and Y columns."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return parse_csv(fh.read())
 
 
-def samples_to_csv(samples) -> str:
-    """Render samples as `N,Y` CSV, 12 significant digits, bytewise reproducible."""
-    return format_pairs(((s.N, s.Y) for s in samples), _HEADER)
+def samples_to_csv(ns, ys) -> str:
+    """Render the N and Y columns as `N,Y` CSV, 12 significant digits, bytewise reproducible."""
+    return format_pairs(zip(ns, ys), _HEADER)

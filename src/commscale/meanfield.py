@@ -98,17 +98,17 @@ class Population:
     """Active/inactive split of a community.
 
     N_I agents are connected to the shared infrastructure; N_0 are
-    bystanders. Counts are non-negative reals: the model is a continuum
-    approximation, so fractional populations are meaningful.
+    bystanders. Counts are finite non-negative reals: the model is a
+    continuum approximation, so fractional populations are meaningful.
     """
 
     N_I: float
     N_0: float = 0.0
 
     def __post_init__(self) -> None:
-        # False for nan. inf is let through: ensembles build one Population per sample, and a bound costs time there.
-        if not (self.N_I >= 0 and self.N_0 >= 0):
-            raise DomainError(f"population counts must be non-negative, got N_I={self.N_I}, N_0={self.N_0}")
+        # False for nan as well as for inf and negative counts.
+        if not (0 <= self.N_I < math.inf and 0 <= self.N_0 < math.inf):
+            raise DomainError(f"population counts must be finite and non-negative, got N_I={self.N_I}, N_0={self.N_0}")
 
     @property
     def N(self) -> float:
@@ -201,8 +201,8 @@ def infrastructure_volume(V: float, pop: Population, params: ScalingParams) -> f
     as an equality; every scaling statement uses the bound as the
     operating point. Zero connected agents means zero infrastructure.
     """
-    if V <= 0:
-        raise DomainError(f"community volume must be positive, got {V}")
+    if not 0 < V < math.inf:
+        raise DomainError(f"community volume must be finite and positive, got {V}")
     if pop.N == 0:
         raise DomainError("total population is zero")
     hd = params.H / params.D
@@ -333,7 +333,7 @@ def _rational(part: Callable[[int, Fraction, Fraction], Fraction], params: Scali
     return float(part(params.D, H, _delta(params.D, H)))
 
 
-def predicted_exponent(scaling_class: ScalingClass, params: ScalingParams, pervasive: bool = True) -> float:
+def predicted_exponent(scaling_class: ScalingClass, params: ScalingParams) -> float:
     """Predicted ensemble exponent beta for one dependency class.
 
     With delta = delta_exponent(params):
@@ -347,14 +347,8 @@ def predicted_exponent(scaling_class: ScalingClass, params: ScalingParams, perva
         VirtualInteraction   -> H/D            (no longer superlinear)
 
     A single power law only holds for a pervasive network (N close to
-    N_I). Passing pervasive=False raises instead of returning something
-    misleading; the split-population factor lives in correction_factor.
+    N_I); the split-population factor lives in correction_factor.
     """
-    if not pervasive:
-        raise DomainError(
-            "exponents are single powers only for a pervasive network (N ~= N_I); "
-            "use correction_factor for the (1 + N_0/N_I) adjustment"
-        )
     return _rational(_law(scaling_class, params).exponent, params)
 
 
@@ -392,12 +386,14 @@ def infra_agent_count(N_client: float, valency: float, alpha_minus: float, alpha
 
     where valency is how many clients one supply agent can serve at once.
     """
-    if alpha_plus <= 0:
+    if not alpha_plus > 0:
         raise DomainError(f"alpha_plus must be positive, got {alpha_plus}")
-    if valency < 1:
+    if not 0 <= alpha_minus < math.inf:
+        raise DomainError(f"alpha_minus must be finite and non-negative, got {alpha_minus}")
+    if not valency >= 1:
         raise DomainError(f"valency must be >= 1, got {valency}")
-    if N_client < 0:
-        raise DomainError(f"client count must be non-negative, got {N_client}")
+    if not 0 <= N_client < math.inf:
+        raise DomainError(f"client count must be finite and non-negative, got {N_client}")
     return (alpha_minus / alpha_plus) * N_client / valency
 
 
@@ -408,13 +404,13 @@ def serialized_client_count(V_catchment: float, N_users: float, D: int, cross_se
     extent to the 1/D power, times the tube cross-section, times the
     user count gives the serialized total.
     """
-    if V_catchment <= 0:
-        raise DomainError(f"catchment volume must be positive, got {V_catchment}")
-    if N_users <= 0:
-        raise DomainError(f"user count must be positive, got {N_users}")
-    if cross_section <= 0:
-        raise DomainError(f"cross-section must be positive, got {cross_section}")
-    if D < 1:
+    if not 0 < V_catchment < math.inf:
+        raise DomainError(f"catchment volume must be finite and positive, got {V_catchment}")
+    if not 0 < N_users < math.inf:
+        raise DomainError(f"user count must be finite and positive, got {N_users}")
+    if not 0 < cross_section < math.inf:
+        raise DomainError(f"cross-section must be finite and positive, got {cross_section}")
+    if not D >= 1:
         raise DomainError(f"D must be >= 1, got {D}")
     return (V_catchment / N_users) ** (1 / D) * cross_section * N_users
 
@@ -426,8 +422,10 @@ def impulse_rate(channel: Channel, V: float, p: ImpulseParams, D: int) -> float:
     virtual discovery is bandwidth-limited and independent of volume.
     """
     if channel is Channel.PHYSICAL:
-        if V <= 0:
-            raise DomainError(f"physical discovery requires a positive volume, got {V}")
+        if not 0 < V < math.inf:
+            raise DomainError(f"physical discovery requires a finite positive volume, got {V}")
+        if not D >= 1:
+            raise DomainError(f"D must be >= 1, got {D}")
         return p.r * p.T_explore * V ** (1 / D) * p.density_I * p.alpha_tau
     if channel is Channel.VIRTUAL:
         return p.B * p.T_explore * p.density_I * p.alpha_tau
@@ -436,4 +434,6 @@ def impulse_rate(channel: Channel, V: float, p: ImpulseParams, D: int) -> float:
 
 def city_idea_rate(p: ImpulseParams, i_phys: float, i_virt: float) -> float:
     """Community-wide idea rate: N_W workgroups of N_D agents mixing both channels."""
+    if not (0 <= i_phys < math.inf and 0 <= i_virt < math.inf):
+        raise DomainError(f"impulse rates must be finite and non-negative, got {i_phys} and {i_virt}")
     return p.N_W * p.N_D * (p.c_phys * i_phys + p.c_virt * i_virt)

@@ -52,8 +52,8 @@ class UslParams:
 
 def usl_speedup(N: float, p: UslParams) -> float:
     """S(N) = N / (1 + contention*(N-1) + coherency*N*(N-1)); S(1) = 1 exactly."""
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
+    if not 1 <= N < math.inf:
+        raise DomainError(f"N must be finite and >= 1, got {N}")
     den = 1.0 + p.contention * (N - 1.0) + p.coherency * N * (N - 1.0)
     if den <= 0:
         raise DomainError(f"speedup denominator is not positive at N={N} (contention too negative)")
@@ -186,9 +186,9 @@ class SerialModel:
 
 
 def serial_time(N: float, m: SerialModel) -> float:
-    """T(N) = sigma + pi_par/N + kappa*N for N >= 1."""
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
+    """T(N) = sigma + pi_par/N + kappa*N for finite N >= 1."""
+    if not 1 <= N < math.inf:
+        raise DomainError(f"N must be finite and >= 1, got {N}")
     return m.sigma + m.pi_par / N + m.kappa * N
 
 
@@ -203,7 +203,7 @@ def effective_exponent(N: float, m: SerialModel) -> float:
     """
     if m.kappa != 0:
         raise UnsupportedConfigError("effective exponent is defined for kappa = 0 only")
-    if N < 1:
+    if not N >= 1:
         raise DomainError(f"N must be >= 1, got {N}")
     x = m.pi_par / (m.sigma * N)
     return x / (1.0 + x)

@@ -64,7 +64,7 @@ def test_criterion_2_ensemble_recovery():
                 noise_sigma=0.1,
                 seed=42,
             )
-            fit = ens.fit_power_law(ens.generate(spec))
+            fit = ens.fit_power_law(*ens.generate(spec))
             theory = predicted_exponent(cls, D2H1)
             assert abs(fit.beta - theory) <= 0.02, (cls, fit.beta, theory)
         assert time.perf_counter() - start < 5.0

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -5,6 +6,7 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -475,7 +477,7 @@ def seed_parse_csv(text):
     for row, n, y in seed_parse_pairs(text, "N,Y"):
         if n <= 0 or y <= 0:
             raise CsvFormatError(f"row {row}: samples must be positive, got N={n:g}, Y={y:g}")
-        out.append(ensemble.EnsembleSample(n, y))
+        out.append(SimpleNamespace(N=n, Y=y))
     return out
 
 
@@ -719,6 +721,19 @@ class TestNumpyFreeStart:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "numpy ndarray int64 [[0, 1, 1], [1, 0, 1], [1, 1, 0]]\n"
+
+
+class TestCliUsesPublicEnsembleApi:
+    def test_no_private_ensemble_attribute(self):
+        # The benchmark tracer wraps public functions only; a private helper would hide its stage.
+        tree = ast.parse((SRC / "commscale" / "cli.py").read_text(encoding="utf-8"))
+        private = [node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id == "ensemble" and node.attr.startswith("_")]
+        private += [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "ensemble"
+                    for alias in node.names if alias.name.startswith("_")]
+        assert private == []
 
 
 class TestUsageErrors:

@@ -1,6 +1,5 @@
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from commscale import _philox
 from commscale import ensemble as ens
 from commscale.errors import CsvFormatError, DomainError, UnsupportedConfigError
-from commscale.ensemble import EnsembleSample, EnsembleSpec, PowerLawFit
+from commscale.ensemble import EnsembleSpec, PowerLawFit
 from commscale.meanfield import ScalingClass, ScalingParams
 from commscale.tabular import format_pairs, parse_pairs
 
@@ -55,13 +54,13 @@ class TestSpecValidation:
         assert ens.generate(spec(n_samples=5, seed=np.uint64(top))) == ens.generate(spec(n_samples=5, seed=top))
 
     def test_sample_positivity(self):
-        with pytest.raises(DomainError):
-            EnsembleSample(0.0, 1.0)
-        with pytest.raises(DomainError):
-            EnsembleSample(1.0, -1.0)
-        for n, y in [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)]:
-            with pytest.raises(DomainError, match="finite"):
-                EnsembleSample(n, y)
+        # fit_power_law checks its columns: every cell finite and positive, equal lengths.
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            for ns, ys in (([10.0, bad, 1000.0], [1.0, 2.0, 3.0]), ([10.0, 100.0, 1000.0], [1.0, 2.0, bad])):
+                with pytest.raises(DomainError, match="finite and positive"):
+                    ens.fit_power_law(ns, ys)
+        with pytest.raises(DomainError, match="length"):
+            ens.fit_power_law([10.0, 100.0, 1000.0], [1.0, 2.0])
 
     def test_fit_diagnostics_bounds(self):
         with pytest.raises(DomainError):
@@ -117,17 +116,17 @@ class TestGenerate:
     def test_sample_count_prefix_stable(self):
         # Growing an ensemble never changes the samples already drawn.
         short = ens.generate(spec(n_samples=10, seed=4))
-        long = ens.generate(spec(n_samples=60, seed=4))
-        assert long[:10] == short
+        ns, ys = ens.generate(spec(n_samples=60, seed=4))
+        assert (ns[:10], ys[:10]) == short
 
     def test_populations_inside_bounds(self):
-        for s in ens.generate(spec(n_samples=200, N_min=50.0, N_max=5000.0, seed=3)):
-            assert 50.0 <= s.N <= 5000.0
-            assert s.Y > 0
+        for n, y in zip(*ens.generate(spec(n_samples=200, N_min=50.0, N_max=5000.0, seed=3))):
+            assert 50.0 <= n <= 5000.0
+            assert y > 0
 
     def test_zero_noise_lies_on_the_model(self):
-        for s in ens.generate(spec(n_samples=20, noise_sigma=0.0, seed=5)):
-            assert s.Y == pytest.approx(ens.model_value(ScalingClass.INTERACTION, s.N, 0.0, D2H1), rel=1e-12)
+        for n, y in zip(*ens.generate(spec(n_samples=20, noise_sigma=0.0, seed=5))):
+            assert y == pytest.approx(ens.model_value(ScalingClass.INTERACTION, n, 0.0, D2H1), rel=1e-12)
 
 
 def reference_generate(spec):
@@ -135,15 +134,16 @@ def reference_generate(spec):
     generator keyed (seed, i) and a model_value call for every sample."""
     ln_lo = math.log(spec.N_min)
     ln_hi = math.log(spec.N_max)
-    out = []
+    ns, ys = [], []
     for i in range(spec.n_samples):
         rng = np.random.Generator(np.random.Philox(key=np.array([spec.seed, i], dtype=np.uint64)))
         u = rng.random()
         z = rng.standard_normal()
         n = math.exp(ln_lo + u * (ln_hi - ln_lo))
         y = ens.model_value(spec.scaling_class, n, spec.inactive_fraction, spec.params)
-        out.append(EnsembleSample(n, y * math.exp(spec.noise_sigma * z)))
-    return out
+        ns.append(n)
+        ys.append(y * math.exp(spec.noise_sigma * z))
+    return ns, ys
 
 
 @st.composite
@@ -256,8 +256,8 @@ class TestVectorisedDraws:
 
 class TestFitPowerLaw:
     def test_exact_line_recovered(self):
-        samples = [EnsembleSample(n, 4.0 * n**2.3) for n in (10, 100, 1000, 12345)]
-        fit = ens.fit_power_law(samples)
+        ns = [10, 100, 1000, 12345]
+        fit = ens.fit_power_law(ns, [4.0 * n**2.3 for n in ns])
         assert fit.beta == pytest.approx(2.3, rel=1e-12)
         assert fit.log_intercept == pytest.approx(math.log(4.0), rel=1e-12)
         assert fit.r_squared == 1.0
@@ -265,20 +265,15 @@ class TestFitPowerLaw:
         assert fit.n == 4
 
     def test_two_points_define_a_slope(self):
-        fit = ens.fit_power_law([EnsembleSample(10, 100), EnsembleSample(1000, 10000)])
+        fit = ens.fit_power_law([10, 1000], [100, 10000])
         assert fit.beta == pytest.approx(1.0, rel=1e-12)
         assert fit.stderr_beta == 0.0
 
-    def test_rejects_nonpositive_duck_typed_samples(self):
-        # fit_power_law takes any objects with N and Y; EnsembleSample's own check does not run for them.
-        with pytest.raises(DomainError, match="positive"):
-            ens.fit_power_law([SimpleNamespace(N=10.0, Y=1.0), SimpleNamespace(N=0.0, Y=1.0)])
-
     def test_needs_two_distinct_populations(self):
         with pytest.raises(DomainError):
-            ens.fit_power_law([EnsembleSample(10, 1), EnsembleSample(10, 2)])
+            ens.fit_power_law([10, 10], [1, 2])
         with pytest.raises(DomainError):
-            ens.fit_power_law([])
+            ens.fit_power_law([], [])
 
     def test_noiseless_ensembles_recover_theory_for_every_class(self):
         from commscale.meanfield import predicted_exponent
@@ -290,14 +285,14 @@ class TestFitPowerLaw:
                     if cls is ScalingClass.RECURSIVE_DEPENDENCY and H != 1.0:
                         continue
                     s = EnsembleSpec(cls, params, n_samples=40, noise_sigma=0.0, seed=11)
-                    fit = ens.fit_power_law(ens.generate(s))
+                    fit = ens.fit_power_law(*ens.generate(s))
                     assert fit.beta == pytest.approx(predicted_exponent(cls, params), abs=1e-9)
                     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_inactive_fraction_preserves_the_exponent(self):
         # A fixed inactive share shifts the intercept, never the slope.
         s = spec(n_samples=40, noise_sigma=0.0, inactive_fraction=0.3, seed=13)
-        fit = ens.fit_power_law(ens.generate(s))
+        fit = ens.fit_power_law(*ens.generate(s))
         assert fit.beta == pytest.approx(7 / 6, abs=1e-12)
 
 
@@ -316,7 +311,7 @@ GOLDEN_BETAS = {
 class TestGoldenEnsembles:
     @pytest.mark.parametrize("cls", sorted(GOLDEN_BETAS, key=lambda c: c.value))
     def test_seed_42_betas(self, cls):
-        fit = ens.fit_power_law(ens.generate(spec(cls, seed=42)))
+        fit = ens.fit_power_law(*ens.generate(spec(cls, seed=42)))
         assert fit.beta == pytest.approx(GOLDEN_BETAS[cls], abs=1e-9)
 
 
@@ -340,17 +335,16 @@ class TestCompare:
         assert ens.compare(fit, ScalingClass.INTERACTION, D2H1, k=2.0).within_k_stderr
 
     def test_end_to_end_gap_is_small(self):
-        fit = ens.fit_power_law(ens.generate(spec(seed=42)))
+        fit = ens.fit_power_law(*ens.generate(spec(seed=42)))
         report = ens.compare(fit, ScalingClass.INTERACTION, D2H1)
         assert report.gap <= 0.02
 
 
 class TestCsv:
     def test_render_parse_render_is_bytewise_stable(self):
-        samples = ens.generate(spec(n_samples=25, seed=6))
-        text = ens.samples_to_csv(samples)
+        text = ens.samples_to_csv(*ens.generate(spec(n_samples=25, seed=6)))
         assert text.startswith("N,Y\n")
-        assert ens.samples_to_csv(ens.parse_csv(text)) == text
+        assert ens.samples_to_csv(*ens.parse_csv(text)) == text
 
     def test_parse_rejects_nonpositive_rows(self):
         with pytest.raises(CsvFormatError) as err:
@@ -360,8 +354,7 @@ class TestCsv:
     def test_ingest_reads_files(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("N,Y\n10,100\n20,300\n", encoding="utf-8")
-        samples = ens.ingest_csv(path)
-        assert samples == [EnsembleSample(10.0, 100.0), EnsembleSample(20.0, 300.0)]
+        assert ens.ingest_csv(path) == ([10.0, 20.0], [100.0, 300.0])
 
 
 class TestTabular:

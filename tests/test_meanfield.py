@@ -11,6 +11,7 @@ from commscale.ensemble import EnsembleSpec, model_value
 from commscale.errors import DomainError, UnsupportedConfigError
 from commscale.meanfield import Population, ScalingClass, ScalingParams
 from commscale.promisegraph import Agent, PromiseGraph
+from commscale import uslkit
 from commscale.uslkit import QueueParams, SerialModel, UslParams
 
 
@@ -148,10 +149,6 @@ class TestPredictedExponent:
         assert mf.predicted_exponent(ScalingClass.RECURSIVE_DEPENDENCY, params(3, 1.0)) == pytest.approx(
             float(1 + Fraction(1, 9) - Fraction(1, 12)), abs=1e-15
         )
-
-    def test_non_pervasive_is_rejected(self):
-        with pytest.raises(DomainError):
-            mf.predicted_exponent(ScalingClass.INTERACTION, params(), pervasive=False)
 
     def test_exponent_duality(self):
         # Supply and interaction exponents are 1 -+ delta, so they sum to 2.
@@ -448,8 +445,6 @@ RECORDS = {
         for record, (_, kwargs) in RECORDS.items()
         for field in kwargs
         for bad in (math.nan, math.inf, -math.inf)
-        # Population rejects nan and negative counts but not inf, to keep ensemble draws cheap.
-        if not (record == "Population" and bad == math.inf)
     ],
 )
 def test_non_finite_parameters_are_domain_errors(record, field, bad):
@@ -457,3 +452,38 @@ def test_non_finite_parameters_are_domain_errors(record, field, bad):
     make(**kwargs)
     with pytest.raises(DomainError):
         make(**{**kwargs, field: bad})
+
+
+# One valid call per public function of plain-number arguments, and the arguments that must also reject inf.
+SCALAR_CALLS = {
+    "usl_speedup": (uslkit.usl_speedup, dict(N=8.0, p=UslParams(0.1, 0.01)), {"N"}),
+    "serial_time": (uslkit.serial_time, dict(N=8.0, m=SerialModel(1.0, 4.0)), {"N"}),
+    "effective_exponent": (uslkit.effective_exponent, dict(N=8.0, m=SerialModel(1.0, 4.0)), set()),
+    "infrastructure_volume": (mf.infrastructure_volume, dict(V=100.0, pop=Population(10.0, 1.0), params=params()),
+                              {"V"}),
+    "node_degree": (mf.node_degree, dict(pop=Population(10.0, 1.0), V=100.0, params=params()), {"V"}),
+    "impulse_rate": (mf.impulse_rate, dict(channel=mf.Channel.PHYSICAL, V=100.0, p=mf.ImpulseParams(), D=2), {"V"}),
+    "infra_agent_count": (mf.infra_agent_count, dict(N_client=100.0, valency=4.0, alpha_minus=0.5, alpha_plus=0.25),
+                          {"N_client", "alpha_minus"}),
+    "serialized_client_count": (mf.serialized_client_count,
+                                dict(V_catchment=100.0, N_users=10.0, D=2, cross_section=1.0),
+                                {"V_catchment", "N_users", "cross_section"}),
+    "city_idea_rate": (mf.city_idea_rate, dict(p=mf.ImpulseParams(), i_phys=1.0, i_virt=2.0), {"i_phys", "i_virt"}),
+}
+
+
+@pytest.mark.parametrize(
+    "func,arg,bad",
+    [
+        pytest.param(func, arg, bad, id=f"{func}-{arg}-{bad}")
+        for func, (_, kwargs, inf_rejected) in SCALAR_CALLS.items()
+        for arg, value in kwargs.items()
+        if isinstance(value, (int, float))
+        for bad in ((math.nan, math.inf) if arg in inf_rejected else (math.nan,))
+    ],
+)
+def test_non_finite_scalar_arguments_are_domain_errors(func, arg, bad):
+    call, kwargs, _ = SCALAR_CALLS[func]
+    assert math.isfinite(call(**kwargs))
+    with pytest.raises(DomainError):
+        call(**{**kwargs, arg: bad})
