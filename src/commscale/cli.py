@@ -174,19 +174,23 @@ def _cmd_graph_value(args) -> int:
     )
 
 
+# A row of json.dumps(rows, indent=2), written directly: with indent=2 json runs its pure-Python encoder.
+_BINDING_ROW = (
+    '  {\n    "giver": %s,\n    "receiver": %s,\n    "type": %s,\n'
+    '    "constraint": [\n      %s\n    ],\n    "value": %r\n  }'
+)
+
+
 def _cmd_graph_bindings(args) -> int:
     graph = _load_graph(args)
-    out = [
-        {
-            "giver": b.offer.giver,
-            "receiver": b.offer.receiver,
-            "type": b.offer.type_tag,
-            "constraint": sorted(b.effective_constraint),
-            "value": _jnum(promisegraph.valuation(graph, b)),
-        }
+    quote = json.encoder.encode_basestring_ascii
+    rows = [
+        _BINDING_ROW % (quote(b.offer.giver), quote(b.offer.receiver), quote(b.offer.type_tag),
+                        ",\n      ".join(map(quote, sorted(b.effective_constraint))),
+                        _jnum(promisegraph.valuation(graph, b)))
         for b in promisegraph.find_bindings(graph)
     ]
-    return _emit_json(out)
+    return _emit("[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n")
 
 
 def _cmd_graph_reduce(args) -> int:
@@ -200,13 +204,15 @@ def _cmd_graph_aggregate(args) -> int:
 
 
 def _cmd_graph_classify(args) -> int:
+    if (args.D is None) != (args.H is None):
+        args.usage_error("--D and --H must be given together")
     graph = _load_graph(args)
     offer = promisegraph._find_offer(graph, args.giver, args.receiver, args.type)
     cls = promisegraph.classify_pattern(
         graph, offer, scarcity_threshold=args.threshold, membership_type=args.membership_type
     )
     out = {"class": cls.value}
-    if args.D is not None and args.H is not None:
+    if args.D is not None:
         out["exponent"] = _jnum(meanfield.predicted_exponent(cls, ScalingParams(D=args.D, H=args.H)))
     return _emit_json(out)
 
@@ -324,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threshold", type=finite_float, default=0.1, help="scarcity consumer-fraction threshold (default 0.1)"
     )
     _add_dh(g, required=False)
-    g.set_defaults(func=_cmd_graph_classify)
+    g.set_defaults(func=_cmd_graph_classify, usage_error=g.error)
 
     g = gsub.add_parser(
         "community", parents=[shared, membership], help="members mutually bound to an authority, as JSON"

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import re
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, UnknownAgentError
 from .promisegraph import Agent, Calibration, Polarity, Promise, PromiseGraph
 
 __all__ = ["parse_graph", "emit_graph"]
 
 _TOKEN = re.compile(r"[^\s,|#]+\Z")
+_POLARITY = {"+": Polarity.OFFER, "-": Polarity.ACCEPT}
 
 
 def _check_token(token: str, what: str, passed: set, lineno: int | None = None) -> str:
@@ -66,19 +67,45 @@ def parse_graph(text: str, calibration: Calibration = 1.0) -> PromiseGraph:
     """
     agents: dict[str, Agent] = {}
     agent_lines: dict[str, int] = {}
-    promises: list[tuple[int, Promise]] = []
+    promises: list[Promise] = []
+    promise_lines: list[int] = []
     # Each distinct token is checked once, and each distinct csv field is
     # parsed once into one shared value.
     passed: set[str] = set()
     constraints: dict[str, frozenset] = {}
     conditions: dict[str, tuple] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, line in enumerate(text.splitlines(), 1):
+        fields = (line.split("#", 1)[0] if "#" in line else line).split()
+        if not fields:
             continue
-        fields = line.split()
         kind = fields[0]
-        if kind == "agent":
+        if kind == "promise":
+            if len(fields) == 6:
+                condition = ()
+            elif len(fields) == 8 and fields[6] == "|":
+                condition = conditions.get(fields[7])
+                if condition is None:
+                    parts = _split_csv(fields[7], "condition", passed, lineno)
+                    condition = conditions[fields[7]] = tuple(sorted(set(parts)))
+            else:
+                raise GraphFormatError(
+                    f"line {lineno}: promise records take 5 fields plus an optional '| <cond-csv>', "
+                    f"got {line.split('#', 1)[0].strip()!r}"
+                )
+            giver, receiver, type_tag, sign, chi = fields[1:6]
+            if not passed.issuperset((giver, receiver, type_tag)):
+                _check_token(giver, "agent id", passed, lineno)
+                _check_token(receiver, "agent id", passed, lineno)
+                _check_token(type_tag, "promise type", passed, lineno)
+            polarity = _POLARITY.get(sign)
+            if polarity is None:
+                raise GraphFormatError(f"line {lineno}: polarity must be '+' or '-', got {sign!r}")
+            constraint = constraints.get(chi)
+            if constraint is None:
+                constraint = constraints[chi] = frozenset(_split_csv(chi, "constraint", passed, lineno))
+            promises.append(Promise(giver, receiver, type_tag, polarity, constraint, condition))
+            promise_lines.append(lineno)
+        elif kind == "agent":
             if len(fields) != 3:
                 raise GraphFormatError(f"line {lineno}: agent records take exactly 2 fields, got {len(fields) - 1}")
             agent_id = _check_token(fields[1], "agent id", passed, lineno)
@@ -94,39 +121,15 @@ def parse_graph(text: str, calibration: Calibration = 1.0) -> PromiseGraph:
                 raise GraphFormatError(f"line {lineno}: assessment must be in [0, 1], got {alpha}")
             agents[agent_id] = Agent(agent_id, alpha)
             agent_lines[agent_id] = lineno
-        elif kind == "promise":
-            if len(fields) == 8 and fields[6] == "|":
-                condition = conditions.get(fields[7])
-                if condition is None:
-                    parts = _split_csv(fields[7], "condition", passed, lineno)
-                    condition = conditions[fields[7]] = tuple(sorted(set(parts)))
-            elif len(fields) == 6:
-                condition = ()
-            else:
-                raise GraphFormatError(
-                    f"line {lineno}: promise records take 5 fields plus an optional '| <cond-csv>', got {line!r}"
-                )
-            giver = _check_token(fields[1], "agent id", passed, lineno)
-            receiver = _check_token(fields[2], "agent id", passed, lineno)
-            type_tag = _check_token(fields[3], "promise type", passed, lineno)
-            if fields[4] == "+":
-                polarity = Polarity.OFFER
-            elif fields[4] == "-":
-                polarity = Polarity.ACCEPT
-            else:
-                raise GraphFormatError(f"line {lineno}: polarity must be '+' or '-', got {fields[4]!r}")
-            constraint = constraints.get(fields[5])
-            if constraint is None:
-                constraint = constraints[fields[5]] = frozenset(_split_csv(fields[5], "constraint", passed, lineno))
-            promises.append((lineno, Promise(giver, receiver, type_tag, polarity, constraint, condition)))
         else:
             raise GraphFormatError(f"line {lineno}: unknown record {kind!r} (expected 'agent' or 'promise')")
 
-    for lineno, p in promises:
-        for endpoint in (p.giver, p.receiver):
-            if endpoint not in agents:
-                raise GraphFormatError(f"line {lineno}: promise references undeclared agent {endpoint!r}")
-    return PromiseGraph(agents.values(), (p for _, p in promises), calibration)
+    try:
+        return PromiseGraph(agents.values(), promises, calibration)
+    except UnknownAgentError:
+        lineno, p = next((n, p) for n, p in zip(promise_lines, promises) if not {p.giver, p.receiver} <= agents.keys())
+        endpoint = p.receiver if p.giver in agents else p.giver
+        raise GraphFormatError(f"line {lineno}: promise references undeclared agent {endpoint!r}") from None
 
 
 def emit_graph(graph: PromiseGraph) -> str:

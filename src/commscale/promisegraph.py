@@ -24,6 +24,7 @@ import enum
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import TYPE_CHECKING, Union
 
 from .errors import DomainError, UnknownAgentError
@@ -67,8 +68,8 @@ class Agent:
     def __post_init__(self) -> None:
         if not isinstance(self.id, str) or not self.id:
             raise DomainError(f"agent id must be a non-empty string, got {self.id!r}")
-        if not 0 <= self.assessment <= 1:
-            raise DomainError(f"assessment must be in [0, 1], got {self.assessment}")
+        if not (isinstance(self.assessment, Real) and 0 <= self.assessment <= 1):
+            raise DomainError(f"assessment must be a number in [0, 1], got {self.assessment!r}")
         object.__setattr__(self, "assessment", float(self.assessment))
 
 
@@ -97,8 +98,12 @@ class Promise:
 
     def __post_init__(self) -> None:
         if type(self.constraint) is not frozenset:
+            if isinstance(self.constraint, str):
+                raise DomainError(f"constraint must be a collection of tokens, got the string {self.constraint!r}")
             object.__setattr__(self, "constraint", frozenset(self.constraint))
         if self.condition != ():
+            if isinstance(self.condition, str):
+                raise DomainError(f"condition must be a collection of types, got the string {self.condition!r}")
             condition = tuple(sorted(set(self.condition)))
             if condition != self.condition:
                 object.__setattr__(self, "condition", condition)
@@ -117,15 +122,17 @@ class Promise:
 
 def _in_graph_order(promises) -> list:
     """Promises sorted by (giver, receiver, type, polarity, sorted constraint, condition), '+' before '-'."""
-    ordered: dict[frozenset, tuple] = {}
-
-    def key(p):
-        chi = ordered.get(p.constraint)
+    # Merge keys are distinct within a graph, so the C tuple sort never compares the Promise items.
+    accept = Polarity.ACCEPT
+    chis: dict[frozenset, tuple] = {}
+    decorated = []
+    for p in promises:
+        chi = chis.get(p.constraint)
         if chi is None:
-            chi = ordered[p.constraint] = tuple(sorted(p.constraint))
-        return (p.giver, p.receiver, p.type_tag, p.polarity is Polarity.ACCEPT, chi, p.condition)
-
-    return sorted(promises, key=key)
+            chi = chis[p.constraint] = tuple(sorted(p.constraint))
+        decorated.append((p.giver, p.receiver, p.type_tag, p.polarity is accept, chi, p.condition, p))
+    decorated.sort()
+    return [d[-1] for d in decorated]
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,24 +158,26 @@ class PromiseGraph:
     """
 
     def __init__(self, agents: Iterable[Agent], promises: Iterable[Promise] = (), calibration: Calibration = 1.0):
-        values = calibration.values() if isinstance(calibration, Mapping) else (calibration,)
-        if not all(-math.inf < c < math.inf for c in values):
-            raise DomainError(f"calibration values must be finite numbers, got {calibration!r}")
         agent_map: dict[str, Agent] = {}
         for a in agents:
             if a.id in agent_map:
                 raise DomainError(f"duplicate agent id {a.id!r}")
             agent_map[a.id] = a
+        accept = Polarity.ACCEPT
         merged: dict[tuple, Promise] = {}
         for p in promises:
-            for endpoint in (p.giver, p.receiver):
-                if endpoint not in agent_map:
-                    raise UnknownAgentError(f"promise references unknown agent {endpoint!r}")
-            key = p._key()
-            if key in merged:
-                merged[key] = replace(p, constraint=merged[key].constraint | p.constraint)
-            else:
-                merged[key] = p
+            giver, receiver = p.giver, p.receiver
+            if giver not in agent_map or receiver not in agent_map:
+                missing = receiver if giver in agent_map else giver
+                raise UnknownAgentError(f"promise references unknown agent {missing!r}")
+            key = (giver, receiver, p.type_tag, p.polarity is accept, p.condition)
+            prev = merged.setdefault(key, p)
+            if prev is not p:
+                chi = prev.constraint | p.constraint
+                merged[key] = Promise(giver, receiver, p.type_tag, p.polarity, chi, p.condition)
+        values = calibration.values() if isinstance(calibration, Mapping) else (calibration,)
+        if not all(isinstance(c, Real) and -math.inf < c < math.inf for c in values):
+            raise DomainError(f"calibration values must be finite numbers, got {calibration!r}")
         self._agents = agent_map
         self._promises = tuple(_in_graph_order(merged.values()))
         self._calibration = calibration
@@ -264,8 +273,9 @@ def _supply_index(promises):
     accepts: dict[tuple, dict] = {}
     offers: dict[tuple, Promise] = {}
     pending: list = []
+    accept = Polarity.ACCEPT
     for p in promises:
-        if p.polarity is Polarity.ACCEPT:
+        if p.polarity is accept:
             if not p.condition:
                 accepts.setdefault((p.giver, p.type_tag), {})[p.receiver] = p
         elif p.condition:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from commscale import ensemble, tabular, uslkit
+from commscale import ensemble, promisegraph, tabular, uslkit
 from commscale.cli import main
 from commscale.errors import CsvFormatError, DomainError
 from commscale.graphio import emit_graph, parse_graph
@@ -314,6 +314,60 @@ class TestGraphCommands:
         _, via_stdin, _ = run(["graph", "value"], stdin_text=MESH3)
         _, via_file, _ = run(["graph", "value", "--input", str(path)])
         assert via_stdin == via_file
+
+
+# Tokens that JSON must escape or, with ensure_ascii, write as \\u escapes (one surrogate pair).
+JSON_TOKENS = ["a", "b", "*", 'q"t', "back\\slash", "\u00e9", "\U0001f600", '"\\\u00e9\U0001f600']
+
+
+@st.composite
+def escaped_token_graphs(draw):
+    """Graph text whose ids, types and constraint entries need JSON escapes, with binding pairs."""
+    ids = draw(st.lists(st.sampled_from(JSON_TOKENS), min_size=1, max_size=5, unique=True))
+    lines = [f"agent {a} {draw(st.floats(0, 1))!r}" for a in ids]
+    chi = st.lists(st.sampled_from(JSON_TOKENS), min_size=1, max_size=3).map(",".join)
+    for _ in range(draw(st.integers(0, 8))):
+        giver, receiver = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+        tag = draw(st.sampled_from(JSON_TOKENS))
+        lines.append(f"promise {giver} {receiver} {tag} + {draw(chi)}")
+        lines.append(f"promise {receiver} {giver} {tag} - {draw(chi)}")
+    return "\n".join(lines) + "\n"
+
+
+def expected_bindings_json(text, calibration):
+    graph = parse_graph(text, calibration)
+    rows = [
+        {
+            "giver": b.offer.giver,
+            "receiver": b.offer.receiver,
+            "type": b.offer.type_tag,
+            "constraint": sorted(b.effective_constraint),
+            "value": float(format(promisegraph.valuation(graph, b), ".12g")),
+        }
+        for b in promisegraph.find_bindings(graph)
+    ]
+    return json.dumps(rows, indent=2, allow_nan=False) + "\n"
+
+
+class TestBindingsWriter:
+    """graph bindings prints exactly what json.dumps(rows, indent=2) would."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=escaped_token_graphs(), calibration=st.sampled_from([1.0, 2.5, 1e-7, 3e20, 0.1]))
+    def test_matches_json_dumps(self, text, calibration):
+        code, out, err = _run_isolated(["graph", "bindings", "--calibration", repr(calibration)], text)
+        assert (code, err) == (0, "")
+        assert out == expected_bindings_json(text, calibration)
+
+    def test_multi_entry_constraint(self, run):
+        text = "agent a 0.3\nagent b 1.0\npromise a b svc + x,y,z\npromise b a svc - z,x,w\n"
+        _, out, _ = run(["graph", "bindings"], stdin_text=text)
+        assert '"constraint": [\n      "x",\n      "z"\n    ],' in out
+        assert out == expected_bindings_json(text, 1.0)
+
+    def test_no_bindings(self, run):
+        _, out, _ = run(["graph", "bindings"], stdin_text="agent a 1.0\npromise a a svc + *\n")
+        assert out == "[]\n" == expected_bindings_json("agent a 1.0\n", 1.0)
 
 
 class TestNonFiniteInput:
@@ -751,6 +805,14 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["ensemble", "--class", "nope", "--D", "2", "--H", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("half", [["--D", "2"], ["--H", "1"]], ids=["D-only", "H-only"])
+    def test_classify_with_only_one_dimension(self, half, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["graph", "classify", "--giver", "a", "--receiver", "b", "--type", "svc", *half])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--D and --H must be given together" in err
 
 
 class TestModuleEntryPoint:

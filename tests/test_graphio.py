@@ -1,10 +1,16 @@
+import importlib.util
+import math
 import random
+import re
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_cli import mutated_graph_text
 
-from commscale.errors import GraphFormatError
+from commscale.errors import DomainError, GraphFormatError
 from commscale.graphio import emit_graph, parse_graph
 from commscale.promisegraph import Agent, Polarity, Promise, PromiseGraph
 
@@ -216,3 +222,119 @@ class TestRoundTripProperty:
         again = parse_graph(text)
         assert again == g
         assert emit_graph(again) == text
+
+
+SEED_TOKEN = re.compile(r"[^\s,|#]+\Z")
+
+
+def seed_parse_graph(text, calibration=1.0):
+    """Reference parser: one Promise per line, endpoints checked after the loop, then the public PromiseGraph."""
+
+    def token(t, what, lineno):
+        if not SEED_TOKEN.match(t):
+            raise GraphFormatError(f"line {lineno}: invalid {what} {t!r} (whitespace, ',', '|' and '#' are reserved)")
+        return t
+
+    def csv(field, what, lineno):
+        parts = field.split(",")
+        if any(not p for p in parts):
+            raise GraphFormatError(f"line {lineno}: empty entry in {what} {field!r}")
+        return [token(p, f"{what} entry", lineno) for p in parts]
+
+    agents, agent_lines, promises = {}, {}, []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if fields[0] == "agent":
+            if len(fields) != 3:
+                raise GraphFormatError(f"line {lineno}: agent records take exactly 2 fields, got {len(fields) - 1}")
+            agent_id = token(fields[1], "agent id", lineno)
+            if agent_id in agents:
+                raise GraphFormatError(
+                    f"line {lineno}: duplicate agent {agent_id!r} (first declared on line {agent_lines[agent_id]})"
+                )
+            try:
+                alpha = float(fields[2])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: assessment {fields[2]!r} is not a number") from None
+            if not 0 <= alpha <= 1:
+                raise GraphFormatError(f"line {lineno}: assessment must be in [0, 1], got {alpha}")
+            agents[agent_id] = Agent(agent_id, alpha)
+            agent_lines[agent_id] = lineno
+        elif fields[0] == "promise":
+            if len(fields) == 8 and fields[6] == "|":
+                condition = csv(fields[7], "condition", lineno)
+            elif len(fields) == 6:
+                condition = ()
+            else:
+                raise GraphFormatError(
+                    f"line {lineno}: promise records take 5 fields plus an optional '| <cond-csv>', got {line!r}"
+                )
+            giver = token(fields[1], "agent id", lineno)
+            receiver = token(fields[2], "agent id", lineno)
+            type_tag = token(fields[3], "promise type", lineno)
+            polarity = {"+": Polarity.OFFER, "-": Polarity.ACCEPT}.get(fields[4])
+            if polarity is None:
+                raise GraphFormatError(f"line {lineno}: polarity must be '+' or '-', got {fields[4]!r}")
+            constraint = frozenset(csv(fields[5], "constraint", lineno))
+            promises.append((lineno, Promise(giver, receiver, type_tag, polarity, constraint, condition)))
+        else:
+            raise GraphFormatError(f"line {lineno}: unknown record {fields[0]!r} (expected 'agent' or 'promise')")
+    for lineno, p in promises:
+        for endpoint in (p.giver, p.receiver):
+            if endpoint not in agents:
+                raise GraphFormatError(f"line {lineno}: promise references undeclared agent {endpoint!r}")
+    return PromiseGraph(agents.values(), [p for _, p in promises], calibration)
+
+
+def assert_parses_like_seed(text, calibration=1.0):
+    try:
+        expected = seed_parse_graph(text, calibration)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as err:
+            parse_graph(text, calibration)
+        assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+    else:
+        assert parse_graph(text, calibration) == expected
+
+
+def _bench_inputs():
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_INPUTS = _bench_inputs()
+
+
+class TestParseMatchesSeedParser:
+    """parse_graph returns the graph, or raises the error, of the line-at-a-time reference parser."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=mutated_graph_text())
+    @example("agent a 1.0\npromise  a\tb   svc\t+ *  |  \n")
+    @example("agent a 1.0\n  promise a \t b svc + * | x | y   # two bars\n")
+    @example("promise x y svc + *\nagent a 1.0\n")
+    @example("agent x 1.0\npromise x y svc + *\npromise z x svc - *\n")
+    @example("promise x y svc + *\nbogus\n")
+    @example("agent a 1.0\npromise a a svc + x,y|z\tq\n")
+    def test_mutated_text(self, text):
+        assert_parses_like_seed(text)
+
+    def test_undeclared_endpoint_wins_over_a_bad_calibration(self):
+        assert_parses_like_seed("agent a 1.0\npromise a b svc + *\n", math.nan)
+        assert_parses_like_seed("agent a 1.0\npromise a a svc + *\n", math.nan)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_benchmark_meshes(self, seed):
+        for shape in [(8, 1.0, 0.1, 1.0), (24, 0.3, 0.3, 2.5)]:
+            mesh = BENCH_INPUTS.mesh(seed, *shape)
+            assert_parses_like_seed(mesh.text, mesh.calibration)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_benchmark_org_graphs(self, seed):
+        assert_parses_like_seed(BENCH_INPUTS.org_graph(seed, chain_depth=30, ladder_depth=4, community=8).text)

@@ -105,6 +105,11 @@ class TestAgent:
         assert Agent("a", 1).assessment == 1.0
         assert isinstance(Agent("a", 1).assessment, float)
 
+    @pytest.mark.parametrize("bad", ["0.5", None, "x", [0.5]], ids=repr)
+    def test_non_numeric_assessment_is_domain_error(self, bad):
+        with pytest.raises(DomainError, match="assessment"):
+            Agent("a", bad)
+
 
 class TestPromise:
     def test_constraint_defaults_to_catch_all(self):
@@ -132,6 +137,13 @@ class TestPromise:
     def test_polarity_must_be_typed(self):
         with pytest.raises(DomainError):
             Promise("a", "b", "svc", "+")
+
+    @pytest.mark.parametrize(
+        "field, value", [("constraint", "xy"), ("constraint", "x"), ("condition", "xy"), ("condition", "x")]
+    )
+    def test_string_is_not_split_into_characters(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be a collection"):
+            Promise("a", "b", "svc", Polarity.OFFER, **{field: value})
 
 
 class TestSlottedRecords:
@@ -215,6 +227,11 @@ class TestPromiseGraph:
         assert g.calibration_for("svc") == 3.0
         with pytest.raises(DomainError):
             g.calibration_for("other")
+
+    @pytest.mark.parametrize("bad", ["x", "2", None, {"s": None}, {"s": "1"}], ids=repr)
+    def test_non_numeric_calibration_is_domain_error(self, bad):
+        with pytest.raises(DomainError, match="calibration values must be finite numbers"):
+            PromiseGraph([Agent("a")], calibration=bad)
 
 
 class TestAdjacency:
