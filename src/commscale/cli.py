@@ -107,10 +107,9 @@ def _cmd_compare(args) -> int:
     try:
         obj = json.loads(_read_input(args))
         values = [finite_float(obj["beta"])] + [finite_float(obj.get(k, d)) for k, d in _FIT_DEFAULTS]
-        n = int(obj.get("n", 0))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
+        fit = ensemble.PowerLawFit(*values, n=obj.get("n", 0))
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError, RecursionError):
         raise DomainError("input must be fit JSON with at least a 'beta' field, all numeric fields finite") from None
-    fit = ensemble.PowerLawFit(*values, n=n)
     report = ensemble.compare(fit, ScalingClass(args.scaling_class), ScalingParams(D=args.D, H=args.H), k=args.k)
     return _emit_json(
         {
@@ -345,7 +344,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, OSError) as exc:
+    except (DomainError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:

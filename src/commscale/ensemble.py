@@ -113,10 +113,21 @@ class PowerLawFit:
     n: int
 
     def __post_init__(self) -> None:
+        # Each comparison is false for nan.
+        for name in ("beta", "log_intercept"):
+            if not -math.inf < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0 <= self.r_squared <= 1:
             raise DomainError(f"r_squared must be in [0, 1], got {self.r_squared}")
-        if self.stderr_beta < 0:
-            raise DomainError(f"stderr_beta must be >= 0, got {self.stderr_beta}")
+        if not 0 <= self.stderr_beta < math.inf:
+            raise DomainError(f"stderr_beta must be finite and >= 0, got {self.stderr_beta}")
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            n = None
+        if n is None or isinstance(self.n, bool) or n < 0:
+            raise DomainError(f"n must be an integer >= 0, got {self.n!r}")
+        object.__setattr__(self, "n", n)
 
 
 def model_value(scaling_class: ScalingClass, N: float, inactive_fraction: float, params: ScalingParams) -> float:
@@ -219,7 +230,9 @@ class CompareReport:
 
 
 def compare(fit: PowerLawFit, scaling_class: ScalingClass, params: ScalingParams, k: float = 2.0) -> CompareReport:
-    """Absolute gap between fit and theory, flagged against k standard errors."""
+    """Absolute gap between fit and theory, flagged against k standard errors (0 <= k < inf)."""
+    if not 0 <= k < math.inf:
+        raise DomainError(f"k must be finite and >= 0, got {k}")
     theory = predicted_exponent(scaling_class, params)
     gap = abs(fit.beta - theory)
     return CompareReport(theory, fit.beta, gap, fit.stderr_beta, k, gap <= k * fit.stderr_beta)

@@ -117,6 +117,7 @@ class Promise:
         return bool(self.condition)
 
     def _key(self):
+        # The key of PromiseGraph._by_key, laid out as __init__ builds it inline; the two must stay the same.
         return (self.giver, self.receiver, self.type_tag, self.polarity is Polarity.ACCEPT, self.condition)
 
 
@@ -179,6 +180,8 @@ class PromiseGraph:
         if not all(isinstance(c, Real) and -math.inf < c < math.inf for c in values):
             raise DomainError(f"calibration values must be finite numbers, got {calibration!r}")
         self._agents = agent_map
+        # The merge table, the graph's one promise index: bindings, discharge, classification and communities read it.
+        self._by_key = merged
         self._promises = tuple(_in_graph_order(merged.values()))
         self._calibration = calibration
 
@@ -252,40 +255,24 @@ def find_bindings(graph: PromiseGraph) -> list[Binding]:
     the intersection is the binding's effective constraint. Conditional
     promises never bind (reduce them first).
     """
-    accepts, offers, _ = _supply_index(graph.promises)
-    return _bindings(accepts, offers.values())
+    return _bindings(graph, graph.promises)
 
 
-def _bindings(accepts, offers) -> list[Binding]:
-    # The bindings of the given unconditional offers, in their order.
+def _bindings(graph: PromiseGraph, promises) -> list[Binding]:
+    # The bindings of the unconditional offers among the given promises, in their
+    # order; each offer's unconditional accept back is one merge-table lookup.
+    by_key = graph._by_key
+    offer = Polarity.OFFER
     out = []
-    for off in offers:
-        acc = accepts.get((off.receiver, off.type_tag), {}).get(off.giver)
-        if acc is not None and (effective := off.constraint & acc.constraint):
-            out.append(Binding(off, acc, effective))
+    for p in promises:
+        if p.polarity is offer and not p.condition:
+            acc = by_key.get((p.receiver, p.giver, p.type_tag, True, ()))
+            if acc is not None and (effective := p.constraint & acc.constraint):
+                out.append(Binding(p, acc, effective))
     return out
 
 
-def _supply_index(promises):
-    # (acceptor, type) -> {provider: its unconditional accept}, (giver,
-    # receiver, type) -> the unconditional offer, and the conditional
-    # offers; all in graph order.
-    accepts: dict[tuple, dict] = {}
-    offers: dict[tuple, Promise] = {}
-    pending: list = []
-    accept = Polarity.ACCEPT
-    for p in promises:
-        if p.polarity is accept:
-            if not p.condition:
-                accepts.setdefault((p.giver, p.type_tag), {})[p.receiver] = p
-        elif p.condition:
-            pending.append(p)
-        else:
-            offers[(p.giver, p.receiver, p.type_tag)] = p
-    return accepts, offers, pending
-
-
-def _discharge(promises, inside=None) -> tuple[dict, list]:
+def _discharge(graph: PromiseGraph, inside=None) -> tuple[dict, list]:
     """Least fixed point of supply: {(g, d): witness offer} for every supplied pair, and the fired offers.
 
     g is supplied with d when it unconditionally accepts d from some k whose
@@ -297,14 +284,17 @@ def _discharge(promises, inside=None) -> tuple[dict, list]:
     round fired), each in graph order, and the first to supply a pair is its
     witness, so following witnesses always ends at unconditional offers.
     """
-    accepts, offers, pending = _supply_index(promises)
-    round_ = list(offers.values())
-    if inside is not None:
-        round_ = [o for o in round_ if o.giver in inside and o.receiver in inside]
-        pending = [o for o in pending if o.giver in inside and o.receiver in inside]
+    by_key = graph._by_key
+    offer = Polarity.OFFER
+    round_: list = []
     waiting: dict[tuple, list] = {}
     unmet: dict[int, int] = {}
-    for o in pending:
+    for o in graph.promises:
+        if o.polarity is not offer or (inside is not None and (o.giver not in inside or o.receiver not in inside)):
+            continue
+        if not o.condition:
+            round_.append(o)
+            continue
         unmet[id(o)] = len(o.condition)
         for d in o.condition:
             waiting.setdefault((o.giver, d), []).append(o)
@@ -314,7 +304,7 @@ def _discharge(promises, inside=None) -> tuple[dict, list]:
         start = len(fired)
         for o in round_:
             pair = (o.receiver, o.type_tag)
-            if pair in supplied or o.giver not in accepts.get(pair, ()):
+            if pair in supplied or (o.receiver, o.giver, o.type_tag, True, ()) not in by_key:
                 continue
             supplied[pair] = o
             for w in waiting.get(pair, ()):
@@ -335,7 +325,7 @@ def reduce_conditionals(graph: PromiseGraph) -> PromiseGraph:
     conditionals (and conditional accepts) are retained unchanged. When
     no offer fires, the graph itself is returned.
     """
-    fired = {id(p) for p in _discharge(graph.promises)[1]}
+    fired = {id(p) for p in _discharge(graph)[1]}
     if not fired:
         return graph
     promises = [replace(p, condition=()) if id(p) in fired else p for p in graph.promises]
@@ -443,7 +433,7 @@ def aggregate(graph: PromiseGraph, members: Iterable[str], super_id: str) -> Pro
     if graph.has_agent(super_id):
         raise DomainError(f"superagent id {super_id!r} collides with an existing agent")
 
-    supplied, _ = _discharge(graph.promises, member_set)
+    supplied, _ = _discharge(graph, member_set)
     todo = []
     new_promises = []
     for p in graph.promises:
@@ -490,14 +480,13 @@ def community_members(graph: PromiseGraph, authority: str, membership_type: str 
     sides to itself.
     """
     graph.agent(authority)
-    accepts, offers, _ = _supply_index(graph.promises)
-    return _communities(accepts, offers, membership_type).get(authority, set())
+    return _communities(graph, membership_type).get(authority, set())
 
 
-def _communities(accepts, offers, membership_type: str) -> dict:
+def _communities(graph: PromiseGraph, membership_type: str) -> dict:
     """{authority: the givers bound to it by a membership_type offer it accepts back}."""
     communities: dict[str, set] = {}
-    for b in _bindings(accepts, (o for o in offers.values() if o.type_tag == membership_type)):
+    for b in _bindings(graph, (p for p in graph.promises if p.type_tag == membership_type)):
         communities.setdefault(b.offer.receiver, set()).add(b.offer.giver)
     return communities
 
@@ -529,37 +518,34 @@ def classify_pattern(
     The graph is inspected as given; reduce first when providers sit
     behind their own conditional chains. Offers whose conditions are
     unrealized fall through to rule 2. output_promise must be an offer
-    stored in graph (same giver, receiver, type and condition); the
-    supply index the rules use is also where it is looked up.
+    stored in graph (same giver, receiver, type and condition); it is
+    looked up in the graph's merge table, which every rule reads.
     """
     if output_promise.polarity is not Polarity.OFFER:
         raise DomainError("only offers can be classified")
-    accepts, offers, pending = _supply_index(graph.promises)
-    key = output_promise._key()
-    if output_promise.condition:
-        stored = next((p for p in pending if p._key() == key), None)
-    else:
-        stored = offers.get(key[:3])
+    by_key = graph._by_key
+    stored = by_key.get(output_promise._key())
     if stored is None:
         raise DomainError("output promise not found in graph")
 
+    giver = stored.giver
     if stored.condition:
-        needed = {stored.giver}
+        needed = {giver}
         for d in stored.condition:
-            ks = {k for k in accepts.get((stored.giver, d), ()) if (k, stored.giver, d) in offers}
+            ks = {k for k in graph._agents if (giver, k, d, True, ()) in by_key and (k, giver, d, False, ()) in by_key}
             if not ks:
                 break
             needed |= ks
         else:
-            communities = _communities(accepts, offers, membership_type)
+            communities = _communities(graph, membership_type)
             # An agent without members is a community of itself alone, which
             # holds the chain only when the giver is its own sole provider.
             if len(needed) == 1 or any(needed - {u} <= members for u, members in communities.items()):
                 return ScalingClass.RECURSIVE_DEPENDENCY
             return ScalingClass.SCARCE_DEPENDENCY
 
-    own = [o for o in offers.values() if o.giver == stored.giver and o.type_tag == stored.type_tag]
-    consumers = {b.offer.receiver for b in _bindings(accepts, own)}
+    own = (p for p in graph.promises if p.giver == giver and p.type_tag == stored.type_tag)
+    consumers = {b.offer.receiver for b in _bindings(graph, own)}
     others = len(graph.agents) - 1
     fraction = len(consumers) / others if others > 0 else 0.0
     if fraction >= scarcity_threshold:

@@ -226,6 +226,30 @@ class TestEnsemblePipeline:
         )
         assert code == 1 and "'beta'" in err
 
+    def test_compare_on_deeply_nested_json(self, run, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        code, out, err = run(["compare", "--class", "interaction", "--D", "2", "--H", "1", "--input", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("n", ["true", "2.7", '"3"', "-5", "null", "1e400", "[3]"])
+    def test_compare_rejects_a_non_integer_count(self, run, n):
+        fit_json = '{"beta": 1.17, "stderr_beta": 0.01, "n": %s}' % n
+        code, out, err = run(["compare", "--class", "interaction", "--D", "2", "--H", "1"], stdin_text=fit_json)
+        assert code == 1 and out == ""
+        assert err == "error: input must be fit JSON with at least a 'beta' field, all numeric fields finite\n"
+
+    def test_compare_keeps_an_integer_count(self, run):
+        for n in ("0", "50", "12345678901234567890"):
+            fit_json = '{"beta": 1.17, "stderr_beta": 0.01, "n": %s}' % n
+            assert run(["compare", "--class", "interaction", "--D", "2", "--H", "1"], stdin_text=fit_json)[0] == 0
+
+    def test_compare_rejects_a_negative_k(self, run):
+        code, out, err = run(["compare", "--class", "interaction", "--D", "2", "--H", "1", "--k", "-1"],
+                             stdin_text=FIT_JSON)
+        assert code == 1 and out == "" and err == "error: k must be finite and >= 0, got -1.0\n"
+
 
 class TestGraphCommands:
     def test_value_on_complete_mesh(self, run):
@@ -700,6 +724,91 @@ class TestGraphTextFuzz:
                 assert emit_graph(parse_graph(out)) == out, command
 
 
+FIT_JSON = '{"beta": 1.17, "log_intercept": 0.1, "r_squared": 0.99, "stderr_beta": 0.01, "n": 50}'
+SPEEDUPS = "N,value\n1,1\n2,1.9\n4,3.4\n8,5.5\n16,7.1\n"
+
+
+def _canonical_graph(text):
+    assert emit_graph(parse_graph(text)) == text
+
+
+# Every command that reads stdin or --input, with the parser of its stdout format.
+INPUT_COMMANDS = {
+    "fit": (["fit"], _strict_json),
+    "compare": (["compare", "--class", "interaction", "--D", "2", "--H", "1"], _strict_json),
+    "usl-fit": (["usl-fit"], _strict_json),
+    **{f"graph-{command}": (["graph", command, *flags],
+                            _canonical_graph if command in ("reduce", "aggregate") else _strict_json)
+       for command, flags in GRAPH_COMMANDS.items()},
+}
+HOSTILE_BASES = [FIT_JSON, SPEEDUPS, CSV_BASE, "\n".join(FUZZ_BASE) + "\n"]
+HOSTILE_PIECES = [
+    "\x00", "\r\n", "\r", "\ufeff", "\u2028", "\x85", "\udcff", "1e99999", "-1e99999", "1e-99999",
+    "9" * 400, "nan", "Infinity", "[" * 64, "{", '"', "\\", ",", "|", "#", " ", "\t",
+]
+
+
+@st.composite
+def hostile_text(draw):
+    """A valid input of some command after up to three insertions of hostile pieces or arbitrary text."""
+    text = draw(st.sampled_from(HOSTILE_BASES))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.one_of(st.sampled_from(HOSTILE_PIECES), st.text(max_size=4))) + text[i:]
+    return text
+
+
+def _check_exit(name, code, out, err):
+    assert code in (0, 1, 2), name
+    assert "Traceback" not in err, name
+    if code == 0:
+        INPUT_COMMANDS[name][1](out)
+    else:
+        assert out == "", name
+
+
+DUPLICATES = "agent a 1.0\nagent b 1.0\n" + "promise a b svc + *\npromise b a svc - *\n" * 5_000
+
+
+class TestHostileInputFuzz:
+    """Every input-reading command on hostile text: exit 0, 1 or 2, no traceback, and on 0 a parseable stdout."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=st.one_of(hostile_text(), st.text(max_size=40)))
+    @example(text="[" * 200_000)
+    @example(text="[" * 200_000 + "]" * 200_000)
+    @example(text='{"beta": ' * 100_000)
+    @example(text="N,Y\n1000\x00,20\n2000,45\n")
+    @example(text="agent a\x00 1.0\nagent b 1.0\npromise a\x00 b svc + *\npromise b a\x00 svc - *\n")
+    @example(text="N,Y\r\n1000,20\r\n2000,45\r\n4000,99\r\n")
+    @example(text="N,value\r\n1,1\r\n2,1.9\r\n4,3.4\r\n")
+    @example(text=DUPLICATES)
+    @example(text="N,Y\n1e99999,2\n3,4\n5,6\n")
+    @example(text="N,Y\n1000,1e308\n2000,1e-400\n4000,1e-308\n")
+    @example(text="N,value\n1,1e308\n2,1e-320\n4,1e99999\n")
+    @example(text='{"beta": 1e99999, "n": 50}')
+    @example(text='{"beta": 1.1, "stderr_beta": 1e-400, "n": 1e400}')
+    @example(text='{"beta": 1%s}' % ("0" * 5_000))
+    @example(text="agent a 1e99999\nagent b 1e-99999\npromise a b svc + *\npromise b a svc - *\n")
+    def test_every_input_command(self, text):
+        for name, (argv, _) in INPUT_COMMANDS.items():
+            _check_exit(name, *_run_isolated(argv, text))
+
+    @pytest.mark.parametrize("name", sorted(INPUT_COMMANDS))
+    def test_non_utf8_bytes(self, name, tmp_path):
+        # Bytes that no UTF-8 decoder accepts, on stdin (decoded strictly) and through --input.
+        data = b"agent \xff\xfe 1.0\nN,Y\n1,2\n{\"beta\": 1\xc3}"
+        path = tmp_path / "input.bin"
+        path.write_bytes(data)
+        argv = INPUT_COMMANDS[name][0]
+        env = {"PYTHONPATH": str(SRC), "PYTHONIOENCODING": "utf-8:strict"}
+        for extra, stdin in (([], data), (["--input", str(path)], b"")):
+            proc = subprocess.run([sys.executable, "-m", "commscale", *argv, *extra], input=stdin,
+                                  capture_output=True, env=env)
+            _check_exit(name, proc.returncode, proc.stdout.decode(), proc.stderr.decode(errors="replace"))
+            assert proc.returncode == 1 and proc.stderr.startswith(b"error: ")
+
+
 SRC = Path(uslkit.__file__).resolve().parents[1]
 # Runs cli.main(argv) in a fresh interpreter, then reports the exit code and
 # whether numpy was imported as the last line of stderr.
@@ -719,10 +828,6 @@ def _fresh_main(argv, stdin_text=""):
     assert proc.returncode == 0, proc.stderr
     code, numpy_loaded = proc.stderr.splitlines()[-1].split()
     return int(code), numpy_loaded == "True"
-
-
-FIT_JSON = '{"beta": 1.17, "log_intercept": 0.1, "r_squared": 0.99, "stderr_beta": 0.01, "n": 50}'
-SPEEDUPS = "N,value\n1,1\n2,1.9\n4,3.4\n8,5.5\n16,7.1\n"
 
 
 class TestNumpyFreeStart:

@@ -68,6 +68,36 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             PowerLawFit(1.0, 0.0, 0.5, -0.1, 10)
 
+    @pytest.mark.parametrize(
+        "fields, field",
+        [
+            ((math.nan, 0.0, 1.0, 0.0, 3), "beta"),
+            ((math.inf, 0.0, 1.0, 0.0, 3), "beta"),
+            ((1.0, -math.inf, 1.0, 0.0, 3), "log_intercept"),
+            ((1.0, math.nan, 1.0, 0.0, 3), "log_intercept"),
+            ((1.0, 0.0, math.nan, 0.0, 3), "r_squared"),
+            ((1.0, 0.0, 1.0, math.nan, 3), "stderr_beta"),
+            ((1.0, 0.0, 1.0, math.inf, 3), "stderr_beta"),
+            ((1.0, 0.0, 1.0, 0.0, -3), "n"),
+            ((1.0, 0.0, 1.0, math.nan, -3), "stderr_beta"),
+            ((math.nan, math.inf, 1.0, 0.0, True), "beta"),
+            ((1.0, 0.0, 1.0, 0.0, True), "n"),
+            ((1.0, 0.0, 1.0, 0.0, 2.7), "n"),
+            ((1.0, 0.0, 1.0, 0.0, 3.0), "n"),
+            ((1.0, 0.0, 1.0, 0.0, "3"), "n"),
+            ((1.0, 0.0, 1.0, 0.0, None), "n"),
+        ],
+        ids=repr,
+    )
+    def test_non_finite_or_non_integer_fields_rejected(self, fields, field):
+        with pytest.raises(DomainError, match=f"^{field} must"):
+            PowerLawFit(*fields)
+
+    def test_integer_like_count_is_kept_as_int(self):
+        fit = PowerLawFit(1.0, 0.0, 1.0, 0.0, np.int64(7))
+        assert fit.n == 7 and type(fit.n) is int
+        assert PowerLawFit(1.0, 0.0, 0.0, 0.0, 0).n == 0
+
 
 class TestModelValue:
     @pytest.mark.parametrize(
@@ -333,6 +363,18 @@ class TestCompare:
         fit = PowerLawFit(1.17, 0.0, 1.0, 0.01, 100)
         assert not ens.compare(fit, ScalingClass.INTERACTION, D2H1, k=0.1).within_k_stderr
         assert ens.compare(fit, ScalingClass.INTERACTION, D2H1, k=2.0).within_k_stderr
+
+    @pytest.mark.parametrize("k", [math.nan, -1.0, -1e-300, math.inf, -math.inf])
+    def test_bad_k_is_a_domain_error(self, k):
+        fit = PowerLawFit(7 / 6, 0.0, 1.0, 0.01, 100)
+        with pytest.raises(DomainError, match="^k must be finite and >= 0"):
+            ens.compare(fit, ScalingClass.INTERACTION, D2H1, k=k)
+
+    def test_zero_k_needs_an_exact_match(self):
+        fit = PowerLawFit(7 / 6, 0.0, 1.0, 0.01, 100)
+        assert ens.compare(fit, ScalingClass.INTERACTION, D2H1, k=0.0).within_k_stderr
+        fit = PowerLawFit(1.17, 0.0, 1.0, 0.01, 100)
+        assert not ens.compare(fit, ScalingClass.INTERACTION, D2H1, k=0).within_k_stderr
 
     def test_end_to_end_gap_is_small(self):
         fit = ens.fit_power_law(*ens.generate(spec(seed=42)))

@@ -90,6 +90,59 @@ def brute_force_bindings(graph):
     return found
 
 
+def naive_community(graph, authority, membership_type="member"):
+    # Reference from the docstring: every giver whose membership offer to the
+    # authority binds with the authority's accept back, over all promise pairs.
+    return {
+        o.giver
+        for o in graph.promises
+        for a in graph.promises
+        if o.polarity is Polarity.OFFER
+        and a.polarity is Polarity.ACCEPT
+        and not o.conditional
+        and not a.conditional
+        and o.type_tag == a.type_tag == membership_type
+        and o.receiver == a.giver == authority
+        and a.receiver == o.giver
+        and o.constraint & a.constraint
+    }
+
+
+def naive_classify(graph, stored, threshold=0.1, membership_type="member"):
+    # Reference from the classify_pattern docstring, scanning every promise pair.
+    if stored.conditional:
+        needed = {stored.giver}
+        for d in stored.condition:
+            providers = {
+                a.receiver
+                for a in graph.promises
+                for o in graph.promises
+                if a.polarity is Polarity.ACCEPT
+                and o.polarity is Polarity.OFFER
+                and not a.conditional
+                and not o.conditional
+                and a.giver == o.receiver == stored.giver
+                and a.receiver == o.giver
+                and a.type_tag == o.type_tag == d
+            }
+            if not providers:
+                break
+            needed |= providers
+        else:
+            # The authority sits inside its own community.
+            if any(needed <= naive_community(graph, u, membership_type) | {u} for u in graph.agent_ids()):
+                return ScalingClass.RECURSIVE_DEPENDENCY
+            return ScalingClass.SCARCE_DEPENDENCY
+    consumers = {
+        offer_key[1]
+        for offer_key, _, _ in brute_force_bindings(graph)
+        if offer_key[0] == stored.giver and offer_key[2] == stored.type_tag
+    }
+    others = len(graph.agents) - 1
+    fraction = len(consumers) / others if others > 0 else 0.0
+    return ScalingClass.INTERACTION if fraction >= threshold else ScalingClass.SCARCE_AGENT
+
+
 class TestAgent:
     def test_assessment_bounds(self):
         with pytest.raises(DomainError):
@@ -932,3 +985,55 @@ class TestRandomizedInvariants:
                 for _ in range(rng.randint(0, 4 * n))
             ]
             assert 0.0 <= pg.mesh_density(PromiseGraph([Agent(i) for i in ids], promises)) <= 1.0
+
+
+# Promise rows over four agents whose types double as conditions and membership.
+TAGS = ["s", "t", "member"]
+PROMISE_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from("abcd"),
+        st.sampled_from("abcd"),
+        st.sampled_from(TAGS),
+        st.sampled_from(list(Polarity)),
+        st.frozensets(st.sampled_from("*x"), min_size=1),
+        st.lists(st.sampled_from(TAGS), max_size=2),
+    ),
+    max_size=14,
+)
+# Offers paired with the matching accept, so that supply chains and communities form often.
+LINK_ROWS = st.lists(
+    st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd"), st.sampled_from(TAGS),
+              st.lists(st.sampled_from(TAGS), max_size=2)),
+    max_size=10,
+)
+
+
+def random_lookup_graph(rows, links, repeats):
+    promises = [Promise(*row) for row in rows]
+    for giver, receiver, tag, cond in links:
+        promises += [offer(giver, receiver, tag, cond=cond), accept(receiver, giver, tag)]
+    promises += promises[:repeats]  # exact duplicates, merged by the graph
+    return PromiseGraph([Agent(a) for a in "abcd"], promises)
+
+
+class TestLookupsMatchPairScans:
+    """classify_pattern and community_members against oracles that scan every promise pair."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(PROMISE_ROWS, LINK_ROWS, st.integers(0, 6), st.sampled_from([0.0, 0.1, 1 / 3, 0.5, 1.0]))
+    def test_classify_matches_naive(self, rows, links, repeats, threshold):
+        g = random_lookup_graph(rows, links, repeats)
+        for p in g.promises:
+            if p.polarity is not Polarity.OFFER:
+                continue
+            for membership_type in ("member", "s"):
+                got = pg.classify_pattern(g, p, scarcity_threshold=threshold, membership_type=membership_type)
+                assert got == naive_classify(g, p, threshold, membership_type), (p, membership_type)
+
+    @settings(max_examples=200, deadline=None)
+    @given(PROMISE_ROWS, LINK_ROWS, st.integers(0, 6))
+    def test_community_matches_naive(self, rows, links, repeats):
+        g = random_lookup_graph(rows, links, repeats)
+        for u in g.agent_ids():
+            for membership_type in ("member", "s"):
+                assert pg.community_members(g, u, membership_type) == naive_community(g, u, membership_type)
