@@ -106,8 +106,11 @@ _FIT_DEFAULTS = (("log_intercept", 0.0), ("r_squared", 1.0), ("stderr_beta", 0.0
 def _cmd_compare(args) -> int:
     try:
         obj = json.loads(_read_input(args))
-        values = [finite_float(obj["beta"])] + [finite_float(obj.get(k, d)) for k, d in _FIT_DEFAULTS]
-        fit = ensemble.PowerLawFit(*values, n=obj.get("n", 0))
+        values = [obj["beta"]] + [obj.get(k, d) for k, d in _FIT_DEFAULTS]
+        # Only JSON numbers: float() would also take "1.17" and true.
+        if any(type(v) not in (int, float) for v in values):
+            raise TypeError
+        fit = ensemble.PowerLawFit(*map(finite_float, values), n=obj.get("n", 0))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError, RecursionError):
         raise DomainError("input must be fit JSON with at least a 'beta' field, all numeric fields finite") from None
     report = ensemble.compare(fit, ScalingClass(args.scaling_class), ScalingParams(D=args.D, H=args.H), k=args.k)

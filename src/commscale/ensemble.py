@@ -19,10 +19,11 @@ standard_normal() for the noise.
 generate() takes them for all samples at once from the _philox module,
 which evaluates Philox4x64-10 and numpy's ziggurat with numpy array
 operations where that is surely exact, and draws the rest, about 2% of
-the samples, from one scalar generator re-keyed to (seed, i). N, the
-class law and the noise factor are then computed per sample with
-scalar `math`: numpy's vector exp can differ from math.exp in the last
-bit, which would change 12-digit CSV cells.
+the samples, from one scalar generator re-keyed to (seed, i). The class
+kernel is built once per ensemble, with the constants of the parameters
+hoisted; N, the kernel at (N_I, N_0) and the noise factor are then
+computed per sample with scalar `math`: numpy's vector exp and power can
+differ from math in the last bit, which would change 12-digit CSV cells.
 
 An ensemble is two float columns (N, Y), with no per-sample record:
 generate() returns them, samples_to_csv() renders them, parse_csv() and
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from itertools import count
 
 from .errors import CsvFormatError, DomainError
-from .meanfield import Population, ScalingClass, ScalingParams, _ClassLaw, _law, predicted_exponent
+from .meanfield import ScalingClass, ScalingParams, _finite, _law, predicted_exponent
 from .tabular import format_pairs, parse_pairs
 
 __all__ = [
@@ -96,12 +97,6 @@ class EnsembleSpec:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
-def _require_sample(n: float, y: float) -> None:
-    # The chained comparisons are false for nan as well as for inf and non-positive values.
-    if not (0 < n < math.inf and 0 < y < math.inf):
-        raise DomainError(f"samples must be finite and positive, got N={n}, Y={y}")
-
-
 @dataclass(frozen=True)
 class PowerLawFit:
     """OLS fit of ln Y = beta * ln N + log_intercept, with diagnostics."""
@@ -130,11 +125,13 @@ class PowerLawFit:
         object.__setattr__(self, "n", n)
 
 
+@_finite
 def model_value(scaling_class: ScalingClass, N: float, inactive_fraction: float, params: ScalingParams) -> float:
     """Noise-free class output at total population N with a fixed inactive share.
 
-    Every class value is the corresponding meanfield composition
-    evaluated at the equilibrium volume, so a noiseless ensemble lies
+    Evaluates the class kernel at N_0 = inactive_fraction * N and
+    N_I = N - N_0; each kernel is the corresponding meanfield
+    composition at the equilibrium volume, so a noiseless ensemble lies
     exactly on N**predicted_exponent (times a constant):
 
         infrastructure_volume: V_I at equilibrium
@@ -145,15 +142,16 @@ def model_value(scaling_class: ScalingClass, N: float, inactive_fraction: float,
         recursive_dependency:  N_I**2 over the cascaded chain volume
                                (V_eq/N_I)**(1/D**2) * N_I, H=1 only
         virtual_interaction:   N_I**(2H/D) * N**(-H/D)
+
+    N must be finite and positive and inactive_fraction in [0, 1]; a
+    value that leaves the float range is a DomainError.
     """
-    if N <= 0:
-        raise DomainError(f"population must be positive, got {N}")
-    return _law_value(_law(scaling_class, params), N, inactive_fraction, params)
-
-
-def _law_value(law: _ClassLaw, N: float, inactive_fraction: float, params: ScalingParams) -> float:
+    if not 0 < N < math.inf:
+        raise DomainError(f"population must be finite and positive, got {N}")
+    if not 0 <= inactive_fraction <= 1:
+        raise DomainError(f"inactive fraction must be in [0, 1], got {inactive_fraction}")
     n0 = inactive_fraction * N
-    return law.value(Population(N - n0, n0), params)
+    return _law(scaling_class, params).kernel(params)(N - n0, n0)
 
 
 def generate(spec: EnsembleSpec) -> tuple[list, list]:
@@ -168,14 +166,23 @@ def generate(spec: EnsembleSpec) -> tuple[list, list]:
     us, zs = _philox.first_draws(spec.seed, spec.n_samples)
     ln_lo = math.log(spec.N_min)
     ln_hi = math.log(spec.N_max)
-    fraction, params, sigma = spec.inactive_fraction, spec.params, spec.noise_sigma
+    fraction, sigma = spec.inactive_fraction, spec.noise_sigma
     ns, ys = [], []
-    for u, z in zip(us, zs):
-        n = math.exp(ln_lo + u * (ln_hi - ln_lo))
-        y = _law_value(law, n, fraction, params) * math.exp(sigma * z)
-        _require_sample(n, y)
-        ns.append(n)
-        ys.append(y)
+    try:
+        kernel = law.kernel(spec.params)
+        for u, z in zip(us, zs):
+            n = math.exp(ln_lo + u * (ln_hi - ln_lo))
+            # EnsembleSpec keeps n >= 1 and fraction <= 1 - 2**-53, so the
+            # rounded fraction * n is below n: no kernel sees n_i == 0 here.
+            n0 = fraction * n
+            y = kernel(n - n0, n0) * math.exp(sigma * z)
+            # False for nan as well as for inf and 0; n, an exp of a finite number >= 0, is finite and >= 1.
+            if not 0 < y < math.inf:
+                raise DomainError(f"samples must be finite and positive, got N={n}, Y={y}")
+            ns.append(n)
+            ys.append(y)
+    except ArithmeticError:
+        raise DomainError("samples must be finite and positive: the class law or the noise overflows") from None
     return ns, ys
 
 

@@ -26,6 +26,7 @@ so reported values carry no accumulated drift.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -191,6 +192,54 @@ def delta_exponent(params: ScalingParams) -> float:
     return float(_delta(params.D, Fraction(params.H)))
 
 
+def _finite(f):
+    """f, raising DomainError where its float result overflows, divides by an underflowed zero or is not finite."""
+
+    @functools.wraps(f)
+    def checked(*args, **kwargs):
+        try:
+            x = f(*args, **kwargs)
+            if -math.inf < x < math.inf:
+                return x
+        except ArithmeticError:
+            pass
+        raise DomainError("result is out of the finite float range")
+
+    return checked
+
+
+_NO_AGENTS = "equilibrium volume requires N > 0 and N_I > 0"
+_NO_YIELD = "yield requires N_I > 0"
+
+
+def _equilibrium(params: ScalingParams, no_agents: str = _NO_AGENTS):
+    """equilibrium_volume as v_eq(n_i, n), with its constants hoisted; no_agents is the error for n_i = 0."""
+    expo = params.D / (params.D + params.H)
+    a = (params.g_Y * params.v_Y / params.c_Y) ** expo
+
+    def v_eq(n_i: float, n: float) -> float:
+        if n == 0 or n_i == 0:
+            raise DomainError(no_agents)
+        return a * (n_i**2 / n) ** expo
+
+    return v_eq
+
+
+def _infrastructure(params: ScalingParams):
+    """infrastructure_volume as v_i(V, n_i, n), with g_I, H/D and L**(D-H) hoisted."""
+    g_I, hd, Lc = params.g_I, params.H / params.D, params.L ** (params.D - params.H)
+
+    def v_i(V: float, n_i: float, n: float) -> float:
+        if not 0 < V < math.inf:
+            raise DomainError(f"community volume must be finite and positive, got {V}")
+        if n == 0:
+            raise DomainError("total population is zero")
+        return g_I * V**hd * Lc * n_i * n**-hd
+
+    return v_i
+
+
+@_finite
 def infrastructure_volume(V: float, pop: Population, params: ScalingParams) -> float:
     """Serialized volume of the shared supply network inside community volume V.
 
@@ -201,14 +250,10 @@ def infrastructure_volume(V: float, pop: Population, params: ScalingParams) -> f
     as an equality; every scaling statement uses the bound as the
     operating point. Zero connected agents means zero infrastructure.
     """
-    if not 0 < V < math.inf:
-        raise DomainError(f"community volume must be finite and positive, got {V}")
-    if pop.N == 0:
-        raise DomainError("total population is zero")
-    hd = params.H / params.D
-    return params.g_I * V**hd * params.L ** (params.D - params.H) * pop.N_I * pop.N**-hd
+    return _infrastructure(params)(V, pop.N_I, pop.N)
 
 
+@_finite
 def equilibrium_volume(pop: Population, params: ScalingParams) -> float:
     """Largest sustainable community volume for a given population.
 
@@ -217,13 +262,10 @@ def equilibrium_volume(pop: Population, params: ScalingParams) -> float:
 
         V = a * (N_I**2 / N)**(D/(D+H)),  a = (g_Y v_Y / c_Y)**(D/(D+H))
     """
-    if pop.N == 0 or pop.N_I == 0:
-        raise DomainError("equilibrium volume requires N > 0 and N_I > 0")
-    expo = params.D / (params.D + params.H)
-    a = (params.g_Y * params.v_Y / params.c_Y) ** expo
-    return a * (pop.N_I**2 / pop.N) ** expo
+    return _equilibrium(params)(pop.N_I, pop.N)
 
 
+@_finite
 def yield_output(pop: Population, params: ScalingParams) -> float:
     """Interaction yield G_Y * N_I^2 / V_I, evaluated at the equilibrium volume.
 
@@ -232,11 +274,7 @@ def yield_output(pop: Population, params: ScalingParams) -> float:
     what produces the superlinear N**(1+delta) scaling of outputs; with
     all couplings at 1 and N = N_I it reduces to exactly N**(1+delta).
     """
-    if pop.N_I == 0:
-        raise DomainError("yield requires N_I > 0")
-    v_eq = equilibrium_volume(pop, params)
-    v_i = infrastructure_volume(v_eq, pop, params)
-    return params.G_Y * pop.N_I**2 / v_i
+    return _LAWS[ScalingClass.INTERACTION].kernel(params)(pop.N_I, pop.N_0)
 
 
 def linear_consumption(pop: Population, coeffs: ConsumptionCoeffs) -> tuple[float, float]:
@@ -244,34 +282,60 @@ def linear_consumption(pop: Population, coeffs: ConsumptionCoeffs) -> tuple[floa
     return coeffs.e_minus * pop.N, coeffs.e_plus * pop.N
 
 
-def _yield_times_degree(pop: Population, params: ScalingParams) -> float:
-    """yield_output(pop, params) * node_degree(pop, V_eq, params) at the equilibrium volume V_eq.
+def _yield(G_Y: float, n_i: float, v_i: float) -> float:
+    return G_Y * n_i**2 / v_i
 
-    Computes V_eq and V_I once instead of twice, with the same float
-    operations in the same order and the same errors as the two calls.
+
+def _degree(n_i: float, v_i: float) -> float:
+    if v_i == 0:
+        raise DomainError("infrastructure volume is zero (no connected agents)")
+    return n_i / v_i
+
+
+def _at_equilibrium(params: ScalingParams, out, no_agents: str = _NO_AGENTS):
+    """Kernel (n_i, n_0) -> out(G_Y, n_i, V_I), V_I at the equilibrium volume of N = n_i + n_0.
+
+    n_i = 0 raises DomainError(no_agents) before any volume is computed.
     """
-    if pop.N_I == 0:
-        raise DomainError("yield requires N_I > 0")
-    v_i = infrastructure_volume(equilibrium_volume(pop, params), pop, params)
-    return params.G_Y * pop.N_I**2 / v_i * (pop.N_I / v_i)
+    v_eq, v_i, G_Y = _equilibrium(params, no_agents), _infrastructure(params), params.G_Y
+
+    def kernel(n_i: float, n_0: float) -> float:
+        n = n_i + n_0
+        return out(G_Y, n_i, v_i(v_eq(n_i, n), n_i, n))
+
+    return kernel
+
+
+def _recursive(params: ScalingParams):
+    """Kernel of N_I**2 over the cascaded chain volume (V_eq/N_I)**(1/D**2) * N_I."""
+    v_eq, r = _equilibrium(params), 1 / params.D**2
+    return lambda n_i, n_0: n_i**2 / ((v_eq(n_i, n_i + n_0) / n_i) ** r * n_i)
+
+
+def _virtual(params: ScalingParams):
+    """Kernel of N_I**(2H/D) * N**(-H/D)."""
+    e_i, e_n = 2 * params.H / params.D, -params.H / params.D
+    return lambda n_i, n_0: n_i**e_i * (n_i + n_0) ** e_n
 
 
 @dataclass(frozen=True)
 class _ClassLaw:
-    """One scaling class: exponent beta, split share p and model value.
+    """One scaling class: exponent beta, split share p and model kernel.
 
     exponent and share take (D, H, delta) and return exact rationals. p is
     the power of the (1 + N_0/N_I) factor: a class value N_I**q * N**p with
     N = N_I (1 + N_0/N_I) is N_I**(p+q) * (1 + N_0/N_I)**p. Shares are
     written through delta, which makes them exact at D = 2H (the headline
     regime); the recursive and virtual shares are exact at every supported
-    D, H. value(pop, params) is the noise-free class output at the
-    equilibrium volume; unit_h_only marks a class derived for H = 1 only.
+    D, H. kernel(params) hoists the constants of params and returns the
+    noise-free class output at the equilibrium volume as a function of
+    (N_I, N_0); it may overflow, which its callers turn into DomainError.
+    unit_h_only marks a class derived for H = 1 only.
     """
 
     exponent: Callable[[int, Fraction, Fraction], Fraction]
     share: Callable[[int, Fraction, Fraction], Fraction]
-    value: Callable[[Population, ScalingParams], float]
+    kernel: Callable[[ScalingParams], Callable[[float, float], float]]
     unit_h_only: bool = False
 
 
@@ -279,39 +343,39 @@ _LAWS = {
     ScalingClass.INFRASTRUCTURE_VOLUME: _ClassLaw(
         exponent=lambda D, H, d: 1 - d,
         share=lambda D, H, d: d - 1,
-        value=lambda pop, p: infrastructure_volume(equilibrium_volume(pop, p), pop, p),
+        kernel=lambda p: _at_equilibrium(p, lambda G_Y, n_i, v_i: v_i),
     ),
     ScalingClass.LINEAR_CONSUMPTION: _ClassLaw(
         exponent=lambda D, H, d: Fraction(1),
         share=lambda D, H, d: Fraction(1),
-        value=lambda pop, p: pop.N,
+        kernel=lambda p: lambda n_i, n_0: n_i + n_0,
     ),
     ScalingClass.INTERACTION: _ClassLaw(
         exponent=lambda D, H, d: 1 + d,
         share=lambda D, H, d: 1 - d,
-        value=yield_output,
+        kernel=lambda p: _at_equilibrium(p, _yield, _NO_YIELD),
     ),
     ScalingClass.SCARCE_AGENT: _ClassLaw(
         exponent=lambda D, H, d: d,
         share=lambda D, H, d: 1 - d,
-        value=lambda pop, p: node_degree(pop, equilibrium_volume(pop, p), p),
+        kernel=lambda p: _at_equilibrium(p, lambda G_Y, n_i, v_i: _degree(n_i, v_i)),
     ),
     ScalingClass.SCARCE_DEPENDENCY: _ClassLaw(
         exponent=lambda D, H, d: 1 + 2 * d,
         share=lambda D, H, d: 2 * (1 - d),
-        value=_yield_times_degree,
+        # Yield times node degree, from one V_eq and one V_I.
+        kernel=lambda p: _at_equilibrium(p, lambda G_Y, n_i, v_i: _yield(G_Y, n_i, v_i) * _degree(n_i, v_i), _NO_YIELD),
     ),
     ScalingClass.RECURSIVE_DEPENDENCY: _ClassLaw(
         exponent=lambda D, H, d: 1 + Fraction(1, D * D) - Fraction(1, D * (D + 1)),
         share=lambda D, H, d: d,
-        # N_I**2 over the cascaded chain volume (V_eq/N_I)**(1/D**2) * N_I.
-        value=lambda pop, p: pop.N_I**2 / ((equilibrium_volume(pop, p) / pop.N_I) ** (1 / p.D**2) * pop.N_I),
+        kernel=_recursive,
         unit_h_only=True,
     ),
     ScalingClass.VIRTUAL_INTERACTION: _ClassLaw(
         exponent=lambda D, H, d: H / D,
         share=lambda D, H, d: -H / D,
-        value=lambda pop, p: pop.N_I ** (2 * p.H / p.D) * pop.N ** (-p.H / p.D),
+        kernel=_virtual,
     ),
 }
 
@@ -352,6 +416,7 @@ def predicted_exponent(scaling_class: ScalingClass, params: ScalingParams) -> fl
     return _rational(_law(scaling_class, params).exponent, params)
 
 
+@_finite
 def correction_factor(scaling_class: ScalingClass, pop: Population, params: ScalingParams) -> float:
     """Multiplier on the pervasive power law when part of the population idles.
 
@@ -365,18 +430,17 @@ def correction_factor(scaling_class: ScalingClass, pop: Population, params: Scal
     return (1 + pop.N_0 / pop.N_I) ** _rational(_law(scaling_class, params).share, params)
 
 
+@_finite
 def node_degree(pop: Population, V: float, params: ScalingParams) -> float:
     """Average utilization per unit of supply volume, k = N_I / V_I.
 
     By construction node_degree * infrastructure_volume = N_I exactly.
     At the equilibrium volume k scales as N**delta.
     """
-    v_i = infrastructure_volume(V, pop, params)
-    if v_i == 0:
-        raise DomainError("infrastructure volume is zero (no connected agents)")
-    return pop.N_I / v_i
+    return _degree(pop.N_I, infrastructure_volume(V, pop, params))
 
 
+@_finite
 def infra_agent_count(N_client: float, valency: float, alpha_minus: float, alpha_plus: float) -> float:
     """Minimum number of supply-side agents that balances client demand.
 
@@ -397,6 +461,7 @@ def infra_agent_count(N_client: float, valency: float, alpha_minus: float, alpha
     return (alpha_minus / alpha_plus) * N_client / valency
 
 
+@_finite
 def serialized_client_count(V_catchment: float, N_users: float, D: int, cross_section: float) -> float:
     """Clients serialized along a supply tube through a shared catchment.
 
@@ -415,6 +480,7 @@ def serialized_client_count(V_catchment: float, N_users: float, D: int, cross_se
     return (V_catchment / N_users) ** (1 / D) * cross_section * N_users
 
 
+@_finite
 def impulse_rate(channel: Channel, V: float, p: ImpulseParams, D: int) -> float:
     """Impulses received per exploration window over one channel.
 
@@ -432,6 +498,7 @@ def impulse_rate(channel: Channel, V: float, p: ImpulseParams, D: int) -> float:
     raise DomainError(f"unknown channel {channel!r}")
 
 
+@_finite
 def city_idea_rate(p: ImpulseParams, i_phys: float, i_virt: float) -> float:
     """Community-wide idea rate: N_W workgroups of N_D agents mixing both channels."""
     if not (0 <= i_phys < math.inf and 0 <= i_virt < math.inf):

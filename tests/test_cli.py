@@ -240,6 +240,21 @@ class TestEnsemblePipeline:
         assert code == 1 and out == ""
         assert err == "error: input must be fit JSON with at least a 'beta' field, all numeric fields finite\n"
 
+    @pytest.mark.parametrize("field", ["beta", "log_intercept", "r_squared", "stderr_beta"])
+    @pytest.mark.parametrize("kind", ["string", "true", "false", "null"])
+    def test_compare_rejects_a_non_number_float_field(self, run, field, kind):
+        fields = {"beta": "1.17", "log_intercept": "0.5", "r_squared": "0.9", "stderr_beta": "0.01"}
+        fields[field] = {"string": '"%s"' % fields[field]}.get(kind, kind)
+        fit_json = "{%s}" % ", ".join('"%s": %s' % item for item in fields.items())
+        code, out, err = run(["compare", "--class", "interaction", "--D", "2", "--H", "1"], stdin_text=fit_json)
+        assert code == 1 and out == ""
+        assert err == "error: input must be fit JSON with at least a 'beta' field, all numeric fields finite\n"
+
+    def test_compare_takes_json_integers_in_float_fields(self, run):
+        fit_json = '{"beta": 1, "log_intercept": -2, "r_squared": 1, "stderr_beta": 0}'
+        code, out, _ = run(["compare", "--class", "linear_consumption", "--D", "2", "--H", "1"], stdin_text=fit_json)
+        assert code == 0 and json.loads(out)["gap"] == 0.0
+
     def test_compare_keeps_an_integer_count(self, run):
         for n in ("0", "50", "12345678901234567890"):
             fit_json = '{"beta": 1.17, "stderr_beta": 0.01, "n": %s}' % n
@@ -437,8 +452,10 @@ class TestNonFiniteResult:
             ["usl-eval", "--contention", "-1", "--coherency", "1e-320", "--peak"],
             ["ensemble", "--class", "interaction", "--D", "1", "--H", "1", "--n", "20",
              "--nmin", "1e140", "--nmax", "1e150", "--noise", "100", "--seed", "3"],
+            ["ensemble", "--class", "interaction", "--D", "2", "--H", "1", "--nmin", "1e200", "--nmax", "1e300"],
+            ["yield", "--D", "2", "--H", "1", "--n", "1e200"],
         ],
-        ids=["serial", "queue", "usl-eval-peak", "ensemble-overflow"],
+        ids=["serial", "queue", "usl-eval-peak", "ensemble-overflow", "ensemble-law-overflow", "yield-overflow"],
     )
     def test_overflowing_result_exits_1_without_output(self, run, argv):
         code, out, err = run(argv)

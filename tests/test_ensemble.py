@@ -134,6 +134,26 @@ class TestModelValue:
         with pytest.raises(DomainError, match="unknown scaling class"):
             ens.model_value("sublinear_magic", 7.0, 0.0, D2H1)
 
+    @pytest.mark.parametrize(
+        "N, fraction",
+        [(math.inf, 0.0), (math.inf, 0.3), (math.nan, 0.0), (-1.0, 0.0), (100.0, math.nan), (100.0, -0.5),
+         (100.0, 1.5), (100.0, math.inf)],
+        ids=repr,
+    )
+    def test_rejects_non_finite_population_and_fraction_outside_unit_interval(self, N, fraction):
+        for cls in ScalingClass:
+            with pytest.raises(DomainError):
+                ens.model_value(cls, N, fraction, D2H1)
+
+    def test_everyone_inactive_is_allowed_where_the_class_is_defined(self):
+        assert ens.model_value(ScalingClass.LINEAR_CONSUMPTION, 7.0, 1.0, D2H1) == 7.0
+        with pytest.raises(DomainError, match="^equilibrium volume requires"):
+            ens.model_value(ScalingClass.INFRASTRUCTURE_VOLUME, 7.0, 1.0, D2H1)
+
+    def test_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="^result is out of the finite float range$"):
+            ens.model_value("infrastructure_volume", 1e200, 0.0, D2H1)
+
 
 class TestGenerate:
     def test_deterministic(self):
@@ -153,6 +173,37 @@ class TestGenerate:
         for n, y in zip(*ens.generate(spec(n_samples=200, N_min=50.0, N_max=5000.0, seed=3))):
             assert 50.0 <= n <= 5000.0
             assert y > 0
+
+    @pytest.mark.parametrize("cls", list(ScalingClass), ids=lambda c: c.value)
+    def test_largest_inactive_fraction_keeps_agents_connected(self, cls):
+        # generate never hands a kernel n_i == 0: below 1, the rounded f * n stays below n.
+        s = spec(cls, n_samples=300, N_min=1.0, N_max=1e12, noise_sigma=0.0, inactive_fraction=1 - 2**-53, seed=8)
+        ns, ys = ens.generate(s)
+        assert all(n - s.inactive_fraction * n > 0 for n in ns)
+        assert all(0 < y < math.inf for y in ys)
+        assert (ns, ys) == reference_generate(s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.floats(1.0, 1.7e308), f=st.floats(0.0, 1 - 2**-53))
+    @example(n=1.0, f=1 - 2**-53)
+    @example(n=2.0**1000, f=1 - 2**-53)
+    @example(n=3.0, f=1 - 2**-53)
+    @example(n=1.7976931348623157e308, f=1 - 2**-53)
+    def test_inactive_share_below_one_never_rounds_up_to_n(self, n, f):
+        assert f * n < n
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(N_min=1e200, N_max=1e300), ": the class law or the noise overflows$"),
+            (dict(N_min=1e3, N_max=1e4, noise_sigma=1e300), ": the class law or the noise overflows$"),
+            (dict(N_min=1e140, N_max=1e150, noise_sigma=250.0), ", got N=.*, Y=inf$"),
+        ],
+        ids=["class-law", "noise-factor", "law-times-noise"],
+    )
+    def test_overflow_is_a_domain_error(self, kw, message):
+        with pytest.raises(DomainError, match="^samples must be finite and positive" + message):
+            ens.generate(spec(n_samples=20, seed=3, **kw))
 
     def test_zero_noise_lies_on_the_model(self):
         for n, y in zip(*ens.generate(spec(n_samples=20, noise_sigma=0.0, seed=5))):

@@ -259,20 +259,114 @@ class TestScarceDependencyLaw:
     @example(N_I=1e200, N_0=1e200, D=2, H_share=0.5, couplings=(1e6, 1e-6, 1.0, 1e6, 1e-6), g_I=1e-6)
     @example(N_I=1e-50, N_0=1e200, D=2, H_share=1.0, couplings=(1e6, 1.0, 1e-6, 1e6, 1.0), g_I=1e-6)
     def test_equals_yield_times_node_degree(self, N_I, N_0, D, H_share, couplings, g_I):
-        # The class law computes the equilibrium and infrastructure volumes
-        # once; it must give exactly the value, or exactly the error, of
-        # the two public calls it replaces.
+        # The class kernel computes the equilibrium and infrastructure volumes
+        # once; checked for range like the public functions, it must give
+        # exactly the value, or exactly the error, of the two public calls
+        # it replaces. Their product, unchecked, may leave the float range.
         g_Y, G_Y, c_Y, v_Y, L = couplings
         p = params(D, D * H_share, g_I=g_I, g_Y=g_Y, G_Y=G_Y, c_Y=c_Y, v_Y=v_Y, L=L)
         pop = Population(N_I, N_0)
-        law = mf._LAWS[ScalingClass.SCARCE_DEPENDENCY].value
-        got = _outcome(lambda: law(pop, p))
+        law = mf._LAWS[ScalingClass.SCARCE_DEPENDENCY]
+        got = _outcome(mf._finite(lambda: law.kernel(p)(N_I, N_0)))
         want = _outcome(lambda: mf.yield_output(pop, p) * mf.node_degree(pop, mf.equilibrium_volume(pop, p), p))
-        assert got == want or (got != got and want != want)
+        if isinstance(want, float) and not math.isfinite(want):
+            want = (DomainError, "result is out of the finite float range")
+        assert got == want
 
     def test_no_connected_agents_is_the_yield_error(self):
         with pytest.raises(DomainError, match=r"^yield requires N_I > 0$"):
             model_value(ScalingClass.SCARCE_DEPENDENCY, 10.0, 1.0, params())
+
+
+UNIT = {}
+COUPLED = dict(g_I=0.4, g_Y=2.5, G_Y=0.7, c_Y=1.9, v_Y=3.1, L=0.6)
+
+
+def composed_value(cls, pop, p):
+    """The class value composed from the public meanfield functions, as _ClassLaw documents it."""
+    v_eq = lambda: mf.equilibrium_volume(pop, p)  # noqa: E731
+    return {
+        ScalingClass.INFRASTRUCTURE_VOLUME: lambda: mf.infrastructure_volume(v_eq(), pop, p),
+        ScalingClass.LINEAR_CONSUMPTION: lambda: mf.linear_consumption(pop, mf.ConsumptionCoeffs(1.0, 1.0))[0],
+        ScalingClass.INTERACTION: lambda: mf.yield_output(pop, p),
+        ScalingClass.SCARCE_AGENT: lambda: mf.node_degree(pop, v_eq(), p),
+        ScalingClass.SCARCE_DEPENDENCY: lambda: mf.yield_output(pop, p) * mf.node_degree(pop, v_eq(), p),
+        ScalingClass.RECURSIVE_DEPENDENCY: lambda: pop.N_I**2 / ((v_eq() / pop.N_I) ** (1 / p.D**2) * pop.N_I),
+        ScalingClass.VIRTUAL_INTERACTION: lambda: pop.N_I ** (2 * p.H / p.D) * pop.N ** (-p.H / p.D),
+    }[cls]()
+
+
+def written_out_value(cls, N_I, N_0, p):
+    """The class value written out from the formulas in the meanfield docstrings, sharing no code with them."""
+    N = N_I + N_0
+    expo = p.D / (p.D + p.H)
+    v_eq = (p.g_Y * p.v_Y / p.c_Y) ** expo * (N_I**2 / N) ** expo
+    hd = p.H / p.D
+    v_i = p.g_I * v_eq**hd * p.L ** (p.D - p.H) * N_I * N**-hd
+    return {
+        ScalingClass.INFRASTRUCTURE_VOLUME: v_i,
+        ScalingClass.LINEAR_CONSUMPTION: N,
+        ScalingClass.INTERACTION: p.G_Y * N_I**2 / v_i,
+        ScalingClass.SCARCE_AGENT: N_I / v_i,
+        ScalingClass.SCARCE_DEPENDENCY: p.G_Y * N_I**2 / v_i * (N_I / v_i),
+        ScalingClass.RECURSIVE_DEPENDENCY: N_I**2 / ((v_eq / N_I) ** (1 / p.D**2) * N_I),
+        ScalingClass.VIRTUAL_INTERACTION: N_I ** (2 * p.H / p.D) * N ** (-p.H / p.D),
+    }[cls]
+
+
+class TestClassKernels:
+    @pytest.mark.parametrize("couplings", [UNIT, COUPLED], ids=["unit", "coupled"])
+    @pytest.mark.parametrize("share", [0.0, 0.3])
+    @pytest.mark.parametrize(
+        "cls,D,H",
+        [
+            pytest.param(cls, D, H, id=f"{cls.value}-D{D}-H{H}")
+            for cls in ScalingClass
+            for D, H in ((2, 1.0), (3, 1.0), (3, 2.5), (2, 0.5))
+            if H == 1 or cls is not ScalingClass.RECURSIVE_DEPENDENCY
+        ],
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(N=st.floats(1e-3, 1e150))
+    @example(N=1.0)
+    @example(N=1e150)
+    def test_bit_identical_to_the_public_composition(self, cls, D, H, share, couplings, N):
+        # model_value and generate evaluate only the kernel, so this is their
+        # oracle: every float operation of the composition in the same order.
+        p = params(D, H, **couplings)
+        n0 = share * N
+        pop = Population(N - n0, n0)
+        got = mf._LAWS[cls].kernel(p)(pop.N_I, pop.N_0)
+        assert got.hex() == composed_value(cls, pop, p).hex() == written_out_value(cls, pop.N_I, pop.N_0, p).hex()
+        assert got.hex() == model_value(cls, N, share, p).hex()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: model_value("infrastructure_volume", 1e200, 0.0, params()),
+        lambda: model_value(ScalingClass.INTERACTION, 1e200, 0.3, params()),
+        lambda: mf.yield_output(Population(1e200), params()),
+        lambda: mf.equilibrium_volume(Population(1e200, 1.0), params()),
+        lambda: mf.infrastructure_volume(1e300, Population(1e300), params(L=1e300)),
+        lambda: mf.infrastructure_volume(1.0, Population(1.0), params(3, 1.0, L=1e300)),
+        lambda: mf.node_degree(Population(1e300), 1e-200, params(g_I=1e-200)),
+        lambda: mf.correction_factor(ScalingClass.SCARCE_DEPENDENCY, Population(1.0, 1e200), params()),
+        lambda: mf.correction_factor(ScalingClass.SCARCE_DEPENDENCY, Population(1e-200, 1e200), params()),
+        # V_I underflows to 0, and the yield divides by it.
+        lambda: mf.yield_output(Population(1e-100), params(1, 0.0, g_I=1e-300, L=1e-300)),
+        lambda: mf.infra_agent_count(1e300, 1.0, 1e300, 1e-300),
+        lambda: mf.serialized_client_count(1e300, 1e-300, 1, 1e300),
+        lambda: mf.impulse_rate(mf.Channel.PHYSICAL, 1e300, mf.ImpulseParams(r=1e300), 1),
+        lambda: mf.city_idea_rate(mf.ImpulseParams(N_W=1e300, N_D=1e300), 1.0, 1.0),
+    ],
+    ids=["model-infrastructure", "model-interaction", "yield", "equilibrium", "infrastructure-inf",
+         "infrastructure-L-power", "node-degree", "correction-overflow", "correction-inf", "yield-zero-division",
+         "infra-agents", "serialized-clients", "impulse-rate", "city-idea-rate"],
+)
+def test_results_outside_the_float_range_are_domain_errors(call):
+    with pytest.raises(DomainError, match="^result is out of the finite float range$"):
+        call()
 
 
 class TestSupportCounts:
