@@ -17,6 +17,7 @@ import sys
 from . import ensemble, graphio, meanfield, promisegraph, tabular, uslkit
 from .errors import DomainError
 from .meanfield import Population, ScalingClass, ScalingParams
+from .promisegraph import Polarity
 from .tabular import finite_float
 from .uslkit import QueueParams, SerialModel, UslParams
 
@@ -48,7 +49,10 @@ def _read_input(args) -> str:
     if getattr(args, "input", None):
         with open(args.input, "r", encoding="utf-8", newline="") as fh:
             return fh.read()
-    return sys.stdin.read()
+    # Strict UTF-8, as for --input: under a C/POSIX locale sys.stdin would pass bad bytes on as
+    # lone surrogates. A text-only stream such as io.StringIO has no bytes to decode.
+    buffer = getattr(sys.stdin, "buffer", None)
+    return sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
 
 
 def _population(args) -> Population:
@@ -164,12 +168,13 @@ def _load_graph(args) -> promisegraph.PromiseGraph:
 def _cmd_graph_value(args) -> int:
     graph = _load_graph(args)
     reduced = promisegraph.reduce_conditionals(graph)
+    # This binds the reduced graph, once: the measures below read the bindings it keeps.
     bindings = promisegraph.find_bindings(reduced)
     return _emit_json(
         {
-            "total_value": _jnum(promisegraph._value_of(reduced, bindings)),
-            "rho": _jnum(promisegraph._density_of(reduced, bindings)),
-            "largest_component": promisegraph._largest_component_of(reduced, bindings),
+            "total_value": _jnum(promisegraph.total_value(reduced)),
+            "rho": _jnum(promisegraph.mesh_density(reduced)),
+            "largest_component": promisegraph.largest_binding_component(reduced),
             "agents": len(graph.agents),
             "bindings": len(bindings),
         }
@@ -205,11 +210,19 @@ def _cmd_graph_aggregate(args) -> int:
     return _emit(graphio.emit_graph(graph))
 
 
+def _find_offer(graph: promisegraph.PromiseGraph, giver: str, receiver: str, type_tag: str) -> promisegraph.Promise:
+    """The first offer giver -> receiver of type_tag in graph order, whatever its condition."""
+    for p in graph.promises:
+        if p.giver == giver and p.receiver == receiver and p.type_tag == type_tag and p.polarity is Polarity.OFFER:
+            return p
+    raise DomainError(f"no offer of type {type_tag!r} from {giver!r} to {receiver!r} in the graph")
+
+
 def _cmd_graph_classify(args) -> int:
     if (args.D is None) != (args.H is None):
         args.usage_error("--D and --H must be given together")
     graph = _load_graph(args)
-    offer = promisegraph._find_offer(graph, args.giver, args.receiver, args.type)
+    offer = _find_offer(graph, args.giver, args.receiver, args.type)
     cls = promisegraph.classify_pattern(
         graph, offer, scarcity_threshold=args.threshold, membership_type=args.membership_type
     )

@@ -40,8 +40,8 @@ import operator
 from dataclasses import dataclass
 from itertools import count
 
-from .errors import CsvFormatError, DomainError
-from .meanfield import ScalingClass, ScalingParams, _finite, _law, predicted_exponent
+from .errors import CsvFormatError, DomainError, _finite
+from .meanfield import ScalingClass, ScalingParams, _law, predicted_exponent
 from .tabular import format_pairs, parse_pairs
 
 __all__ = [

@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-result check that raises DomainError."""
 
 from __future__ import annotations
+
+import functools
+import math
 
 __all__ = [
     "DomainError",
@@ -39,3 +42,19 @@ class GraphFormatError(DomainError):
 
 class CsvFormatError(DomainError):
     """Malformed CSV input."""
+
+
+def _finite(f):
+    """f, raising DomainError where its float result overflows, divides by an underflowed zero or is not finite."""
+
+    @functools.wraps(f)
+    def checked(*args, **kwargs):
+        try:
+            x = f(*args, **kwargs)
+            if -math.inf < x < math.inf:
+                return x
+        except ArithmeticError:
+            pass
+        raise DomainError("result is out of the finite float range")
+
+    return checked

@@ -26,13 +26,12 @@ so reported values carry no accumulated drift.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import DomainError, UnsupportedConfigError
+from .errors import DomainError, UnsupportedConfigError, _finite
 
 __all__ = [
     "ScalingParams",
@@ -192,22 +191,6 @@ def delta_exponent(params: ScalingParams) -> float:
     return float(_delta(params.D, Fraction(params.H)))
 
 
-def _finite(f):
-    """f, raising DomainError where its float result overflows, divides by an underflowed zero or is not finite."""
-
-    @functools.wraps(f)
-    def checked(*args, **kwargs):
-        try:
-            x = f(*args, **kwargs)
-            if -math.inf < x < math.inf:
-                return x
-        except ArithmeticError:
-            pass
-        raise DomainError("result is out of the finite float range")
-
-    return checked
-
-
 _NO_AGENTS = "equilibrium volume requires N > 0 and N_I > 0"
 _NO_YIELD = "yield requires N_I > 0"
 
@@ -279,7 +262,12 @@ def yield_output(pop: Population, params: ScalingParams) -> float:
 
 def linear_consumption(pop: Population, coeffs: ConsumptionCoeffs) -> tuple[float, float]:
     """Per-capita input and output totals (e_minus * N, e_plus * N)."""
-    return coeffs.e_minus * pop.N, coeffs.e_plus * pop.N
+    return _total(coeffs.e_minus, pop.N), _total(coeffs.e_plus, pop.N)
+
+
+@_finite
+def _total(e: float, N: float) -> float:
+    return e * N
 
 
 def _yield(G_Y: float, n_i: float, v_i: float) -> float:

@@ -15,7 +15,10 @@ via mutual membership promises, and classification of an offer into one
 of the meanfield dependency classes.
 
 Graphs are immutable after construction; every operation returns new
-values and is safe to call concurrently.
+values and is safe to call concurrently. That holds as well for what a
+graph keeps once computed: its bindings, found at most once, on first
+use (find_bindings hands out a new list each time), and the mark that
+it is its own reduction.
 """
 
 from __future__ import annotations
@@ -184,6 +187,8 @@ class PromiseGraph:
         self._by_key = merged
         self._promises = tuple(_in_graph_order(merged.values()))
         self._calibration = calibration
+        self._bound: list | None = None  # the graph's bindings, once _kept_bindings has found them
+        self._reduced = False  # set by reduce_conditionals on the graph it returns
 
     @property
     def agents(self) -> tuple:
@@ -255,7 +260,14 @@ def find_bindings(graph: PromiseGraph) -> list[Binding]:
     the intersection is the binding's effective constraint. Conditional
     promises never bind (reduce them first).
     """
-    return _bindings(graph, graph.promises)
+    return list(_kept_bindings(graph))
+
+
+def _kept_bindings(graph: PromiseGraph) -> list[Binding]:
+    # The graph's own list, computed on first use: callers must not change it.
+    if graph._bound is None:
+        graph._bound = _bindings(graph, graph.promises)
+    return graph._bound
 
 
 def _bindings(graph: PromiseGraph, promises) -> list[Binding]:
@@ -323,13 +335,18 @@ def reduce_conditionals(graph: PromiseGraph) -> PromiseGraph:
     from some agent that unconditionally offers d back. Iterates to a
     fixed point so chains of conditions resolve; unsatisfied
     conditionals (and conditional accepts) are retained unchanged. When
-    no offer fires, the graph itself is returned.
+    no offer fires, the graph itself is returned. The result is marked
+    as reduced, so reducing it again returns it at once.
     """
-    fired = {id(p) for p in _discharge(graph)[1]}
-    if not fired:
+    if graph._reduced:
         return graph
-    promises = [replace(p, condition=()) if id(p) in fired else p for p in graph.promises]
-    return PromiseGraph(graph.agents, promises, graph.calibration)
+    fired = {id(p) for p in _discharge(graph)[1]}
+    if fired:
+        promises = [replace(p, condition=()) if id(p) in fired else p for p in graph.promises]
+        graph = PromiseGraph(graph.agents, promises, graph.calibration)
+    # Discharge reaches a fixed point, so the result is its own reduction.
+    graph._reduced = True
+    return graph
 
 
 def valuation(graph: PromiseGraph, binding: Binding) -> float:
@@ -349,11 +366,7 @@ def total_value(graph: PromiseGraph) -> float:
     math.fsum so the result is independent of binding order.
     """
     reduced = reduce_conditionals(graph)
-    return _value_of(reduced, find_bindings(reduced))
-
-
-def _value_of(graph: PromiseGraph, bindings) -> float:
-    return math.fsum(valuation(graph, b) for b in bindings)
+    return math.fsum(valuation(reduced, b) for b in _kept_bindings(reduced))
 
 
 def mesh_density(graph: PromiseGraph) -> float:
@@ -362,14 +375,10 @@ def mesh_density(graph: PromiseGraph) -> float:
     Measured on the graph as given (reduce first if conditional promises
     should count). Zero for graphs with fewer than two agents.
     """
-    return _density_of(graph, find_bindings(graph))
-
-
-def _density_of(graph: PromiseGraph, bindings) -> float:
     n = len(graph.agents)
     if n < 2:
         return 0.0
-    return len(bindings) / (n * (n - 1))
+    return len(_kept_bindings(graph)) / (n * (n - 1))
 
 
 def largest_binding_component(graph: PromiseGraph) -> int:
@@ -378,10 +387,6 @@ def largest_binding_component(graph: PromiseGraph) -> int:
     Bindings are treated as undirected edges; an agent with no bindings
     forms a component of size 1. Empty graph gives 0.
     """
-    return _largest_component_of(graph, find_bindings(graph))
-
-
-def _largest_component_of(graph: PromiseGraph, bindings) -> int:
     ids = graph.agent_ids()
     if not ids:
         return 0
@@ -393,7 +398,7 @@ def _largest_component_of(graph: PromiseGraph, bindings) -> int:
             a = parent[a]
         return a
 
-    for b in bindings:
+    for b in _kept_bindings(graph):
         ra, rb = find(b.offer.giver), find(b.offer.receiver)
         if ra != rb:
             parent[ra] = rb
@@ -551,11 +556,3 @@ def classify_pattern(
     if fraction >= scarcity_threshold:
         return ScalingClass.INTERACTION
     return ScalingClass.SCARCE_AGENT
-
-
-def _find_offer(graph: PromiseGraph, giver: str, receiver: str, type_tag: str) -> Promise:
-    """The first offer giver -> receiver of type_tag in graph order, whatever its condition."""
-    for p in graph.promises:
-        if p.giver == giver and p.receiver == receiver and p.type_tag == type_tag and p.polarity is Polarity.OFFER:
-            return p
-    raise DomainError(f"no offer of type {type_tag!r} from {giver!r} to {receiver!r} in the graph")

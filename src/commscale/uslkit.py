@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, QueueInstabilityError, UnboundedPeakError, UnsupportedConfigError
+from .errors import DomainError, QueueInstabilityError, UnboundedPeakError, UnsupportedConfigError, _finite
 
 __all__ = [
     "UslParams",
@@ -50,6 +50,7 @@ class UslParams:
             raise DomainError(f"coherency must be finite and >= 0, got {self.coherency}")
 
 
+@_finite
 def usl_speedup(N: float, p: UslParams) -> float:
     """S(N) = N / (1 + contention*(N-1) + coherency*N*(N-1)); S(1) = 1 exactly."""
     if not 1 <= N < math.inf:
@@ -57,9 +58,12 @@ def usl_speedup(N: float, p: UslParams) -> float:
     den = 1.0 + p.contention * (N - 1.0) + p.coherency * N * (N - 1.0)
     if den <= 0:
         raise DomainError(f"speedup denominator is not positive at N={N} (contention too negative)")
+    if den == math.inf:
+        raise OverflowError  # N / inf would read as a speedup of 0
     return N / den
 
 
+@_finite
 def usl_peak(p: UslParams) -> float:
     """Concurrency level (a real >= 1) maximizing the speedup curve.
 
@@ -185,6 +189,7 @@ class SerialModel:
             raise DomainError("pi_par and kappa must be finite and non-negative")
 
 
+@_finite
 def serial_time(N: float, m: SerialModel) -> float:
     """T(N) = sigma + pi_par/N + kappa*N for finite N >= 1."""
     if not 1 <= N < math.inf:
@@ -192,6 +197,7 @@ def serial_time(N: float, m: SerialModel) -> float:
     return m.sigma + m.pi_par / N + m.kappa * N
 
 
+@_finite
 def effective_exponent(N: float, m: SerialModel) -> float:
     """Local power-law slope of T(N) in the kappa = 0 regime.
 
@@ -221,6 +227,7 @@ class QueueParams:
             raise DomainError("rates must be finite and non-negative")
 
 
+@_finite
 def response_time(q: QueueParams) -> float:
     """Steady-state response time 1/(mu - lam); only defined when lam < mu."""
     if q.lam >= q.mu:

@@ -359,10 +359,19 @@ class TestClassKernels:
         lambda: mf.serialized_client_count(1e300, 1e-300, 1, 1e300),
         lambda: mf.impulse_rate(mf.Channel.PHYSICAL, 1e300, mf.ImpulseParams(r=1e300), 1),
         lambda: mf.city_idea_rate(mf.ImpulseParams(N_W=1e300, N_D=1e300), 1.0, 1.0),
+        lambda: mf.linear_consumption(Population(1e308, 1e308), mf.ConsumptionCoeffs(1, 1)),
+        lambda: uslkit.serial_time(1e308, SerialModel(1e308, 1.0, 1e308)),
+        lambda: uslkit.response_time(QueueParams(0.0, 1e-320)),
+        lambda: uslkit.usl_peak(UslParams(-1.0, 1e-320)),
+        # pi_par / sigma overflows, and inf / (1 + inf) is nan.
+        lambda: uslkit.effective_exponent(1.0, SerialModel(1e-320, 1e308, 0.0)),
+        # The denominator overflows, and N / inf would read as a speedup of 0.
+        lambda: uslkit.usl_speedup(1e308, UslParams(0.0, 1e-300)),
     ],
     ids=["model-infrastructure", "model-interaction", "yield", "equilibrium", "infrastructure-inf",
          "infrastructure-L-power", "node-degree", "correction-overflow", "correction-inf", "yield-zero-division",
-         "infra-agents", "serialized-clients", "impulse-rate", "city-idea-rate"],
+         "infra-agents", "serialized-clients", "impulse-rate", "city-idea-rate", "linear-consumption",
+         "serial-time", "response-time", "usl-peak", "effective-exponent", "usl-speedup"],
 )
 def test_results_outside_the_float_range_are_domain_errors(call):
     with pytest.raises(DomainError, match="^result is out of the finite float range$"):

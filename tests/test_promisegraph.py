@@ -1,7 +1,9 @@
 import copy
+import gc
 import math
 import pickle
 import random
+import weakref
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -230,6 +232,72 @@ class TestSlottedRecords:
     def test_setting_an_attribute_raises(self, index, field):
         with pytest.raises(FrozenInstanceError):
             setattr(self.records()[index], field, "c")
+
+
+class TestKeptBindings:
+    """A graph binds at most once and keeps the list; callers never get it, and it holds no graph alive."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        f = getattr(pg, name)
+        monkeypatch.setattr(pg, name, lambda *args: calls.append(name) or f(*args))
+        return calls
+
+    def test_find_bindings_returns_a_new_list(self):
+        g = mesh_graph(3)
+        first = pg.find_bindings(g)
+        second = pg.find_bindings(g)
+        assert first == second and first is not second
+        first.clear()
+        assert pg.find_bindings(g) == second
+        assert (pg.total_value(g), pg.mesh_density(g), pg.largest_binding_component(g)) == (6.0, 1.0, 3)
+
+    def test_measures_bind_once(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "_bindings")
+        g = mesh_graph(4)
+        for measure in (pg.find_bindings, pg.total_value, pg.mesh_density, pg.largest_binding_component):
+            measure(g)
+        assert len(calls) == 1
+
+    def test_a_reduced_graph_is_not_discharged_again(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "_discharge")
+        g = PromiseGraph([Agent("a"), Agent("b"), Agent("c")],
+                         [offer("a", "b", "svc", cond=("fuel",)), accept("b", "a", "svc")] + pair("c", "a", "fuel"))
+        reduced = pg.reduce_conditionals(g)
+        assert reduced != g and len(calls) == 1
+        assert pg.reduce_conditionals(reduced) is reduced
+        assert pg.total_value(reduced) == 2.0 and len(calls) == 1
+
+    def test_a_graph_with_nothing_to_discharge_is_its_own_reduction(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "_discharge")
+        g = mesh_graph(3)
+        assert pg.reduce_conditionals(g) is g and pg.reduce_conditionals(g) is g
+        assert pg.total_value(g) == 6.0 and len(calls) == 1
+
+    def test_graphs_are_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            g = PromiseGraph([Agent("a"), Agent("b"), Agent("c")],
+                             [offer("a", "b", "svc", cond=("fuel",)), accept("b", "a", "svc")] + pair("c", "a", "fuel"))
+            reduced = pg.reduce_conditionals(g)
+            for graph in (g, reduced):
+                pg.find_bindings(graph), pg.total_value(graph), pg.largest_binding_component(graph)
+            refs = [weakref.ref(g), weakref.ref(reduced)]
+            del g, reduced, graph
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_a_clone_of_a_bound_graph_binds_the_same(self, clone):
+        g = mesh_graph(3, calibration={"svc": 2.0})
+        bindings = pg.find_bindings(g)
+        again = clone(g)
+        assert again == g and pg.find_bindings(again) == bindings
+        assert pg.total_value(again) == pg.total_value(g) == 12.0
 
 
 class TestPromiseGraph:
@@ -893,16 +961,6 @@ class TestClassifyPattern:
                 pg.classify_pattern(g, missing)
         assert pg.classify_pattern(g, offer("a", "b", "svc", chi=("x",), cond=("fuel",))) == ScalingClass.SCARCE_AGENT
 
-    def test_find_offer_takes_the_first_in_graph_order(self):
-        g = PromiseGraph(
-            [Agent("a"), Agent("b")],
-            [offer("a", "b", "svc", chi=("z",)), offer("a", "b", "svc", chi=("y",), cond=("fuel",)),
-             accept("a", "b", "svc", chi=("a",))],
-        )
-        assert pg._find_offer(g, "a", "b", "svc").condition == ("fuel",)
-        with pytest.raises(DomainError, match="no offer of type 'svc' from 'b' to 'a' in the graph"):
-            pg._find_offer(g, "b", "a", "svc")
-
 
 class TestRandomizedInvariants:
     def random_graph(self, rng, n_max=10, conditional_rate=0.15):
@@ -1014,6 +1072,18 @@ def random_lookup_graph(rows, links, repeats):
         promises += [offer(giver, receiver, tag, cond=cond), accept(receiver, giver, tag)]
     promises += promises[:repeats]  # exact duplicates, merged by the graph
     return PromiseGraph([Agent(a) for a in "abcd"], promises)
+
+
+class TestMergeKey:
+    @settings(max_examples=200, deadline=None)
+    @given(PROMISE_ROWS, LINK_ROWS, st.integers(0, 6))
+    def test_table_keys_are_promise_keys(self, rows, links, repeats):
+        # __init__ builds the key inline; Promise._key must lay it out the same way.
+        g = random_lookup_graph(rows, links, repeats)
+        for graph in (g, pg.reduce_conditionals(g), pg.aggregate(g, ["a", "b"], "S")):
+            assert len(graph._by_key) == len(graph.promises)
+            for key, p in graph._by_key.items():
+                assert key == p._key()
 
 
 class TestLookupsMatchPairScans:
