@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import count
 
+from ._record import Record
 from .errors import CsvFormatError, DomainError, _finite
 from .meanfield import ScalingClass, ScalingParams, _law, predicted_exponent
 from .tabular import format_pairs, parse_pairs
@@ -61,8 +61,7 @@ _MAX_SEED = 2**64
 _HEADER = "N,Y"
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
+class EnsembleSpec(Record):
     """Recipe for one synthetic ensemble.
 
     n_samples communities are drawn with N log-uniform on
@@ -70,16 +69,11 @@ class EnsembleSpec:
     log-normal noise exp(Normal(0, noise_sigma**2)) on the output.
     """
 
-    scaling_class: ScalingClass
-    params: ScalingParams
-    n_samples: int = 500
-    N_min: float = 1e3
-    N_max: float = 1e7
-    noise_sigma: float = 0.1
-    inactive_fraction: float = 0.0
-    seed: int = 0
+    __slots__ = ("scaling_class", "params", "n_samples", "N_min", "N_max", "noise_sigma", "inactive_fraction", "seed")
 
-    def __post_init__(self) -> None:
+    def __init__(self, scaling_class: ScalingClass, params: ScalingParams, n_samples: int = 500, N_min: float = 1e3,
+                 N_max: float = 1e7, noise_sigma: float = 0.1, inactive_fraction: float = 0.0, seed: int = 0) -> None:
+        self._freeze(scaling_class, params, n_samples, N_min, N_max, noise_sigma, inactive_fraction, seed)
         for name in ("n_samples", "seed"):
             try:
                 object.__setattr__(self, name, operator.index(getattr(self, name)))
@@ -97,32 +91,27 @@ class EnsembleSpec:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(Record):
     """OLS fit of ln Y = beta * ln N + log_intercept, with diagnostics."""
 
-    beta: float
-    log_intercept: float
-    r_squared: float
-    stderr_beta: float
-    n: int
+    __slots__ = ("beta", "log_intercept", "r_squared", "stderr_beta", "n")
 
-    def __post_init__(self) -> None:
+    def __init__(self, beta: float, log_intercept: float, r_squared: float, stderr_beta: float, n: int) -> None:
         # Each comparison is false for nan.
-        for name in ("beta", "log_intercept"):
-            if not -math.inf < getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0 <= self.r_squared <= 1:
-            raise DomainError(f"r_squared must be in [0, 1], got {self.r_squared}")
-        if not 0 <= self.stderr_beta < math.inf:
-            raise DomainError(f"stderr_beta must be finite and >= 0, got {self.stderr_beta}")
+        for name, value in (("beta", beta), ("log_intercept", log_intercept)):
+            if not -math.inf < value < math.inf:
+                raise DomainError(f"{name} must be finite, got {value}")
+        if not 0 <= r_squared <= 1:
+            raise DomainError(f"r_squared must be in [0, 1], got {r_squared}")
+        if not 0 <= stderr_beta < math.inf:
+            raise DomainError(f"stderr_beta must be finite and >= 0, got {stderr_beta}")
         try:
-            n = operator.index(self.n)
+            index = operator.index(n)
         except TypeError:
-            n = None
-        if n is None or isinstance(self.n, bool) or n < 0:
-            raise DomainError(f"n must be an integer >= 0, got {self.n!r}")
-        object.__setattr__(self, "n", n)
+            index = -1
+        if index < 0 or isinstance(n, bool):
+            raise DomainError(f"n must be an integer >= 0, got {n!r}")
+        self._freeze(beta, log_intercept, r_squared, stderr_beta, index)
 
 
 @_finite
@@ -224,16 +213,17 @@ def fit_power_law(ns, ys) -> PowerLawFit:
     return PowerLawFit(beta, intercept, r_squared, stderr, n)
 
 
-@dataclass(frozen=True)
-class CompareReport:
-    """A fitted exponent held against the theoretical one."""
+class CompareReport(Record):
+    """A fitted exponent held against the theoretical one; every float field is finite."""
 
-    theory_beta: float
-    fitted_beta: float
-    gap: float
-    stderr_beta: float
-    k: float
-    within_k_stderr: bool
+    __slots__ = ("theory_beta", "fitted_beta", "gap", "stderr_beta", "k", "within_k_stderr")
+
+    def __init__(self, theory_beta: float, fitted_beta: float, gap: float, stderr_beta: float, k: float,
+                 within_k_stderr: bool) -> None:
+        self._freeze(theory_beta, fitted_beta, gap, stderr_beta, k, within_k_stderr)
+        for name in ("theory_beta", "fitted_beta", "gap", "stderr_beta", "k"):
+            if not -math.inf < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def compare(fit: PowerLawFit, scaling_class: ScalingClass, params: ScalingParams, k: float = 2.0) -> CompareReport:

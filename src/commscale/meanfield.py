@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from ._record import Record
 from .errors import DomainError, UnsupportedConfigError, _finite
 
 __all__ = [
@@ -55,8 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScalingParams:
+class ScalingParams(Record):
     """Dimensional and coupling constants of the mean-field model.
 
     D: embedding dimension, integer >= 1.
@@ -71,19 +70,13 @@ class ScalingParams:
     L: fixed cross-section length scale, L > 0.
     """
 
-    D: int
-    H: float
-    g_I: float = 1.0
-    g_Y: float = 1.0
-    G_Y: float = 1.0
-    c_Y: float = 1.0
-    v_Y: float = 1.0
-    L: float = 1.0
+    __slots__ = ("D", "H", "g_I", "g_Y", "G_Y", "c_Y", "v_Y", "L")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.D < math.inf or self.D != int(self.D):
-            raise DomainError(f"D must be an integer >= 1, got {self.D}")
-        object.__setattr__(self, "D", int(self.D))
+    def __init__(self, D: int, H: float, g_I: float = 1.0, g_Y: float = 1.0, G_Y: float = 1.0, c_Y: float = 1.0,
+                 v_Y: float = 1.0, L: float = 1.0) -> None:
+        if not 1 <= D < math.inf or D != int(D):
+            raise DomainError(f"D must be an integer >= 1, got {D}")
+        self._freeze(int(D), H, g_I, g_Y, G_Y, c_Y, v_Y, L)
         if not 0 <= self.H <= self.D:
             raise DomainError(f"H must satisfy 0 <= H <= D, got H={self.H} with D={self.D}")
         for name in ("g_I", "g_Y", "G_Y", "c_Y", "v_Y", "L"):
@@ -93,8 +86,7 @@ class ScalingParams:
             raise DomainError(f"g_I is a volume fraction and must not exceed 1, got {self.g_I}")
 
 
-@dataclass(frozen=True)
-class Population:
+class Population(Record):
     """Active/inactive split of a community.
 
     N_I agents are connected to the shared infrastructure; N_0 are
@@ -102,13 +94,13 @@ class Population:
     continuum approximation, so fractional populations are meaningful.
     """
 
-    N_I: float
-    N_0: float = 0.0
+    __slots__ = ("N_I", "N_0")
 
-    def __post_init__(self) -> None:
+    def __init__(self, N_I: float, N_0: float = 0.0) -> None:
         # False for nan as well as for inf and negative counts.
-        if not (0 <= self.N_I < math.inf and 0 <= self.N_0 < math.inf):
-            raise DomainError(f"population counts must be finite and non-negative, got N_I={self.N_I}, N_0={self.N_0}")
+        if not (0 <= N_I < math.inf and 0 <= N_0 < math.inf):
+            raise DomainError(f"population counts must be finite and non-negative, got N_I={N_I}, N_0={N_0}")
+        self._freeze(N_I, N_0)
 
     @property
     def N(self) -> float:
@@ -128,16 +120,15 @@ class ScalingClass(enum.Enum):
     VIRTUAL_INTERACTION = "virtual_interaction"
 
 
-@dataclass(frozen=True)
-class ConsumptionCoeffs:
+class ConsumptionCoeffs(Record):
     """Per-capita input (e_minus) and output (e_plus) coefficients, both >= 0."""
 
-    e_minus: float
-    e_plus: float
+    __slots__ = ("e_minus", "e_plus")
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.e_minus < math.inf and 0 <= self.e_plus < math.inf):
+    def __init__(self, e_minus: float, e_plus: float) -> None:
+        if not (0 <= e_minus < math.inf and 0 <= e_plus < math.inf):
             raise DomainError("consumption coefficients must be finite and non-negative")
+        self._freeze(e_minus, e_plus)
 
 
 class Channel(enum.Enum):
@@ -147,8 +138,7 @@ class Channel(enum.Enum):
     VIRTUAL = "virtual"
 
 
-@dataclass(frozen=True)
-class ImpulseParams:
+class ImpulseParams(Record):
     """Parameters of the impulse (idea/discovery) rate model.
 
     r: exploration speed in community-size units per time.
@@ -160,17 +150,12 @@ class ImpulseParams:
     N_D: agents per workgroup; N_W: workgroup count.
     """
 
-    r: float = 1.0
-    T_explore: float = 1.0
-    B: float = 1.0
-    density_I: float = 1.0
-    alpha_tau: float = 1.0
-    c_phys: float = 1.0
-    c_virt: float = 1.0
-    N_D: float = 1.0
-    N_W: float = 1.0
+    __slots__ = ("r", "T_explore", "B", "density_I", "alpha_tau", "c_phys", "c_virt", "N_D", "N_W")
 
-    def __post_init__(self) -> None:
+    def __init__(self, r: float = 1.0, T_explore: float = 1.0, B: float = 1.0, density_I: float = 1.0,
+                 alpha_tau: float = 1.0, c_phys: float = 1.0, c_virt: float = 1.0, N_D: float = 1.0,
+                 N_W: float = 1.0) -> None:
+        self._freeze(r, T_explore, B, density_I, alpha_tau, c_phys, c_virt, N_D, N_W)
         if not 0 <= self.alpha_tau <= 1:
             raise DomainError(f"alpha_tau is a probability, got {self.alpha_tau}")
         for name in ("r", "T_explore", "B", "density_I", "c_phys", "c_virt", "N_D", "N_W"):
@@ -306,8 +291,7 @@ def _virtual(params: ScalingParams):
     return lambda n_i, n_0: n_i**e_i * (n_i + n_0) ** e_n
 
 
-@dataclass(frozen=True)
-class _ClassLaw:
+class _ClassLaw(Record):
     """One scaling class: exponent beta, split share p and model kernel.
 
     exponent and share take (D, H, delta) and return exact rationals. p is
@@ -321,10 +305,12 @@ class _ClassLaw:
     unit_h_only marks a class derived for H = 1 only.
     """
 
-    exponent: Callable[[int, Fraction, Fraction], Fraction]
-    share: Callable[[int, Fraction, Fraction], Fraction]
-    kernel: Callable[[ScalingParams], Callable[[float, float], float]]
-    unit_h_only: bool = False
+    __slots__ = ("exponent", "share", "kernel", "unit_h_only")
+
+    def __init__(self, exponent: Callable[[int, Fraction, Fraction], Fraction],
+                 share: Callable[[int, Fraction, Fraction], Fraction],
+                 kernel: Callable[[ScalingParams], Callable[[float, float], float]], unit_h_only: bool = False) -> None:
+        self._freeze(exponent, share, kernel, unit_h_only)
 
 
 _LAWS = {

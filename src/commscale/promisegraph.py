@@ -18,7 +18,9 @@ Graphs are immutable after construction; every operation returns new
 values and is safe to call concurrently. That holds as well for what a
 graph keeps once computed: its bindings, found at most once, on first
 use (find_bindings hands out a new list each time), and the mark that
-it is its own reduction.
+it is its own reduction. The records (Agent, Promise, Binding) are plain
+slotted classes that compare, hash and pickle by value and refuse
+assignment.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, replace
 from numbers import Real
 from typing import TYPE_CHECKING, Union
 
+from ._record import Record
 from .errors import DomainError, UnknownAgentError
 from .meanfield import ScalingClass
 
@@ -61,19 +63,17 @@ __all__ = [
 ANY_BODY = "*"
 
 
-@dataclass(frozen=True, slots=True)
-class Agent:
+class Agent(Record):
     """An autonomous agent with an impartial promise-keeping assessment in [0, 1]."""
 
-    id: str
-    assessment: float = 1.0
+    __slots__ = ("id", "assessment")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not self.id:
-            raise DomainError(f"agent id must be a non-empty string, got {self.id!r}")
-        if not (isinstance(self.assessment, Real) and 0 <= self.assessment <= 1):
-            raise DomainError(f"assessment must be a number in [0, 1], got {self.assessment!r}")
-        object.__setattr__(self, "assessment", float(self.assessment))
+    def __init__(self, id: str, assessment: float = 1.0) -> None:
+        if not isinstance(id, str) or not id:
+            raise DomainError(f"agent id must be a non-empty string, got {id!r}")
+        if not (isinstance(assessment, Real) and 0 <= assessment <= 1):
+            raise DomainError(f"assessment must be a number in [0, 1], got {assessment!r}")
+        self._freeze(id, float(assessment))
 
 
 class Polarity(enum.Enum):
@@ -81,8 +81,7 @@ class Polarity(enum.Enum):
     ACCEPT = "-"
 
 
-@dataclass(frozen=True, slots=True)
-class Promise:
+class Promise(Record):
     """One declared intention: giver -> receiver, a type, a polarity, a body.
 
     constraint is the finite, non-empty body constraint set; a binding
@@ -92,28 +91,33 @@ class Promise:
     itself.
     """
 
-    giver: str
-    receiver: str
-    type_tag: str
-    polarity: Polarity
-    constraint: frozenset = frozenset({ANY_BODY})
-    condition: tuple = ()
+    __slots__ = ("giver", "receiver", "type_tag", "polarity", "constraint", "condition")
 
-    def __post_init__(self) -> None:
-        if type(self.constraint) is not frozenset:
-            if isinstance(self.constraint, str):
-                raise DomainError(f"constraint must be a collection of tokens, got the string {self.constraint!r}")
-            object.__setattr__(self, "constraint", frozenset(self.constraint))
-        if self.condition != ():
-            if isinstance(self.condition, str):
-                raise DomainError(f"condition must be a collection of types, got the string {self.condition!r}")
-            condition = tuple(sorted(set(self.condition)))
-            if condition != self.condition:
-                object.__setattr__(self, "condition", condition)
-        if not self.constraint:
+    def __init__(self, giver: str, receiver: str, type_tag: str, polarity: Polarity,
+                 constraint: frozenset = frozenset({ANY_BODY}), condition: tuple = ()) -> None:
+        if type(constraint) is not frozenset:
+            if isinstance(constraint, str):
+                raise DomainError(f"constraint must be a collection of tokens, got the string {constraint!r}")
+            constraint = frozenset(constraint)
+        if condition != ():
+            if isinstance(condition, str):
+                raise DomainError(f"condition must be a collection of types, got the string {condition!r}")
+            # An already sorted tuple is kept, so that promises parsed from one field share it.
+            ordered = tuple(sorted(set(condition)))
+            if ordered != condition:
+                condition = ordered
+        if not constraint:
             raise DomainError("constraint set must be non-empty")
-        if not isinstance(self.polarity, Polarity):
-            raise DomainError(f"polarity must be a Polarity, got {self.polarity!r}")
+        if not isinstance(polarity, Polarity):
+            raise DomainError(f"polarity must be a Polarity, got {polarity!r}")
+        # Field by field rather than through _freeze's loop: a parse builds one Promise per record.
+        set_field = object.__setattr__
+        set_field(self, "giver", giver)
+        set_field(self, "receiver", receiver)
+        set_field(self, "type_tag", type_tag)
+        set_field(self, "polarity", polarity)
+        set_field(self, "constraint", constraint)
+        set_field(self, "condition", condition)
 
     @property
     def conditional(self) -> bool:
@@ -139,13 +143,17 @@ def _in_graph_order(promises) -> list:
     return [d[-1] for d in decorated]
 
 
-@dataclass(frozen=True, slots=True)
-class Binding:
+class Binding(Record):
     """A matched offer/accept pair of one type with overlapping bodies."""
 
-    offer: Promise
-    accept: Promise
-    effective_constraint: frozenset
+    __slots__ = ("offer", "accept", "effective_constraint")
+
+    def __init__(self, offer: Promise, accept: Promise, effective_constraint: frozenset) -> None:
+        # Field by field, as in Promise: a bind builds one Binding per matched pair.
+        set_field = object.__setattr__
+        set_field(self, "offer", offer)
+        set_field(self, "accept", accept)
+        set_field(self, "effective_constraint", effective_constraint)
 
 
 Calibration = Union[float, Mapping[str, float]]
@@ -342,7 +350,10 @@ def reduce_conditionals(graph: PromiseGraph) -> PromiseGraph:
         return graph
     fired = {id(p) for p in _discharge(graph)[1]}
     if fired:
-        promises = [replace(p, condition=()) if id(p) in fired else p for p in graph.promises]
+        promises = [
+            Promise(p.giver, p.receiver, p.type_tag, p.polarity, p.constraint) if id(p) in fired else p
+            for p in graph.promises
+        ]
         graph = PromiseGraph(graph.agents, promises, graph.calibration)
     # Discharge reaches a fixed point, so the result is its own reduction.
     graph._reduced = True
@@ -452,9 +463,9 @@ def aggregate(graph: PromiseGraph, members: Iterable[str], super_id: str) -> Pro
         if giver_in:
             todo += [(p.giver, d) for d in p.condition if (p.giver, d) in supplied]
             residual = tuple(d for d in p.condition if (p.giver, d) not in supplied)
-            new_promises.append(replace(p, giver=super_id, condition=residual))
+            new_promises.append(Promise(super_id, p.receiver, p.type_tag, p.polarity, p.constraint, residual))
         else:
-            new_promises.append(replace(p, receiver=super_id))
+            new_promises.append(Promise(p.giver, super_id, p.type_tag, p.polarity, p.constraint, p.condition))
 
     # The interior chains: each discharged condition's giver and its witnesses.
     chain_agents: set = set()

@@ -14,8 +14,8 @@ closed forms here start without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import DomainError, QueueInstabilityError, UnboundedPeakError, UnsupportedConfigError, _finite
 
 __all__ = [
@@ -32,22 +32,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UslParams:
+class UslParams(Record):
     """Contention and coherency coefficients of the scalability law.
 
     Negative contention (>= -1) encodes superlinear speedup as a
     parametric fit; coherency must be non-negative.
     """
 
-    contention: float
-    coherency: float = 0.0
+    __slots__ = ("contention", "coherency")
 
-    def __post_init__(self) -> None:
-        if not -1 <= self.contention < math.inf:
-            raise DomainError(f"contention must be finite and >= -1, got {self.contention}")
-        if not 0 <= self.coherency < math.inf:
-            raise DomainError(f"coherency must be finite and >= 0, got {self.coherency}")
+    def __init__(self, contention: float, coherency: float = 0.0) -> None:
+        if not -1 <= contention < math.inf:
+            raise DomainError(f"contention must be finite and >= -1, got {contention}")
+        if not 0 <= coherency < math.inf:
+            raise DomainError(f"coherency must be finite and >= 0, got {coherency}")
+        self._freeze(contention, coherency)
 
 
 @_finite
@@ -78,15 +77,21 @@ def usl_peak(p: UslParams) -> float:
         return 1.0
     if p.contention >= 1:
         return 1.0
-    return max(1.0, math.sqrt((1.0 - p.contention) / p.coherency))
+    ratio = (1.0 - p.contention) / p.coherency
+    # A tiny coherency overflows the quotient but not its root: take the roots apart then. Elsewhere
+    # the one quotient is kept, which is correctly rounded more often than a quotient of two roots.
+    return max(1.0, math.sqrt(ratio) if ratio < math.inf else math.sqrt(1.0 - p.contention) / math.sqrt(p.coherency))
 
 
-@dataclass(frozen=True)
-class UslFit:
-    """Fitted parameters plus the sum of squared speedup errors."""
+class UslFit(Record):
+    """Fitted parameters plus the sum of squared speedup errors, finite and >= 0."""
 
-    params: UslParams
-    residual: float
+    __slots__ = ("params", "residual")
+
+    def __init__(self, params: UslParams, residual: float) -> None:
+        if not 0 <= residual < math.inf:
+            raise DomainError(f"residual must be finite and >= 0, got {residual}")
+        self._freeze(params, residual)
 
 
 # Tuples, not arrays, so that importing this module does not import numpy.
@@ -170,23 +175,21 @@ def usl_fit(data) -> UslFit:
     return UslFit(UslParams(float(theta[0]), float(theta[1])), residual)
 
 
-@dataclass(frozen=True)
-class SerialModel:
+class SerialModel(Record):
     """Completion time T(N) = sigma + pi_par/N + kappa*N.
 
     sigma is the serial floor (> 0), pi_par the parallelizable work,
     kappa the per-worker coherence cost, both >= 0.
     """
 
-    sigma: float
-    pi_par: float = 0.0
-    kappa: float = 0.0
+    __slots__ = ("sigma", "pi_par", "kappa")
 
-    def __post_init__(self) -> None:
-        if not 0 < self.sigma < math.inf:
-            raise DomainError(f"sigma must be finite and positive, got {self.sigma}")
-        if not (0 <= self.pi_par < math.inf and 0 <= self.kappa < math.inf):
+    def __init__(self, sigma: float, pi_par: float = 0.0, kappa: float = 0.0) -> None:
+        if not 0 < sigma < math.inf:
+            raise DomainError(f"sigma must be finite and positive, got {sigma}")
+        if not (0 <= pi_par < math.inf and 0 <= kappa < math.inf):
             raise DomainError("pi_par and kappa must be finite and non-negative")
+        self._freeze(sigma, pi_par, kappa)
 
 
 @_finite
@@ -215,16 +218,15 @@ def effective_exponent(N: float, m: SerialModel) -> float:
     return x / (1.0 + x)
 
 
-@dataclass(frozen=True)
-class QueueParams:
+class QueueParams(Record):
     """Arrival rate lam and service rate mu of a single queue, both >= 0."""
 
-    lam: float
-    mu: float
+    __slots__ = ("lam", "mu")
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.lam < math.inf and 0 <= self.mu < math.inf):
+    def __init__(self, lam: float, mu: float) -> None:
+        if not (0 <= lam < math.inf and 0 <= mu < math.inf):
             raise DomainError("rates must be finite and non-negative")
+        self._freeze(lam, mu)
 
 
 @_finite

@@ -461,7 +461,6 @@ class TestNonFiniteResult:
         [
             ["serial", "--sigma", "1e308", "--kappa", "1e308", "--n", "1e308"],
             ["queue", "--lambda", "0", "--mu", "1e-320"],
-            ["usl-eval", "--contention", "-1", "--coherency", "1e-320", "--peak"],
             ["usl-eval", "--contention", "0", "--coherency", "1e-300", "--n", "1e308"],
             ["serial", "--sigma", "1e-320", "--pi", "1e308", "--n", "1", "--exponent"],
             ["ensemble", "--class", "interaction", "--D", "1", "--H", "1", "--n", "20",
@@ -469,13 +468,18 @@ class TestNonFiniteResult:
             ["ensemble", "--class", "interaction", "--D", "2", "--H", "1", "--nmin", "1e200", "--nmax", "1e300"],
             ["yield", "--D", "2", "--H", "1", "--n", "1e200"],
         ],
-        ids=["serial", "queue", "usl-eval-peak", "usl-eval-speedup", "serial-exponent", "ensemble-overflow",
+        ids=["serial", "queue", "usl-eval-speedup", "serial-exponent", "ensemble-overflow",
              "ensemble-law-overflow", "yield-overflow"],
     )
     def test_overflowing_result_exits_1_without_output(self, run, argv):
         code, out, err = run(argv)
         assert code == 1 and out == ""
         assert "Traceback" not in err and "finite" in err
+
+    def test_peak_of_a_tiny_coherency_is_finite(self, run):
+        # sqrt(2) / sqrt(1e-320) is about 1.4e160; the quotient 2 / 1e-320 alone would overflow.
+        argv = ["usl-eval", "--contention", "-1", "--coherency", "1e-320", "--peak"]
+        assert run(argv) == (0, "1.41422143453e+160\n", "")
 
 
 EDGE_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-320", "1e150", "1e308"]
@@ -925,6 +929,34 @@ class TestNumpyFreeStart:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "numpy ndarray int64 [[0, 1, 1], [1, 0, 1], [1, 1, 0]]\n"
+
+
+LEAN_PROBE = (
+    "import sys; sys.path.insert(0, sys.argv[1]); from commscale.cli import main\n"
+    "code = main(sys.argv[2:]) if sys.argv[2:] else 0\n"
+    "print(code, *sorted({'dataclasses', 'inspect', 'ast', 'dis'} & sys.modules.keys()), file=sys.stderr)\n"
+)
+
+
+class TestLeanStart:
+    """Start-up imports neither dataclasses nor the inspect, ast and dis that it would pull in."""
+
+    @pytest.mark.parametrize(
+        "argv, stdin_text",
+        [
+            pytest.param([], "", id="import"),
+            pytest.param(["exponents", "--D", "2", "--H", "1"], "", id="exponents"),
+            pytest.param(["compare", "--class", "interaction", "--D", "2", "--H", "1"], FIT_JSON, id="compare"),
+            pytest.param(["graph", "value"], MESH3, id="graph-value"),
+        ],
+    )
+    def test_start_does_not_import_dataclasses(self, argv, stdin_text):
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", LEAN_PROBE, str(SRC), *argv],
+            input=stdin_text, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "0"
 
 
 class TestCliUsesPublicEnsembleApi:

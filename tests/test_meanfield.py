@@ -7,12 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commscale import meanfield as mf
-from commscale.ensemble import EnsembleSpec, model_value
+from commscale.ensemble import CompareReport, EnsembleSpec, model_value
 from commscale.errors import DomainError, UnsupportedConfigError
 from commscale.meanfield import Population, ScalingClass, ScalingParams
 from commscale.promisegraph import Agent, PromiseGraph
 from commscale import uslkit
-from commscale.uslkit import QueueParams, SerialModel, UslParams
+from commscale.uslkit import QueueParams, SerialModel, UslFit, UslParams
 
 
 def params(D=2, H=1.0, **kw):
@@ -362,7 +362,6 @@ class TestClassKernels:
         lambda: mf.linear_consumption(Population(1e308, 1e308), mf.ConsumptionCoeffs(1, 1)),
         lambda: uslkit.serial_time(1e308, SerialModel(1e308, 1.0, 1e308)),
         lambda: uslkit.response_time(QueueParams(0.0, 1e-320)),
-        lambda: uslkit.usl_peak(UslParams(-1.0, 1e-320)),
         # pi_par / sigma overflows, and inf / (1 + inf) is nan.
         lambda: uslkit.effective_exponent(1.0, SerialModel(1e-320, 1e308, 0.0)),
         # The denominator overflows, and N / inf would read as a speedup of 0.
@@ -371,7 +370,7 @@ class TestClassKernels:
     ids=["model-infrastructure", "model-interaction", "yield", "equilibrium", "infrastructure-inf",
          "infrastructure-L-power", "node-degree", "correction-overflow", "correction-inf", "yield-zero-division",
          "infra-agents", "serialized-clients", "impulse-rate", "city-idea-rate", "linear-consumption",
-         "serial-time", "response-time", "usl-peak", "effective-exponent", "usl-speedup"],
+         "serial-time", "response-time", "effective-exponent", "usl-speedup"],
 )
 def test_results_outside_the_float_range_are_domain_errors(call):
     with pytest.raises(DomainError, match="^result is out of the finite float range$"):
@@ -524,7 +523,7 @@ class TestValidation:
             mf.ImpulseParams(alpha_tau=1.5)
 
 
-# One valid instance per parameter record; each numeric field is replaced in turn.
+# One valid instance per parameter or output record; each numeric field is replaced in turn.
 RECORDS = {
     "ScalingParams": (ScalingParams, dict(D=2, H=1.0, g_I=0.5, g_Y=1.0, G_Y=1.0, c_Y=1.0, v_Y=1.0, L=1.0)),
     "Population": (Population, dict(N_I=10.0, N_0=1.0)),
@@ -536,6 +535,10 @@ RECORDS = {
     "QueueParams": (QueueParams, dict(lam=0.5, mu=1.0)),
     "EnsembleSpec": (lambda **kw: EnsembleSpec(ScalingClass.INTERACTION, ScalingParams(D=2, H=1.0), **kw),
                      dict(n_samples=10, N_min=10.0, N_max=100.0, noise_sigma=0.1, inactive_fraction=0.1, seed=1)),
+    # Output records: the fitted residual and every float field of a report.
+    "UslFit": (lambda residual: UslFit(UslParams(0.1, 0.01), residual), dict(residual=0.5)),
+    "CompareReport": (lambda **kw: CompareReport(**kw, within_k_stderr=True),
+                      dict(theory_beta=7 / 6, fitted_beta=1.17, gap=0.0033, stderr_beta=0.01, k=2.0)),
     "PromiseGraph": (lambda calibration: PromiseGraph([Agent("a")], calibration=calibration), dict(calibration=2.0)),
     "PromiseGraph-mapping": (lambda svc: PromiseGraph([Agent("a")], calibration={"svc": svc}), dict(svc=2.0)),
 }
@@ -555,6 +558,11 @@ def test_non_finite_parameters_are_domain_errors(record, field, bad):
     make(**kwargs)
     with pytest.raises(DomainError):
         make(**{**kwargs, field: bad})
+
+
+def test_fitted_residual_is_not_negative():
+    with pytest.raises(DomainError, match="residual must be finite and >= 0"):
+        UslFit(UslParams(0.1, 0.01), -1.0)
 
 
 # One valid call per public function of plain-number arguments, and the arguments that must also reject inf.

@@ -4,7 +4,7 @@ import math
 import pickle
 import random
 import weakref
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -72,7 +72,8 @@ def naive_reduce(graph):
         ]
         if not any(fired):
             return PromiseGraph(graph.agents, promises, graph.calibration)
-        promises = [replace(p, condition=()) if f else p for p, f in zip(promises, fired)]
+        promises = [Promise(p.giver, p.receiver, p.type_tag, p.polarity, p.constraint) if f else p
+                    for p, f in zip(promises, fired)]
 
 
 def brute_force_bindings(graph):
@@ -216,7 +217,7 @@ class TestSlottedRecords:
         "clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
     )
     def test_records_and_graph_round_trip(self, clone):
-        promises = [replace(self.OFFER, condition=()), self.ACCEPT]
+        promises = [Promise("a", "b", "svc", Polarity.OFFER, self.OFFER.constraint), self.ACCEPT]
         g = PromiseGraph([Agent("a", 0.5), Agent("b")], promises, {"svc": 2.0})
         for value in self.records() + [g]:
             again = clone(value)
@@ -224,7 +225,8 @@ class TestSlottedRecords:
         assert pg.total_value(clone(g)) == pg.total_value(g) == 1.0
 
     def test_replace_resorts_condition(self):
-        p = replace(self.OFFER, condition=("z", "d", "z"))
+        o = self.OFFER
+        p = Promise(o.giver, o.receiver, o.type_tag, o.polarity, o.constraint, condition=("z", "d", "z"))
         assert p.condition == ("d", "z")
         assert self.OFFER.condition == ("c", "q")
 

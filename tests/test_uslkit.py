@@ -85,6 +85,12 @@ class TestUslPeak:
                 n = max(1.0, factor * n_star)
                 assert uslkit.usl_speedup(n, p) <= s_star + 1e-12
 
+    def test_tiny_coherency_does_not_overflow(self):
+        # (1 - contention) / coherency = 2 / 1e-320 overflows; the peak itself is about 1.4e160.
+        peak = uslkit.usl_peak(UslParams(-1.0, 1e-320))
+        assert peak == math.sqrt(2.0) / math.sqrt(1e-320)
+        assert peak == pytest.approx(1.4142e160, rel=1e-4)
+
     def test_unbounded_curve_is_an_error(self):
         with pytest.raises(UnboundedPeakError):
             uslkit.usl_peak(UslParams(0.5, 0.0))
