@@ -4,7 +4,9 @@ One command per invocation; scalar results print as bare numbers,
 reports as JSON, series as CSV, graphs in the text format documented in
 graphio. All numbers carry 12 significant digits. Exit codes: 0 on
 success, 1 on domain errors (message on stderr, nothing on stdout),
-2 on usage errors. A non-finite result is a domain error.
+2 on usage errors. A non-finite result is a domain error. The handlers
+pass raw library values and records to the JSON writer, which rounds and
+checks every float in one place.
 """
 
 from __future__ import annotations
@@ -41,8 +43,24 @@ def _emit(text: str) -> int:
     return 0
 
 
+def _rounded(obj):
+    """obj with _jnum applied to every float among its dict values and list items."""
+    if isinstance(obj, float):
+        return _jnum(obj)
+    if isinstance(obj, dict):
+        return {key: _rounded(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_rounded(item) for item in obj]
+    return obj
+
+
+def _fields(record) -> dict:
+    """A record's fields by name, in field order."""
+    return dict(zip(record._fields, record._values))
+
+
 def _emit_json(obj) -> int:
-    return _emit(json.dumps(obj, indent=2, allow_nan=False) + "\n")
+    return _emit(json.dumps(_rounded(obj), indent=2, allow_nan=False) + "\n")
 
 
 def _read_input(args) -> str:
@@ -65,7 +83,7 @@ def _cmd_exponents(args) -> int:
     table = {}
     for cls in ScalingClass:
         try:
-            table[cls.value] = _jnum(meanfield.predicted_exponent(cls, params))
+            table[cls.value] = meanfield.predicted_exponent(cls, params)
         except DomainError:
             table[cls.value] = None
     return _emit_json(table)
@@ -90,18 +108,8 @@ def _cmd_ensemble(args) -> int:
     return _emit(ensemble.samples_to_csv(*ensemble.generate(spec)))
 
 
-def _fit_to_json(fit: ensemble.PowerLawFit) -> dict:
-    return {
-        "beta": _jnum(fit.beta),
-        "log_intercept": _jnum(fit.log_intercept),
-        "r_squared": _jnum(fit.r_squared),
-        "stderr_beta": _jnum(fit.stderr_beta),
-        "n": fit.n,
-    }
-
-
 def _cmd_fit(args) -> int:
-    return _emit_json(_fit_to_json(ensemble.fit_power_law(*ensemble.parse_csv(_read_input(args)))))
+    return _emit_json(_fields(ensemble.fit_power_law(*ensemble.parse_csv(_read_input(args)))))
 
 
 _FIT_DEFAULTS = (("log_intercept", 0.0), ("r_squared", 1.0), ("stderr_beta", 0.0))
@@ -118,16 +126,7 @@ def _cmd_compare(args) -> int:
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError, RecursionError):
         raise DomainError("input must be fit JSON with at least a 'beta' field, all numeric fields finite") from None
     report = ensemble.compare(fit, ScalingClass(args.scaling_class), ScalingParams(D=args.D, H=args.H), k=args.k)
-    return _emit_json(
-        {
-            "theory_beta": _jnum(report.theory_beta),
-            "fitted_beta": _jnum(report.fitted_beta),
-            "gap": _jnum(report.gap),
-            "stderr_beta": _jnum(report.stderr_beta),
-            "k": _jnum(report.k),
-            "within_k_stderr": report.within_k_stderr,
-        }
-    )
+    return _emit_json(_fields(report))
 
 
 def _cmd_usl_eval(args) -> int:
@@ -141,13 +140,7 @@ def _cmd_usl_eval(args) -> int:
 
 def _cmd_usl_fit(args) -> int:
     fit = uslkit.usl_fit(zip(*tabular.parse_pairs(_read_input(args), "N,value")))
-    return _emit_json(
-        {
-            "contention": _jnum(fit.params.contention),
-            "coherency": _jnum(fit.params.coherency),
-            "residual": _jnum(fit.residual),
-        }
-    )
+    return _emit_json({**_fields(fit.params), "residual": fit.residual})
 
 
 def _cmd_serial(args) -> int:
@@ -172,8 +165,8 @@ def _cmd_graph_value(args) -> int:
     bindings = promisegraph.find_bindings(reduced)
     return _emit_json(
         {
-            "total_value": _jnum(promisegraph.total_value(reduced)),
-            "rho": _jnum(promisegraph.mesh_density(reduced)),
+            "total_value": promisegraph.total_value(reduced),
+            "rho": promisegraph.mesh_density(reduced),
             "largest_component": promisegraph.largest_binding_component(reduced),
             "agents": len(graph.agents),
             "bindings": len(bindings),
@@ -228,7 +221,7 @@ def _cmd_graph_classify(args) -> int:
     )
     out = {"class": cls.value}
     if args.D is not None:
-        out["exponent"] = _jnum(meanfield.predicted_exponent(cls, ScalingParams(D=args.D, H=args.H)))
+        out["exponent"] = meanfield.predicted_exponent(cls, ScalingParams(D=args.D, H=args.H))
     return _emit_json(out)
 
 
@@ -357,7 +350,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    # argparse before Python 3.12 takes --flag=-- as [], neither converted nor checked.
+    if [] in vars(args).values():
+        parser.error("'--' is not a flag value")
     try:
         return args.func(args)
     except (DomainError, OSError, UnicodeDecodeError) as exc:
@@ -366,7 +363,3 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -32,7 +32,7 @@ from numbers import Real
 from typing import TYPE_CHECKING, Union
 
 from ._record import Record
-from .errors import DomainError, UnknownAgentError
+from .errors import DomainError, UnknownAgentError, _finite
 from .meanfield import ScalingClass
 
 if TYPE_CHECKING:
@@ -368,13 +368,15 @@ def valuation(graph: PromiseGraph, binding: Binding) -> float:
     return c * giver.assessment * receiver.assessment
 
 
+@_finite
 def total_value(graph: PromiseGraph) -> float:
     """Total network value: the sum of binding valuations after reduction.
 
     For a complete positive mesh of N unit-assessment agents this is
     c * N * (N - 1); thinning the mesh to a fraction rho of the possible
     directed pairs scales it to c * rho * N * (N - 1). Summed with
-    math.fsum so the result is independent of binding order.
+    math.fsum so the result is independent of binding order. A sum outside
+    the finite float range raises DomainError.
     """
     reduced = reduce_conditionals(graph)
     return math.fsum(valuation(reduced, b) for b in _kept_bindings(reduced))

@@ -1,8 +1,10 @@
 import ast
+import builtins
 import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from commscale import ensemble, promisegraph, tabular, uslkit
+from commscale import ensemble, errors, promisegraph, tabular, uslkit
 from commscale.cli import _find_offer, main
 from commscale.errors import CsvFormatError, DomainError
 from commscale.graphio import emit_graph, parse_graph
@@ -457,22 +459,25 @@ class TestNonFiniteInput:
 
 class TestNonFiniteResult:
     @pytest.mark.parametrize(
-        "argv",
+        "argv, stdin_text",
         [
-            ["serial", "--sigma", "1e308", "--kappa", "1e308", "--n", "1e308"],
-            ["queue", "--lambda", "0", "--mu", "1e-320"],
-            ["usl-eval", "--contention", "0", "--coherency", "1e-300", "--n", "1e308"],
-            ["serial", "--sigma", "1e-320", "--pi", "1e308", "--n", "1", "--exponent"],
-            ["ensemble", "--class", "interaction", "--D", "1", "--H", "1", "--n", "20",
-             "--nmin", "1e140", "--nmax", "1e150", "--noise", "100", "--seed", "3"],
-            ["ensemble", "--class", "interaction", "--D", "2", "--H", "1", "--nmin", "1e200", "--nmax", "1e300"],
-            ["yield", "--D", "2", "--H", "1", "--n", "1e200"],
+            (["serial", "--sigma", "1e308", "--kappa", "1e308", "--n", "1e308"], None),
+            (["queue", "--lambda", "0", "--mu", "1e-320"], None),
+            (["usl-eval", "--contention", "0", "--coherency", "1e-300", "--n", "1e308"], None),
+            (["serial", "--sigma", "1e-320", "--pi", "1e308", "--n", "1", "--exponent"], None),
+            (["ensemble", "--class", "interaction", "--D", "1", "--H", "1", "--n", "20",
+              "--nmin", "1e140", "--nmax", "1e150", "--noise", "100", "--seed", "3"], None),
+            (["ensemble", "--class", "interaction", "--D", "2", "--H", "1", "--nmin", "1e200", "--nmax", "1e300"],
+             None),
+            (["yield", "--D", "2", "--H", "1", "--n", "1e200"], None),
+            # Six bindings of 1e308 each: every valuation is finite, their sum is not.
+            (["graph", "value", "--calibration", "1e308"], MESH3),
         ],
         ids=["serial", "queue", "usl-eval-speedup", "serial-exponent", "ensemble-overflow",
-             "ensemble-law-overflow", "yield-overflow"],
+             "ensemble-law-overflow", "yield-overflow", "graph-value"],
     )
-    def test_overflowing_result_exits_1_without_output(self, run, argv):
-        code, out, err = run(argv)
+    def test_overflowing_result_exits_1_without_output(self, run, argv, stdin_text):
+        code, out, err = run(argv, stdin_text)
         assert code == 1 and out == ""
         assert "Traceback" not in err and "finite" in err
 
@@ -520,19 +525,26 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def _run_isolated(argv, stdin_text=""):
-    """main(argv) with its own stdin, stdout and stderr; a usage error's SystemExit becomes its code."""
+@contextlib.contextmanager
+def _isolated(stdin_text):
+    """Runs its block with stdin reading stdin_text, and yields the buffers that take stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin_text)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+            yield out, err
     finally:
         sys.stdin = saved
+
+
+def _run_isolated(argv, stdin_text=""):
+    """main(argv) with its own stdin, stdout and stderr; a usage error's SystemExit becomes its code."""
+    with _isolated(stdin_text) as (out, err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -858,6 +870,170 @@ class TestHostileInputFuzz:
             assert proc.returncode == 1 and proc.stderr.startswith(b"error: ")
 
 
+# The argv fuzz. Each flag has ordinary values; up to two flags of a run take an edge value instead, one that the
+# flag should refuse or that sits at the limit of what it takes.
+ARGV_EDGE = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "1e-320", "1e-300", "1e150", "1e308", "1e999", "x", "",
+                     "0x10", "1_000", " 2", "--"]),
+    st.floats().map(repr),
+    st.integers(-5, 10**6).map(str),
+)
+ARGV_TOKENS = st.sampled_from(["a", "b", "c", "hub", "m1", "m2", "researcher", "university", "company", "svc",
+                               "member", "lab_access", "patent", "S", "*", "", "a,b", "x y", "#", "--"])
+# Edge values of the flags that do not take a number, or take one of their own kind.
+ARGV_EDGES = {
+    **{flag: ARGV_TOKENS for flag in ("--giver", "--receiver", "--type", "--super-id", "--authority",
+                                      "--membership-type")},
+    "--members": st.lists(ARGV_TOKENS, max_size=4).map(",".join),
+    "--class": st.sampled_from(["nope", "", "Interaction", "--"]),
+    "--D": st.sampled_from(["0", "-1", "1000", str(2**64), str(10**400), "1.5", "nan", "x", "--"]),
+    "--seed": st.sampled_from(["-1", str(2**64 - 1), str(2**64), "1e3", "x", "--"]),
+    "--input": st.just("no-such-input.txt"),
+    # A calibration near the float limit overflows the sum of a few bindings.
+    "--calibration": st.sampled_from(["1e308", "-1e308", "1.7976931348623157e+308", "1e-320", "0", "nan", "x", "--"]),
+}
+ARGV_DH = {"--D": ["1", "2", "3", "4"], "--H": ["0", "0.5", "1", "1.5", "2"]}
+ARGV_CLASS = {"--class": [c.value for c in ScalingClass]}
+# "" reads stdin, as no --input does.
+ARGV_INPUT = {"--input": [""]}
+ARGV_GRAPH = {**ARGV_INPUT, "--calibration": ["1", "0.5", "2.5", "-1"]}
+ARGV_MEMBERSHIP = {"--membership-type": ["member", "svc"]}
+
+
+@st.composite
+def fit_json_text(draw):
+    """Fit JSON with 'beta' most of the time, its fields numbers of any size or other JSON values."""
+    value = st.one_of(st.sampled_from([0, 0.01, 0.5, 1, 1.17, 50]), st.floats(), st.integers(-10**20, 10**20),
+                      st.sampled_from([True, None, "1.1", [], {}]))
+    optional = {key: value for key in ("beta", "log_intercept", "r_squared", "stderr_beta", "n")}
+    required = {"beta": optional.pop("beta")} if draw(st.integers(0, 7)) else {}
+    return json.dumps(draw(st.fixed_dictionaries(required, optional=optional)))
+
+
+@st.composite
+def speedup_csv_text(draw):
+    """`N,value` CSV of up to 30 rows of concurrency levels and speedups; in half of them one cell is any float."""
+    rows = draw(st.lists(st.tuples(st.integers(1, 256), st.floats(0.1, 300)).map(list), max_size=30))
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 1))] = draw(st.floats())
+    return "N,value\n" + "".join(f"{n!r},{v!r}\n" for n, v in rows)
+
+
+def _argv_spec(argv, stdout, required=(), optional=(), switches=(), stdin=st.just(""), edges=()):
+    """required and optional map each flag to its ordinary values; edges gives a flag edge values of its own."""
+    return SimpleNamespace(argv=argv, stdout=stdout, required=dict(required), optional=dict(optional),
+                           switches=switches, stdin=stdin, edges={**ARGV_EDGES, **dict(edges)})
+
+
+# Every subcommand: its flags, the form of its stdout, and what it reads on stdin (TestHostileInputFuzz gives
+# the input commands hostile text).
+ARGV_FUZZ = {
+    "exponents": _argv_spec(["exponents"], "json", ARGV_DH),
+    "yield": _argv_spec(["yield"], "scalar", {**ARGV_DH, "--n": ["1", "1000", "12345"]},
+                        {"--inactive": ["0", "0.3", "0.9"]}),
+    "ensemble": _argv_spec(
+        ["ensemble"], "csv", {**ARGV_CLASS, **ARGV_DH},
+        {"--n": ["2", "20", "500"], "--nmin": ["1", "10", "1e3"], "--nmax": ["1e4", "1e7"],
+         "--noise": ["0", "0.1", "2"], "--inactive": ["0", "0.25", "0.9"], "--seed": ["0", "7", "123456789"]},
+        # At most 2,000 samples: --n sizes the ensemble.
+        edges={"--n": st.one_of(st.integers(-2, 2000).map(str), st.sampled_from(["1e3", "2.5", "x", "", "--"]))},
+    ),
+    "fit": _argv_spec(["fit"], "json", optional=ARGV_INPUT, stdin=mutated_csv_text()),
+    "compare": _argv_spec(["compare"], "json", {**ARGV_CLASS, **ARGV_DH}, {**ARGV_INPUT, "--k": ["0", "2", "3.5"]},
+                          stdin=fit_json_text()),
+    "usl-eval": _argv_spec(["usl-eval"], "scalar", {"--contention": ["0", "0.05", "0.5", "-0.5"]},
+                           {"--coherency": ["0", "0.0002", "0.1"], "--n": ["1", "8", "64"]}, switches=("--peak",)),
+    "usl-fit": _argv_spec(["usl-fit"], "json", optional=ARGV_INPUT, stdin=speedup_csv_text()),
+    "serial": _argv_spec(["serial"], "scalar", {"--sigma": ["0", "1.5"], "--n": ["1", "32"]},
+                         {"--pi": ["0", "40"], "--kappa": ["0", "0.01"]}, switches=("--exponent",)),
+    "queue": _argv_spec(["queue"], "scalar", {"--lambda": ["0", "3.5"], "--mu": ["1", "4.25"]}),
+    **{f"graph-{command}": _argv_spec(["graph", command], form, optional=ARGV_GRAPH, stdin=mutated_graph_text())
+       for command, form in (("value", "json"), ("bindings", "json"), ("reduce", "graph"))},
+    "graph-aggregate": _argv_spec(["graph", "aggregate"], "graph",
+                                  {"--members": ["a,b", "m1,m2", "a", "researcher,university"],
+                                   "--super-id": ["S", "T"]}, ARGV_GRAPH, stdin=mutated_graph_text()),
+    # The ordinary offer is one of FUZZ_BASE's; edge values of the three flags name others, or none.
+    "graph-classify": _argv_spec(["graph", "classify"], "json",
+                                 {"--giver": ["a"], "--receiver": ["b"], "--type": ["svc"]},
+                                 {**ARGV_GRAPH, **ARGV_MEMBERSHIP, **ARGV_DH, "--threshold": ["0", "0.1", "0.5"]},
+                                 stdin=mutated_graph_text()),
+    "graph-community": _argv_spec(["graph", "community"], "json", {"--authority": ["hub", "a"]},
+                                  {**ARGV_GRAPH, **ARGV_MEMBERSHIP}, stdin=mutated_graph_text()),
+}
+
+
+# True in 15 of 16 entries. Hypothesis draws the first entry most often, so True comes first.
+ALMOST_ALWAYS = st.sampled_from([True] * 15 + [False])
+
+
+@st.composite
+def fuzzed_argv(draw, spec):
+    """spec's argv with each flag as --flag=value. A required flag is left out in a few runs in a hundred and an
+    optional one in half of them; up to two of the flags given take an edge value; now and then a stray token goes
+    in."""
+    values = {**spec.required, **spec.optional}
+    flags = [f for f in spec.required if draw(ALMOST_ALWAYS)] + [f for f in spec.optional if draw(st.booleans())]
+    edged = draw(st.sets(st.sampled_from(flags), max_size=2)) if flags else set()
+    argv = spec.argv + [
+        f"{f}={draw(spec.edges.get(f, ARGV_EDGE) if f in edged else st.sampled_from(values[f]))}" for f in flags
+    ]
+    argv += [switch for switch in spec.switches if draw(st.booleans())]
+    if not draw(ALMOST_ALWAYS):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "extra", "--n", "-x"])))
+    return argv
+
+
+# A word that names a Python exception class, which a domain-error message must not show.
+EXCEPTION_NAME = re.compile(r"\b(%s)\b" % "|".join(
+    [name for name, v in vars(builtins).items() if isinstance(v, type) and issubclass(v, BaseException)]
+    + errors.__all__))
+
+
+def _json_floats(text):
+    """The floats of strict JSON text, as parsed."""
+    floats = []
+    json.loads(text, parse_float=lambda s: floats.append(float(s)),
+               parse_constant=lambda c: pytest.fail(f"non-strict JSON constant {c}"))
+    return floats
+
+
+def _check_stdout(form, out):
+    if form == "json":
+        assert all(x == float(format(x, ".12g")) and math.isfinite(x) for x in _json_floats(out)), out
+    elif form == "scalar":
+        assert math.isfinite(float(out)) and out == format(float(out), ".12g") + "\n"
+    elif form == "csv":
+        assert out == tabular.format_pairs(zip(*tabular.parse_pairs(out, "N,Y")), "N,Y")
+    else:
+        _canonical_graph(out)
+
+
+class TestArgvFuzz:
+    """Every subcommand with generated flags and stdin: exit 0 or 1 or a usage SystemExit(2) and nothing else,
+    stdout only on 0 and then strict with 12-digit floats, and no exception class named in an error message."""
+
+    @pytest.mark.parametrize("name", sorted(ARGV_FUZZ))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_subcommand(self, name, data):
+        spec = ARGV_FUZZ[name]
+        argv = data.draw(fuzzed_argv(spec), label="argv")
+        with _isolated(data.draw(spec.stdin, label="stdin")) as (out, err):
+            try:
+                code, exited = main(argv), False
+            except SystemExit as exc:
+                code, exited = exc.code, True
+        out, err = out.getvalue(), err.getvalue()
+        assert code == 2 if exited else code in (0, 1)
+        if code:
+            assert out == ""
+        if code == 1:
+            assert err.startswith("error: ") and not EXCEPTION_NAME.search(err), err
+        if code == 0:
+            assert err == ""
+            _check_stdout(spec.stdout, out)
+
+
 SRC = Path(uslkit.__file__).resolve().parents[1]
 # Runs cli.main(argv) in a fresh interpreter, then reports the exit code and
 # whether numpy was imported as the last line of stderr.
@@ -1009,6 +1185,21 @@ class TestUsageErrors:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and "--D and --H must be given together" in err
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exponents", "--D", "2", "--H=--"],
+            ["exponents", "--D=--", "--H", "1"],
+            ["graph", "aggregate", "--members=--", "--super-id", "S"],
+        ],
+        ids=["float", "int", "text"],
+    )
+    def test_double_dash_as_a_flag_value(self, argv):
+        # argparse before Python 3.12 passes --flag=-- on as [], neither converted nor checked.
+        code, out, err = _run_isolated(argv)
+        assert code in (1, 2) and out == "" and "error: " in err
 
 
 class TestModuleEntryPoint:

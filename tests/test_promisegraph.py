@@ -606,6 +606,13 @@ class TestTotalValue:
     def test_empty_graph(self):
         assert pg.total_value(PromiseGraph([])) == 0.0
 
+    @pytest.mark.parametrize("calibration", [1e308, -1e308, {"svc": 1e308, "fuel": 1e308}])
+    def test_sum_outside_the_float_range_is_a_domain_error(self, calibration):
+        # Each valuation is finite; their sum is not, and fsum raises OverflowError on its own.
+        g = PromiseGraph([Agent("a"), Agent("b")], pair("a", "b") + pair("b", "a", "fuel"), calibration)
+        with pytest.raises(DomainError, match="^result is out of the finite float range$"):
+            pg.total_value(g)
+
 
 class TestMeshDensity:
     def test_complete_mesh(self):
