@@ -4,14 +4,19 @@ One command per invocation; scalar results print as bare numbers,
 reports as JSON, series as CSV, graphs in the text format documented in
 graphio. All numbers carry 12 significant digits. Exit codes: 0 on
 success, 1 on domain errors (message on stderr, nothing on stdout),
-2 on usage errors. A non-finite result is a domain error. The handlers
-pass raw library values and records to the JSON writer, which rounds and
-checks every float in one place.
+2 on usage errors. A non-finite result is a domain error.
+
+_COMMANDS is the command table: each command's handler, help line and
+flags in help order ("graph value" is value in the group graph, a row
+without handler). The parser is built once per process. Handlers return
+results and main alone writes stdout: a str as it is, a dict or list as
+JSON with every float rounded and checked, a number as one line.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -38,11 +43,6 @@ def _jnum(x: float) -> float:
     return float(_fmt(x))
 
 
-def _emit(text: str) -> int:
-    sys.stdout.write(text)
-    return 0
-
-
 def _rounded(obj):
     """obj with _jnum applied to every float among its dict values and list items."""
     if isinstance(obj, float):
@@ -57,10 +57,6 @@ def _rounded(obj):
 def _fields(record) -> dict:
     """A record's fields by name, in field order."""
     return dict(zip(record._fields, record._values))
-
-
-def _emit_json(obj) -> int:
-    return _emit(json.dumps(_rounded(obj), indent=2, allow_nan=False) + "\n")
 
 
 def _read_input(args) -> str:
@@ -78,7 +74,7 @@ def _population(args) -> Population:
     return Population(args.n - n0, n0)
 
 
-def _cmd_exponents(args) -> int:
+def _cmd_exponents(args) -> dict:
     params = ScalingParams(D=args.D, H=args.H)
     table = {}
     for cls in ScalingClass:
@@ -86,15 +82,14 @@ def _cmd_exponents(args) -> int:
             table[cls.value] = meanfield.predicted_exponent(cls, params)
         except DomainError:
             table[cls.value] = None
-    return _emit_json(table)
+    return table
 
 
-def _cmd_yield(args) -> int:
-    params = ScalingParams(D=args.D, H=args.H)
-    return _emit(_fmt(meanfield.yield_output(_population(args), params)) + "\n")
+def _cmd_yield(args) -> float:
+    return meanfield.yield_output(_population(args), ScalingParams(D=args.D, H=args.H))
 
 
-def _cmd_ensemble(args) -> int:
+def _cmd_ensemble(args) -> str:
     spec = ensemble.EnsembleSpec(
         scaling_class=ScalingClass(args.scaling_class),
         params=ScalingParams(D=args.D, H=args.H),
@@ -105,17 +100,17 @@ def _cmd_ensemble(args) -> int:
         inactive_fraction=args.inactive,
         seed=args.seed,
     )
-    return _emit(ensemble.samples_to_csv(*ensemble.generate(spec)))
+    return ensemble.samples_to_csv(*ensemble.generate(spec))
 
 
-def _cmd_fit(args) -> int:
-    return _emit_json(_fields(ensemble.fit_power_law(*ensemble.parse_csv(_read_input(args)))))
+def _cmd_fit(args) -> dict:
+    return _fields(ensemble.fit_power_law(*ensemble.parse_csv(_read_input(args))))
 
 
 _FIT_DEFAULTS = (("log_intercept", 0.0), ("r_squared", 1.0), ("stderr_beta", 0.0))
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> dict:
     try:
         obj = json.loads(_read_input(args))
         values = [obj["beta"]] + [obj.get(k, d) for k, d in _FIT_DEFAULTS]
@@ -126,52 +121,50 @@ def _cmd_compare(args) -> int:
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError, RecursionError):
         raise DomainError("input must be fit JSON with at least a 'beta' field, all numeric fields finite") from None
     report = ensemble.compare(fit, ScalingClass(args.scaling_class), ScalingParams(D=args.D, H=args.H), k=args.k)
-    return _emit_json(_fields(report))
+    return _fields(report)
 
 
-def _cmd_usl_eval(args) -> int:
+def _cmd_usl_eval(args) -> float:
     params = UslParams(contention=args.contention, coherency=args.coherency)
     if args.peak:
-        return _emit(_fmt(uslkit.usl_peak(params)) + "\n")
+        return uslkit.usl_peak(params)
     if args.n is None:
         raise DomainError("--n is required unless --peak is given")
-    return _emit(_fmt(uslkit.usl_speedup(args.n, params)) + "\n")
+    return uslkit.usl_speedup(args.n, params)
 
 
-def _cmd_usl_fit(args) -> int:
+def _cmd_usl_fit(args) -> dict:
     fit = uslkit.usl_fit(zip(*tabular.parse_pairs(_read_input(args), "N,value")))
-    return _emit_json({**_fields(fit.params), "residual": fit.residual})
+    return {**_fields(fit.params), "residual": fit.residual}
 
 
-def _cmd_serial(args) -> int:
+def _cmd_serial(args) -> float:
     model = SerialModel(sigma=args.sigma, pi_par=args.pi, kappa=args.kappa)
     if args.exponent:
-        return _emit(_fmt(uslkit.effective_exponent(args.n, model)) + "\n")
-    return _emit(_fmt(uslkit.serial_time(args.n, model)) + "\n")
+        return uslkit.effective_exponent(args.n, model)
+    return uslkit.serial_time(args.n, model)
 
 
-def _cmd_queue(args) -> int:
-    return _emit(_fmt(uslkit.response_time(QueueParams(lam=args.lam, mu=args.mu))) + "\n")
+def _cmd_queue(args) -> float:
+    return uslkit.response_time(QueueParams(lam=args.lam, mu=args.mu))
 
 
 def _load_graph(args) -> promisegraph.PromiseGraph:
     return graphio.parse_graph(_read_input(args), calibration=args.calibration)
 
 
-def _cmd_graph_value(args) -> int:
+def _cmd_graph_value(args) -> dict:
     graph = _load_graph(args)
     reduced = promisegraph.reduce_conditionals(graph)
     # This binds the reduced graph, once: the measures below read the bindings it keeps.
     bindings = promisegraph.find_bindings(reduced)
-    return _emit_json(
-        {
-            "total_value": promisegraph.total_value(reduced),
-            "rho": promisegraph.mesh_density(reduced),
-            "largest_component": promisegraph.largest_binding_component(reduced),
-            "agents": len(graph.agents),
-            "bindings": len(bindings),
-        }
-    )
+    return {
+        "total_value": promisegraph.total_value(reduced),
+        "rho": promisegraph.mesh_density(reduced),
+        "largest_component": promisegraph.largest_binding_component(reduced),
+        "agents": len(graph.agents),
+        "bindings": len(bindings),
+    }
 
 
 # A row of json.dumps(rows, indent=2), written directly: with indent=2 json runs its pure-Python encoder.
@@ -181,7 +174,7 @@ _BINDING_ROW = (
 )
 
 
-def _cmd_graph_bindings(args) -> int:
+def _cmd_graph_bindings(args) -> str:
     graph = _load_graph(args)
     quote = json.encoder.encode_basestring_ascii
     rows = [
@@ -190,17 +183,16 @@ def _cmd_graph_bindings(args) -> int:
                         _jnum(promisegraph.valuation(graph, b)))
         for b in promisegraph.find_bindings(graph)
     ]
-    return _emit("[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n")
+    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
 
 
-def _cmd_graph_reduce(args) -> int:
-    return _emit(graphio.emit_graph(promisegraph.reduce_conditionals(_load_graph(args))))
+def _cmd_graph_reduce(args) -> str:
+    return graphio.emit_graph(promisegraph.reduce_conditionals(_load_graph(args)))
 
 
-def _cmd_graph_aggregate(args) -> int:
+def _cmd_graph_aggregate(args) -> str:
     members = [m for m in args.members.split(",") if m]
-    graph = promisegraph.aggregate(_load_graph(args), members, args.super_id)
-    return _emit(graphio.emit_graph(graph))
+    return graphio.emit_graph(promisegraph.aggregate(_load_graph(args), members, args.super_id))
 
 
 def _find_offer(graph: promisegraph.PromiseGraph, giver: str, receiver: str, type_tag: str) -> promisegraph.Promise:
@@ -211,7 +203,7 @@ def _find_offer(graph: promisegraph.PromiseGraph, giver: str, receiver: str, typ
     raise DomainError(f"no offer of type {type_tag!r} from {giver!r} to {receiver!r} in the graph")
 
 
-def _cmd_graph_classify(args) -> int:
+def _cmd_graph_classify(args) -> dict:
     if (args.D is None) != (args.H is None):
         args.usage_error("--D and --H must be given together")
     graph = _load_graph(args)
@@ -222,141 +214,114 @@ def _cmd_graph_classify(args) -> int:
     out = {"class": cls.value}
     if args.D is not None:
         out["exponent"] = meanfield.predicted_exponent(cls, ScalingParams(D=args.D, H=args.H))
-    return _emit_json(out)
+    return out
 
 
-def _cmd_graph_community(args) -> int:
-    members = promisegraph.community_members(_load_graph(args), args.authority, args.membership_type)
-    return _emit_json(sorted(members))
+def _cmd_graph_community(args) -> list:
+    return sorted(promisegraph.community_members(_load_graph(args), args.authority, args.membership_type))
 
 
-def _add_input_flag(parser) -> None:
-    parser.add_argument("--input", help="read from this file instead of stdin")
+_INPUT = [("--input", {"help": "read from this file instead of stdin"})]
+_CLASS = [("--class", {"dest": "scaling_class", "choices": [c.value for c in ScalingClass], "required": True})]
+_DH = [("--D", {"type": int, "required": True, "help": "embedding dimension (integer >= 1)"}),
+       ("--H", {"type": finite_float, "required": True, "help": "trajectory dimension (0 <= H <= D)"})]
+_INACTIVE = [("--inactive", {"type": finite_float, "default": 0.0, "help": "inactive fraction N_0/N (default 0)"})]
+_GRAPH_INPUT = [*_INPUT, ("--calibration", {"type": finite_float, "default": 1.0,
+                                              "help": "currency value per binding type (default 1)"})]
+_MEMBERSHIP = [("--membership-type", {"dest": "membership_type", "default": "member"})]
+
+_COMMANDS = {
+    "exponents": (_cmd_exponents, "predicted exponent for every scaling class, as JSON", _DH),
+    "yield": (_cmd_yield, "interaction yield at the equilibrium volume",
+              [*_DH, ("--n", {"type": finite_float, "required": True, "help": "total population N"}), *_INACTIVE]),
+    "ensemble": (_cmd_ensemble, "generate a synthetic (N,Y) ensemble as CSV", [
+        *_CLASS, *_DH,
+        ("--n", {"type": int, "default": 500, "help": "sample count (default 500)"}),
+        ("--nmin", {"type": finite_float, "default": 1e3, "help": "smallest population (default 1e3)"}),
+        ("--nmax", {"type": finite_float, "default": 1e7, "help": "largest population (default 1e7)"}),
+        ("--noise", {"type": finite_float, "default": 0.1, "help": "log-normal noise sigma (default 0.1)"}),
+        *_INACTIVE,
+        ("--seed", {"type": int, "default": 0, "help": "64-bit unsigned seed (default 0)"}),
+    ]),
+    "fit": (_cmd_fit, "fit a power law to N,Y CSV from a file or stdin", _INPUT),
+    "compare": (_cmd_compare, "compare fit JSON against the theoretical exponent", [
+        *_CLASS, *_DH,
+        ("--k", {"type": finite_float, "default": 2.0, "help": "stderr multiple for the pass flag (default 2)"}),
+        *_INPUT,
+    ]),
+    "usl-eval": (_cmd_usl_eval, "evaluate the scalability law", [
+        ("--contention", {"type": finite_float, "required": True}),
+        ("--coherency", {"type": finite_float, "default": 0.0}),
+        ("--n", {"type": finite_float, "help": "concurrency level N >= 1"}),
+        ("--peak", {"action": "store_true", "help": "print the speedup-maximizing N instead"}),
+    ]),
+    "usl-fit": (_cmd_usl_fit, "fit contention/coherency to N,value speedup CSV", _INPUT),
+    "serial": (_cmd_serial, "serial-fraction completion time sigma + pi/N + kappa*N", [
+        ("--sigma", {"type": finite_float, "required": True}),
+        ("--pi", {"type": finite_float, "default": 0.0}),
+        ("--kappa", {"type": finite_float, "default": 0.0}),
+        ("--n", {"type": finite_float, "required": True}),
+        ("--exponent", {"action": "store_true", "help": "print the local power-law slope (kappa=0 regime)"}),
+    ]),
+    "queue": (_cmd_queue, "steady-state response time 1/(mu - lambda)", [
+        ("--lambda", {"dest": "lam", "type": finite_float, "required": True, "help": "arrival rate"}),
+        ("--mu", {"type": finite_float, "required": True, "help": "service rate"}),
+    ]),
+    "graph": (None, "promise-graph operations on the text format", []),
+    "graph value": (_cmd_graph_value, "total value, mesh density and largest component, as JSON", _GRAPH_INPUT),
+    "graph bindings": (_cmd_graph_bindings, "list bindings as JSON", _GRAPH_INPUT),
+    "graph reduce": (_cmd_graph_reduce, "discharge assisted conditional promises; emits canonical text", _GRAPH_INPUT),
+    "graph aggregate": (_cmd_graph_aggregate, "collapse members into a superagent; emits canonical text", [
+        *_GRAPH_INPUT,
+        ("--members", {"required": True, "help": "comma-separated member agent ids"}),
+        ("--super-id", {"dest": "super_id", "required": True, "help": "fresh id for the superagent"}),
+    ]),
+    "graph classify": (_cmd_graph_classify, "scaling class of one offer, as JSON", [
+        *_GRAPH_INPUT, *_MEMBERSHIP,
+        ("--giver", {"required": True}), ("--receiver", {"required": True}), ("--type", {"required": True}),
+        ("--threshold", {"type": finite_float, "default": 0.1,
+                         "help": "scarcity consumer-fraction threshold (default 0.1)"}),
+        *[(flag, {**kwargs, "required": False}) for flag, kwargs in _DH],
+    ]),
+    "graph community": (_cmd_graph_community, "members mutually bound to an authority, as JSON",
+                        [*_GRAPH_INPUT, *_MEMBERSHIP, ("--authority", {"required": True})]),
+}
 
 
-def _add_dh(parser, required: bool = True) -> None:
-    parser.add_argument("--D", type=int, required=required, help="embedding dimension (integer >= 1)")
-    parser.add_argument("--H", type=finite_float, required=required, help="trajectory dimension (0 <= H <= D)")
-
-
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every row of _COMMANDS, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="commscale",
         description="Community scaling toolkit: mean-field exponents, promise graphs, USL, synthetic ensembles.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("exponents", help="predicted exponent for every scaling class, as JSON")
-    _add_dh(p)
-    p.set_defaults(func=_cmd_exponents)
-
-    p = sub.add_parser("yield", help="interaction yield at the equilibrium volume")
-    _add_dh(p)
-    p.add_argument("--n", type=finite_float, required=True, help="total population N")
-    p.add_argument("--inactive", type=finite_float, default=0.0, help="inactive fraction N_0/N (default 0)")
-    p.set_defaults(func=_cmd_yield)
-
-    p = sub.add_parser("ensemble", help="generate a synthetic (N,Y) ensemble as CSV")
-    class_names = [c.value for c in ScalingClass]
-    p.add_argument("--class", dest="scaling_class", choices=class_names, required=True)
-    _add_dh(p)
-    p.add_argument("--n", type=int, default=500, help="sample count (default 500)")
-    p.add_argument("--nmin", type=finite_float, default=1e3, help="smallest population (default 1e3)")
-    p.add_argument("--nmax", type=finite_float, default=1e7, help="largest population (default 1e7)")
-    p.add_argument("--noise", type=finite_float, default=0.1, help="log-normal noise sigma (default 0.1)")
-    p.add_argument("--inactive", type=finite_float, default=0.0, help="inactive fraction N_0/N (default 0)")
-    p.add_argument("--seed", type=int, default=0, help="64-bit unsigned seed (default 0)")
-    p.set_defaults(func=_cmd_ensemble)
-
-    p = sub.add_parser("fit", help="fit a power law to N,Y CSV from a file or stdin")
-    _add_input_flag(p)
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("compare", help="compare fit JSON against the theoretical exponent")
-    p.add_argument("--class", dest="scaling_class", choices=class_names, required=True)
-    _add_dh(p)
-    p.add_argument("--k", type=finite_float, default=2.0, help="stderr multiple for the pass flag (default 2)")
-    _add_input_flag(p)
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("usl-eval", help="evaluate the scalability law")
-    p.add_argument("--contention", type=finite_float, required=True)
-    p.add_argument("--coherency", type=finite_float, default=0.0)
-    p.add_argument("--n", type=finite_float, help="concurrency level N >= 1")
-    p.add_argument("--peak", action="store_true", help="print the speedup-maximizing N instead")
-    p.set_defaults(func=_cmd_usl_eval)
-
-    p = sub.add_parser("usl-fit", help="fit contention/coherency to N,value speedup CSV")
-    _add_input_flag(p)
-    p.set_defaults(func=_cmd_usl_fit)
-
-    p = sub.add_parser("serial", help="serial-fraction completion time sigma + pi/N + kappa*N")
-    p.add_argument("--sigma", type=finite_float, required=True)
-    p.add_argument("--pi", type=finite_float, default=0.0)
-    p.add_argument("--kappa", type=finite_float, default=0.0)
-    p.add_argument("--n", type=finite_float, required=True)
-    p.add_argument("--exponent", action="store_true", help="print the local power-law slope (kappa=0 regime)")
-    p.set_defaults(func=_cmd_serial)
-
-    p = sub.add_parser("queue", help="steady-state response time 1/(mu - lambda)")
-    p.add_argument("--lambda", dest="lam", type=finite_float, required=True, help="arrival rate")
-    p.add_argument("--mu", type=finite_float, required=True, help="service rate")
-    p.set_defaults(func=_cmd_queue)
-
-    p = sub.add_parser("graph", help="promise-graph operations on the text format")
-    gsub = p.add_subparsers(dest="graph_command", required=True)
-
-    shared = argparse.ArgumentParser(add_help=False)
-    _add_input_flag(shared)
-    shared.add_argument(
-        "--calibration", type=finite_float, default=1.0, help="currency value per binding type (default 1)"
-    )
-    membership = argparse.ArgumentParser(add_help=False)
-    membership.add_argument("--membership-type", dest="membership_type", default="member")
-
-    g = gsub.add_parser("value", parents=[shared], help="total value, mesh density and largest component, as JSON")
-    g.set_defaults(func=_cmd_graph_value)
-
-    g = gsub.add_parser("bindings", parents=[shared], help="list bindings as JSON")
-    g.set_defaults(func=_cmd_graph_bindings)
-
-    g = gsub.add_parser(
-        "reduce", parents=[shared], help="discharge assisted conditional promises; emits canonical text"
-    )
-    g.set_defaults(func=_cmd_graph_reduce)
-
-    g = gsub.add_parser("aggregate", parents=[shared], help="collapse members into a superagent; emits canonical text")
-    g.add_argument("--members", required=True, help="comma-separated member agent ids")
-    g.add_argument("--super-id", dest="super_id", required=True, help="fresh id for the superagent")
-    g.set_defaults(func=_cmd_graph_aggregate)
-
-    g = gsub.add_parser("classify", parents=[shared, membership], help="scaling class of one offer, as JSON")
-    g.add_argument("--giver", required=True)
-    g.add_argument("--receiver", required=True)
-    g.add_argument("--type", required=True)
-    g.add_argument(
-        "--threshold", type=finite_float, default=0.1, help="scarcity consumer-fraction threshold (default 0.1)"
-    )
-    _add_dh(g, required=False)
-    g.set_defaults(func=_cmd_graph_classify, usage_error=g.error)
-
-    g = gsub.add_parser(
-        "community", parents=[shared, membership], help="members mutually bound to an authority, as JSON"
-    )
-    g.add_argument("--authority", required=True)
-    g.set_defaults(func=_cmd_graph_community)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, (handler, help_text, flags) in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        p = groups[group].add_parser(leaf, help=help_text)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        if handler is None:
+            groups[name] = p.add_subparsers(dest=f"{name}_command", required=True)
+        else:
+            p.set_defaults(handler=handler, usage_error=p.error)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     # argparse before Python 3.12 takes --flag=-- as [], neither converted nor checked.
     if [] in vars(args).values():
         parser.error("'--' is not a flag value")
     try:
-        return args.func(args)
+        result = args.handler(args)
+        if isinstance(result, (dict, list)):
+            result = json.dumps(_rounded(result), indent=2, allow_nan=False) + "\n"
+        elif not isinstance(result, str):
+            result = _fmt(result) + "\n"
+        sys.stdout.write(result)
+        return 0
     except (DomainError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -374,12 +374,19 @@ def total_value(graph: PromiseGraph) -> float:
 
     For a complete positive mesh of N unit-assessment agents this is
     c * N * (N - 1); thinning the mesh to a fraction rho of the possible
-    directed pairs scales it to c * rho * N * (N - 1). Summed with
-    math.fsum so the result is independent of binding order. A sum outside
-    the finite float range raises DomainError.
+    directed pairs scales it to c * rho * N * (N - 1). Summed exactly, so
+    the result is independent of binding order. A sum outside the finite
+    float range raises DomainError.
     """
     reduced = reduce_conditionals(graph)
-    return math.fsum(valuation(reduced, b) for b in _kept_bindings(reduced))
+    values = [valuation(reduced, b) for b in _kept_bindings(reduced)]
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        # fsum overflows where a partial sum leaves the float range, even if the whole sum does not.
+        from fractions import Fraction
+
+        return float(sum(map(Fraction, values)))
 
 
 def mesh_density(graph: PromiseGraph) -> float:

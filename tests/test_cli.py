@@ -1,3 +1,4 @@
+import argparse
 import ast
 import builtins
 import contextlib
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from commscale import ensemble, errors, promisegraph, tabular, uslkit
+from commscale import cli, ensemble, errors, promisegraph, tabular, uslkit
 from commscale.cli import _find_offer, main
 from commscale.errors import CsvFormatError, DomainError
 from commscale.graphio import emit_graph, parse_graph
@@ -1034,6 +1035,28 @@ class TestArgvFuzz:
             _check_stdout(spec.stdout, out)
 
 
+HELP_TEXT = Path(__file__).with_name("cli_help.txt")
+
+
+def _help_pages():
+    """The --help page of the root parser, of every command and of the graph group, each under its command line."""
+    levels = [[], *(spec.argv for spec in ARGV_FUZZ.values() if spec.argv[0] != "graph"), ["graph"],
+              *(spec.argv for spec in ARGV_FUZZ.values() if spec.argv[0] == "graph")]
+    pages = []
+    for argv in levels:
+        code, out, err = _run_isolated([*argv, "--help"])
+        assert code == 0 and err == "", argv
+        pages.append(f"$ commscale {' '.join([*argv, '--help'])}\n{out}")
+    return "\n".join(pages)
+
+
+class TestHelpText:
+    def test_every_level_matches_the_stored_text(self, monkeypatch):
+        # argparse wraps help to the terminal width, which COLUMNS sets.
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _help_pages() == HELP_TEXT.read_text(encoding="utf-8")
+
+
 SRC = Path(uslkit.__file__).resolve().parents[1]
 # Runs cli.main(argv) in a fresh interpreter, then reports the exit code and
 # whether numpy was imported as the last line of stderr.
@@ -1105,6 +1128,51 @@ class TestNumpyFreeStart:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "numpy ndarray int64 [[0, 1, 1], [1, 0, 1], [1, 1, 0]]\n"
+
+
+def _leaf_commands(parser, prefix=()):
+    """The command lines ("graph value") of parser's leaf parsers."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        return {" ".join(prefix)}
+    return {leaf for name, sub in subparsers[0].choices.items() for leaf in _leaf_commands(sub, (*prefix, name))}
+
+
+def _param_commands(test):
+    """The commands that test's parametrized argv lists run."""
+    params = [p.values if hasattr(p, "values") else p for mark in test.pytestmark for p in mark.args[1]]
+    return {" ".join(argv[:2] if argv[0] == "graph" else argv[:1]) for argv, *_ in params if argv[0] != "--help"}
+
+
+class TestParserReuse:
+    """main builds its parser once; no flag or default of one call carries into the next."""
+
+    CLASSIFY = ["graph", "classify", "--giver", "a", "--receiver", "b", "--type", "svc"]
+    ENSEMBLE = ["ensemble", "--class", "interaction", "--D", "2", "--H", "1"]
+
+    def test_calls_in_sequence(self):
+        cli._parser.cache_clear()
+        code, out, _ = _run_isolated([*self.CLASSIFY, "--D", "2", "--H", "1"], MESH3)
+        assert code == 0 and json.loads(out) == {"class": "interaction", "exponent": 1.16666666667}
+        code, out, _ = _run_isolated(self.CLASSIFY, MESH3)
+        assert code == 0 and json.loads(out) == {"class": "interaction"}
+        every_flag = ["--n", "7", "--nmin", "10", "--nmax", "1e4", "--noise", "0.5", "--inactive", "0.3",
+                      "--seed", "9"]
+        assert _run_isolated([*self.ENSEMBLE, *every_flag])[0] == 0
+        defaults = _run_isolated(self.ENSEMBLE)
+        assert _run_isolated(["yield", "--D", "2", "--H", "1"])[0] == 2
+        assert _run_isolated(["queue", "--lambda", "1", "--mu", "2"]) == (0, "1\n", "")
+        assert cli._parser.cache_info().misses == 1
+        cli._parser.cache_clear()
+        assert defaults == _run_isolated(self.ENSEMBLE)
+        assert defaults[0] == 0 and defaults[1].count("\n") == 501
+
+    def test_every_command_is_fuzzed_and_start_probed(self):
+        commands = _leaf_commands(cli._parser())
+        assert len(commands) == 15
+        assert commands == {" ".join(spec.argv) for spec in ARGV_FUZZ.values()}
+        assert commands == (_param_commands(TestNumpyFreeStart.test_command_does_not_import_numpy)
+                            | _param_commands(TestNumpyFreeStart.test_drawing_and_fitting_import_numpy))
 
 
 LEAN_PROBE = (
@@ -1211,3 +1279,46 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["interaction"] == 1.16666666667
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_examples():
+    """Each `$ command` of the README's sh blocks, continuation lines joined, with the text shown below it."""
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, shown = re.fullmatch(r"((?:.*\\\n)*.*)\n((?s:.*))", chunk).groups()
+            examples.append((re.sub(r"\s*\\\n\s*", " ", command), shown))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+README_FILES = {command[len("cat "):]: shown for command, shown in README_EXAMPLES if command.startswith("cat ")}
+# The commscale examples whose whole output the README shows; `...` marks a cut one.
+README_RUNS = [(command, shown) for command, shown in README_EXAMPLES
+               if command.startswith("commscale ") and shown and "..." not in shown]
+
+
+class TestReadmeExamples:
+    def test_the_examples_cover_the_commands(self):
+        assert {command.split(" | ")[-1].split()[1] for command, _ in README_RUNS} == {
+            "exponents", "yield", "compare", "usl-eval", "usl-fit", "serial", "queue", "graph"}
+        assert sorted(README_FILES) == ["mesh.graph", "org.graph", "speedups.csv"]
+
+    @pytest.mark.parametrize("command, shown", README_RUNS, ids=[command for command, _ in README_RUNS])
+    def test_prints_what_the_readme_shows(self, command, shown, tmp_path, monkeypatch):
+        for name, text in README_FILES.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        out = ""
+        for stage in command.split(" | "):
+            argv = stage.split()
+            assert argv.pop(0) == "commscale"
+            if "<" in argv:
+                argv, (_, name) = argv[:-2], argv[-2:]
+                out = README_FILES[name]
+            code, out, err = _run_isolated(argv, out)
+            assert (code, err) == (0, ""), stage
+        assert out == shown

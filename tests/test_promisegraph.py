@@ -1,5 +1,6 @@
 import copy
 import gc
+import itertools
 import math
 import pickle
 import random
@@ -610,6 +611,18 @@ class TestTotalValue:
     def test_sum_outside_the_float_range_is_a_domain_error(self, calibration):
         # Each valuation is finite; their sum is not, and fsum raises OverflowError on its own.
         g = PromiseGraph([Agent("a"), Agent("b")], pair("a", "b") + pair("b", "a", "fuel"), calibration)
+        with pytest.raises(DomainError, match="^result is out of the finite float range$"):
+            pg.total_value(g)
+
+    @pytest.mark.parametrize("values", sorted(set(itertools.permutations([1e308, 1e308, -1e308]))))
+    def test_sum_near_the_float_limit_does_not_depend_on_binding_order(self, values):
+        calibration = dict(zip("xyz", values))
+        g = PromiseGraph([Agent("a"), Agent("b")], [p for t in "xyz" for p in pair("a", "b", t)], calibration)
+        assert [b.offer.type_tag for b in pg.find_bindings(g)] == ["x", "y", "z"]
+        assert pg.total_value(g) == 1e308
+
+    def test_exact_sum_outside_the_float_range_is_a_domain_error(self):
+        g = PromiseGraph([Agent("a"), Agent("b")], [p for t in "xyz" for p in pair("a", "b", t)], 1e308)
         with pytest.raises(DomainError, match="^result is out of the finite float range$"):
             pg.total_value(g)
 
