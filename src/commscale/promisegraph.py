@@ -95,15 +95,24 @@ class Promise(Record):
 
     def __init__(self, giver: str, receiver: str, type_tag: str, polarity: Polarity,
                  constraint: frozenset = frozenset({ANY_BODY}), condition: tuple = ()) -> None:
+        if not (isinstance(giver, str) and isinstance(receiver, str) and isinstance(type_tag, str)):
+            raise DomainError(f"giver, receiver and type must be strings, got {giver!r}, {receiver!r}, {type_tag!r}")
         if type(constraint) is not frozenset:
             if isinstance(constraint, str):
                 raise DomainError(f"constraint must be a collection of tokens, got the string {constraint!r}")
-            constraint = frozenset(constraint)
+            try:
+                constraint = frozenset(constraint)
+            except TypeError:
+                raise DomainError(f"constraint must be a collection of tokens, got {constraint!r}") from None
         if condition != ():
             if isinstance(condition, str):
                 raise DomainError(f"condition must be a collection of types, got the string {condition!r}")
+            try:
+                ordered = tuple(sorted(set(condition)))
+                "".join(ordered)  # str.join takes only strings, so this checks every entry at C speed
+            except TypeError:
+                raise DomainError(f"condition entries must be strings, got {condition!r}") from None
             # An already sorted tuple is kept, so that promises parsed from one field share it.
-            ordered = tuple(sorted(set(condition)))
             if ordered != condition:
                 condition = ordered
         if not constraint:
@@ -137,7 +146,11 @@ def _in_graph_order(promises) -> list:
     for p in promises:
         chi = chis.get(p.constraint)
         if chi is None:
-            chi = chis[p.constraint] = tuple(sorted(p.constraint))
+            try:
+                chi = chis[p.constraint] = tuple(sorted(p.constraint))
+                "".join(chi)  # checks that every entry is a string, as in Promise
+            except TypeError:
+                raise DomainError(f"constraint entries must be strings, got {set(p.constraint)!r}") from None
         decorated.append((p.giver, p.receiver, p.type_tag, p.polarity is accept, chi, p.condition, p))
     decorated.sort()
     return [d[-1] for d in decorated]
@@ -191,7 +204,7 @@ class PromiseGraph:
         if not all(isinstance(c, Real) and -math.inf < c < math.inf for c in values):
             raise DomainError(f"calibration values must be finite numbers, got {calibration!r}")
         self._agents = agent_map
-        # The merge table, the graph's one promise index: bindings, discharge, classification and communities read it.
+        # The merge table, the graph's one promise index: bindings, discharge and classification read it.
         self._by_key = merged
         self._promises = tuple(_in_graph_order(merged.values()))
         self._calibration = calibration
@@ -274,17 +287,16 @@ def find_bindings(graph: PromiseGraph) -> list[Binding]:
 def _kept_bindings(graph: PromiseGraph) -> list[Binding]:
     # The graph's own list, computed on first use: callers must not change it.
     if graph._bound is None:
-        graph._bound = _bindings(graph, graph.promises)
+        graph._bound = _bindings(graph)
     return graph._bound
 
 
-def _bindings(graph: PromiseGraph, promises) -> list[Binding]:
-    # The bindings of the unconditional offers among the given promises, in their
-    # order; each offer's unconditional accept back is one merge-table lookup.
+def _bindings(graph: PromiseGraph) -> list[Binding]:
+    # The bindings of the graph's unconditional offers, in graph order; each accept back is one merge-table lookup.
     by_key = graph._by_key
     offer = Polarity.OFFER
     out = []
-    for p in promises:
+    for p in graph.promises:
         if p.polarity is offer and not p.condition:
             acc = by_key.get((p.receiver, p.giver, p.type_tag, True, ()))
             if acc is not None and (effective := p.constraint & acc.constraint):
@@ -450,6 +462,8 @@ def aggregate(graph: PromiseGraph, members: Iterable[str], super_id: str) -> Pro
     mean of the member assessments. Structure among non-members is
     untouched.
     """
+    if isinstance(members, str):
+        raise DomainError(f"members must be a collection of agent ids, got the string {members!r}")
     member_set = set(members)
     if not member_set:
         raise DomainError("member set must be non-empty")
@@ -511,8 +525,9 @@ def community_members(graph: PromiseGraph, authority: str, membership_type: str 
 def _communities(graph: PromiseGraph, membership_type: str) -> dict:
     """{authority: the givers bound to it by a membership_type offer it accepts back}."""
     communities: dict[str, set] = {}
-    for b in _bindings(graph, (p for p in graph.promises if p.type_tag == membership_type)):
-        communities.setdefault(b.offer.receiver, set()).add(b.offer.giver)
+    for b in _kept_bindings(graph):
+        if b.offer.type_tag == membership_type:
+            communities.setdefault(b.offer.receiver, set()).add(b.offer.giver)
     return communities
 
 
@@ -569,8 +584,8 @@ def classify_pattern(
                 return ScalingClass.RECURSIVE_DEPENDENCY
             return ScalingClass.SCARCE_DEPENDENCY
 
-    own = (p for p in graph.promises if p.giver == giver and p.type_tag == stored.type_tag)
-    consumers = {b.offer.receiver for b in _bindings(graph, own)}
+    consumers = {b.offer.receiver for b in _kept_bindings(graph)
+                 if b.offer.giver == giver and b.offer.type_tag == stored.type_tag}
     others = len(graph.agents) - 1
     fraction = len(consumers) / others if others > 0 else 0.0
     if fraction >= scarcity_threshold:

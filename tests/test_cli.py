@@ -1058,63 +1058,67 @@ class TestHelpText:
 
 
 SRC = Path(uslkit.__file__).resolve().parents[1]
-# Runs cli.main(argv) in a fresh interpreter, then reports the exit code and
-# whether numpy was imported as the last line of stderr.
+# The modules whose loading the start probe reports: numpy, the Philox draws, and
+# dataclasses with the inspect, ast and dis that it would pull in.
+PROBED = ("numpy", "commscale._philox", "dataclasses", "inspect", "ast", "dis")
+# Runs cli.main(argv) in a fresh interpreter, or only imports commscale.cli when argv
+# is empty, then reports the exit code and the PROBED modules loaded as the last line of stderr.
 START_PROBE = (
     "import sys; sys.path.insert(0, sys.argv[1]); from commscale.cli import main\n"
-    "try:\n    code = main(sys.argv[2:])\nexcept SystemExit as exc:\n    code = exc.code\n"
-    "print(code, 'numpy' in sys.modules, file=sys.stderr)\n"
+    "try:\n    code = main(sys.argv[2:]) if sys.argv[2:] else 0\nexcept SystemExit as exc:\n    code = exc.code\n"
+    f"print(code, *[m for m in {PROBED!r} if m in sys.modules], file=sys.stderr)\n"
 )
+# numpy imports these itself, so only a run without numpy is held to their absence.
+NUMPY_LOADS = {"inspect", "ast", "dis"}
 
 
 def _fresh_main(argv, stdin_text=""):
-    """(exit code, numpy imported) of main(argv) in a fresh `python -I` interpreter."""
+    """(exit code, the PROBED modules loaded) of main(argv) in a fresh `python -I` interpreter."""
     proc = subprocess.run(
         [sys.executable, "-I", "-c", START_PROBE, str(SRC), *argv],
         input=stdin_text, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    code, numpy_loaded = proc.stderr.splitlines()[-1].split()
-    return int(code), numpy_loaded == "True"
+    code, *loaded = proc.stderr.splitlines()[-1].split()
+    return int(code), set(loaded)
 
 
-class TestNumpyFreeStart:
-    """Only drawing an ensemble, fitting and building an adjacency matrix import numpy."""
+LEAN = frozenset()
+FITTING = frozenset({"numpy"})
+DRAWING = frozenset({"numpy", "commscale._philox"})
+# One row per probed run: argv, stdin, exit code and the PROBED modules it loads, numpy's own aside.
+START_RUNS = [
+    pytest.param([], "", 0, LEAN, id="import"),
+    pytest.param(["exponents", "--D", "2", "--H", "1"], "", 0, LEAN, id="exponents"),
+    pytest.param(["yield", "--D", "2", "--H", "1", "--n", "1000"], "", 0, LEAN, id="yield"),
+    pytest.param(["compare", "--class", "interaction", "--D", "2", "--H", "1"], FIT_JSON, 0, LEAN, id="compare"),
+    pytest.param(["usl-eval", "--contention", "0.1", "--coherency", "0.01", "--n", "8"], "", 0, LEAN, id="usl-eval"),
+    pytest.param(["usl-eval", "--contention", "0.1", "--coherency", "0.01", "--peak"], "", 0, LEAN,
+                 id="usl-eval-peak"),
+    pytest.param(["serial", "--sigma", "1", "--pi", "4", "--n", "8"], "", 0, LEAN, id="serial"),
+    pytest.param(["serial", "--sigma", "1", "--pi", "4", "--n", "8", "--exponent"], "", 0, LEAN,
+                 id="serial-exponent"),
+    pytest.param(["queue", "--lambda", "1", "--mu", "2"], "", 0, LEAN, id="queue"),
+    *[pytest.param(["graph", command, *flags], MESH3 + COMMUNITY, 0, LEAN, id=f"graph-{command}")
+      for command, flags in GRAPH_COMMANDS.items()],
+    pytest.param(["--help"], "", 0, LEAN, id="help"),
+    pytest.param(["yield", "--D", "2", "--H", "1"], "", 2, LEAN, id="usage-error"),
+    pytest.param(["ensemble", "--class", "interaction", "--D", "2", "--H", "1", "--n", "20"], "", 0, DRAWING,
+                 id="ensemble"),
+    pytest.param(["fit"], "N,Y\n10,1\n20,2.2\n40,4.9\n", 0, FITTING, id="fit"),
+    pytest.param(["usl-fit"], SPEEDUPS, 0, FITTING, id="usl-fit"),
+]
 
-    @pytest.mark.parametrize(
-        "argv, stdin_text, want_code",
-        [
-            pytest.param(["exponents", "--D", "2", "--H", "1"], "", 0, id="exponents"),
-            pytest.param(["yield", "--D", "2", "--H", "1", "--n", "1000"], "", 0, id="yield"),
-            pytest.param(["compare", "--class", "interaction", "--D", "2", "--H", "1"], FIT_JSON, 0, id="compare"),
-            pytest.param(["usl-eval", "--contention", "0.1", "--coherency", "0.01", "--n", "8"], "", 0, id="usl-eval"),
-            pytest.param(["usl-eval", "--contention", "0.1", "--coherency", "0.01", "--peak"], "", 0,
-                         id="usl-eval-peak"),
-            pytest.param(["serial", "--sigma", "1", "--pi", "4", "--n", "8"], "", 0, id="serial"),
-            pytest.param(["serial", "--sigma", "1", "--pi", "4", "--n", "8", "--exponent"], "", 0,
-                         id="serial-exponent"),
-            pytest.param(["queue", "--lambda", "1", "--mu", "2"], "", 0, id="queue"),
-            *[pytest.param(["graph", command, *flags], MESH3 + COMMUNITY, 0, id=f"graph-{command}")
-              for command, flags in GRAPH_COMMANDS.items()],
-            pytest.param(["--help"], "", 0, id="help"),
-            pytest.param(["yield", "--D", "2", "--H", "1"], "", 2, id="usage-error"),
-        ],
-    )
-    def test_command_does_not_import_numpy(self, argv, stdin_text, want_code):
-        assert _fresh_main(argv, stdin_text) == (want_code, False)
 
-    @pytest.mark.parametrize(
-        "argv, stdin_text",
-        [
-            (["ensemble", "--class", "interaction", "--D", "2", "--H", "1", "--n", "20"], ""),
-            (["fit"], "N,Y\n10,1\n20,2.2\n40,4.9\n"),
-            (["usl-fit"], SPEEDUPS),
-        ],
-        ids=["ensemble", "fit", "usl-fit"],
-    )
-    def test_drawing_and_fitting_import_numpy(self, argv, stdin_text):
-        # Keeps the gate above from passing because the probe cannot see numpy.
-        assert _fresh_main(argv, stdin_text) == (0, True)
+class TestStartImports:
+    """Only drawing, fitting and adjacency import numpy, only drawing imports _philox, no run imports dataclasses."""
+
+    @pytest.mark.parametrize("argv, stdin_text, want_code, want_loaded", START_RUNS)
+    def test_start_loads_only_what_the_run_needs(self, argv, stdin_text, want_code, want_loaded):
+        code, loaded = _fresh_main(argv, stdin_text)
+        if "numpy" in loaded:
+            loaded -= NUMPY_LOADS
+        assert (code, loaded) == (want_code, want_loaded)
 
     def test_package_import_and_adjacency(self):
         code = (
@@ -1136,12 +1140,6 @@ def _leaf_commands(parser, prefix=()):
     if not subparsers:
         return {" ".join(prefix)}
     return {leaf for name, sub in subparsers[0].choices.items() for leaf in _leaf_commands(sub, (*prefix, name))}
-
-
-def _param_commands(test):
-    """The commands that test's parametrized argv lists run."""
-    params = [p.values if hasattr(p, "values") else p for mark in test.pytestmark for p in mark.args[1]]
-    return {" ".join(argv[:2] if argv[0] == "graph" else argv[:1]) for argv, *_ in params if argv[0] != "--help"}
 
 
 class TestParserReuse:
@@ -1171,36 +1169,8 @@ class TestParserReuse:
         commands = _leaf_commands(cli._parser())
         assert len(commands) == 15
         assert commands == {" ".join(spec.argv) for spec in ARGV_FUZZ.values()}
-        assert commands == (_param_commands(TestNumpyFreeStart.test_command_does_not_import_numpy)
-                            | _param_commands(TestNumpyFreeStart.test_drawing_and_fitting_import_numpy))
-
-
-LEAN_PROBE = (
-    "import sys; sys.path.insert(0, sys.argv[1]); from commscale.cli import main\n"
-    "code = main(sys.argv[2:]) if sys.argv[2:] else 0\n"
-    "print(code, *sorted({'dataclasses', 'inspect', 'ast', 'dis'} & sys.modules.keys()), file=sys.stderr)\n"
-)
-
-
-class TestLeanStart:
-    """Start-up imports neither dataclasses nor the inspect, ast and dis that it would pull in."""
-
-    @pytest.mark.parametrize(
-        "argv, stdin_text",
-        [
-            pytest.param([], "", id="import"),
-            pytest.param(["exponents", "--D", "2", "--H", "1"], "", id="exponents"),
-            pytest.param(["compare", "--class", "interaction", "--D", "2", "--H", "1"], FIT_JSON, id="compare"),
-            pytest.param(["graph", "value"], MESH3, id="graph-value"),
-        ],
-    )
-    def test_start_does_not_import_dataclasses(self, argv, stdin_text):
-        proc = subprocess.run(
-            [sys.executable, "-I", "-c", LEAN_PROBE, str(SRC), *argv],
-            input=stdin_text, capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == "0"
+        assert commands == {" ".join(argv[:2] if argv[0] == "graph" else argv[:1])
+                            for argv, *_ in (p.values for p in START_RUNS) if argv and argv[0] != "--help"}
 
 
 class TestCliUsesPublicEnsembleApi:
@@ -1276,6 +1246,7 @@ class TestModuleEntryPoint:
             [sys.executable, "-m", "commscale", "exponents", "--D", "2", "--H", "1"],
             capture_output=True,
             text=True,
+            env={"PYTHONPATH": str(SRC)},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["interaction"] == 1.16666666667

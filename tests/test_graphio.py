@@ -113,6 +113,11 @@ class TestEmit:
         g = parse_graph(SAMPLE, calibration=2.0)
         assert parse_graph(emit_graph(g), calibration=2.0) == g
 
+    def test_non_string_type_is_domain_error(self):
+        # Unchecked, a type of 5 reaches the emitter's token check as a TypeError.
+        with pytest.raises(DomainError, match="giver, receiver and type must be strings"):
+            emit_graph(PromiseGraph([Agent("a"), Agent("b")], [Promise("a", "b", 5, Polarity.OFFER)]))
+
     def test_agents_sorted_then_promises(self):
         g = PromiseGraph([Agent("b"), Agent("a", 0.5)], [Promise("b", "a", "svc", Polarity.OFFER)])
         assert emit_graph(g) == "agent a 0.5\nagent b 1.0\npromise b a svc + *\n"

@@ -202,6 +202,21 @@ class TestPromise:
         with pytest.raises(DomainError, match=f"{field} must be a collection"):
             Promise("a", "b", "svc", Polarity.OFFER, **{field: value})
 
+    def test_non_string_giver_is_domain_error(self):
+        # Unchecked, an unhashable giver reaches the graph's endpoint lookup as a TypeError.
+        with pytest.raises(DomainError, match=r"giver, receiver and type must be strings, got \['b'\], 'a', 'svc'"):
+            PromiseGraph([Agent("a"), Agent("b")], [Promise(["b"], "a", "svc", Polarity.OFFER)])
+
+    @pytest.mark.parametrize("bad", [5, [["x"]]], ids=["not-iterable", "unhashable-entry"])
+    def test_constraint_that_is_not_a_collection_of_tokens_is_domain_error(self, bad):
+        with pytest.raises(DomainError, match="constraint must be a collection of tokens"):
+            Promise("a", "b", "svc", Polarity.OFFER, bad)
+
+    def test_non_string_condition_entry_is_domain_error(self):
+        # Unchecked, sorting a mixed condition raises TypeError.
+        with pytest.raises(DomainError, match=r"condition entries must be strings, got \(1, 'y'\)"):
+            Promise("a", "b", "svc", Polarity.OFFER, condition=(1, "y"))
+
 
 class TestSlottedRecords:
     OFFER = Promise("a", "b", "svc", Polarity.OFFER, frozenset({"x", "y"}), ("q", "c"))
@@ -351,6 +366,11 @@ class TestPromiseGraph:
         assert g.calibration_for("svc") == 3.0
         with pytest.raises(DomainError):
             g.calibration_for("other")
+
+    def test_non_string_constraint_entry_is_domain_error(self):
+        # Unchecked, sorting a mixed constraint into graph order raises TypeError.
+        with pytest.raises(DomainError, match="constraint entries must be strings"):
+            PromiseGraph([Agent("a"), Agent("b")], [Promise("a", "b", "svc", Polarity.OFFER, frozenset({1, "x"}))])
 
     @pytest.mark.parametrize("bad", ["x", "2", None, {"s": None}, {"s": "1"}], ids=repr)
     def test_non_numeric_calibration_is_domain_error(self, bad):
@@ -716,6 +736,13 @@ class TestAggregate:
         after = pg.aggregate(before, ["a", "b"], "S")
         # c, d occupy the trailing rows both before (a, b, c, d) and after (S, c, d).
         assert pg.adjacency(after, "ext")[1:, 1:].tolist() == pg.adjacency(before, "ext")[2:, 2:].tolist()
+
+    def test_string_member_set_is_domain_error(self):
+        # set("ab") would aggregate the agents a and b, not the agent ab.
+        g = PromiseGraph([Agent("a"), Agent("b"), Agent("ab")], pair("a", "ab"))
+        with pytest.raises(DomainError, match="members must be a collection of agent ids, got the string 'ab'"):
+            pg.aggregate(g, "ab", "S")
+        assert pg.aggregate(g, ["ab"], "S").agent_ids() == ["S", "a", "b"]
 
     def test_default_assessment_is_member_mean(self):
         g = pg.aggregate(self.triangle(), ["a", "b"], "S")
