@@ -125,11 +125,11 @@ def _cmd_compare(args) -> dict:
 
 
 def _cmd_usl_eval(args) -> float:
+    if args.n is None and not args.peak:
+        args.usage_error("--n is required unless --peak is given")
     params = UslParams(contention=args.contention, coherency=args.coherency)
     if args.peak:
         return uslkit.usl_peak(params)
-    if args.n is None:
-        raise DomainError("--n is required unless --peak is given")
     return uslkit.usl_speedup(args.n, params)
 
 
@@ -322,9 +322,6 @@ def main(argv=None) -> int:
             result = _fmt(result) + "\n"
         sys.stdout.write(result)
         return 0
-    except (DomainError, OSError, UnicodeDecodeError) as exc:
+    except (DomainError, OSError, UnicodeDecodeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ArithmeticError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

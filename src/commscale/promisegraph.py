@@ -137,25 +137,6 @@ class Promise(Record):
         return (self.giver, self.receiver, self.type_tag, self.polarity is Polarity.ACCEPT, self.condition)
 
 
-def _in_graph_order(promises) -> list:
-    """Promises sorted by (giver, receiver, type, polarity, sorted constraint, condition), '+' before '-'."""
-    # Merge keys are distinct within a graph, so the C tuple sort never compares the Promise items.
-    accept = Polarity.ACCEPT
-    chis: dict[frozenset, tuple] = {}
-    decorated = []
-    for p in promises:
-        chi = chis.get(p.constraint)
-        if chi is None:
-            try:
-                chi = chis[p.constraint] = tuple(sorted(p.constraint))
-                "".join(chi)  # checks that every entry is a string, as in Promise
-            except TypeError:
-                raise DomainError(f"constraint entries must be strings, got {set(p.constraint)!r}") from None
-        decorated.append((p.giver, p.receiver, p.type_tag, p.polarity is accept, chi, p.condition, p))
-    decorated.sort()
-    return [d[-1] for d in decorated]
-
-
 class Binding(Record):
     """A matched offer/accept pair of one type with overlapping bodies."""
 
@@ -206,7 +187,21 @@ class PromiseGraph:
         self._agents = agent_map
         # The merge table, the graph's one promise index: bindings, discharge and classification read it.
         self._by_key = merged
-        self._promises = tuple(_in_graph_order(merged.values()))
+        # Graph order: (giver, receiver, type, polarity, sorted constraint, condition), '+' before '-'.
+        # Merge keys are distinct, so the C tuple sort never compares the Promise items.
+        chis: dict[frozenset, tuple] = {}
+        decorated = []
+        for (giver, receiver, type_tag, accepts, condition), p in merged.items():
+            chi = chis.get(p.constraint)
+            if chi is None:
+                try:
+                    chi = chis[p.constraint] = tuple(sorted(p.constraint))
+                    "".join(chi)  # checks that every entry is a string, as in Promise
+                except TypeError:
+                    raise DomainError(f"constraint entries must be strings, got {set(p.constraint)!r}") from None
+            decorated.append((giver, receiver, type_tag, accepts, chi, condition, p))
+        decorated.sort()
+        self._promises = tuple([d[-1] for d in decorated])
         self._calibration = calibration
         self._bound: list | None = None  # the graph's bindings, once _kept_bindings has found them
         self._reduced = False  # set by reduce_conditionals on the graph it returns
@@ -315,35 +310,39 @@ def _discharge(graph: PromiseGraph, inside=None) -> tuple[dict, list]:
     Offers are taken in rounds (unconditional ones, then those the previous
     round fired), each in graph order, and the first to supply a pair is its
     witness, so following witnesses always ends at unconditional offers.
+    The fired offers are returned as their positions in graph.promises.
     """
     by_key = graph._by_key
+    promises = graph.promises
     offer = Polarity.OFFER
     round_: list = []
     waiting: dict[tuple, list] = {}
     unmet: dict[int, int] = {}
-    for o in graph.promises:
+    for i, o in enumerate(promises):
         if o.polarity is not offer or (inside is not None and (o.giver not in inside or o.receiver not in inside)):
             continue
         if not o.condition:
-            round_.append(o)
+            round_.append(i)
             continue
-        unmet[id(o)] = len(o.condition)
+        unmet[i] = len(o.condition)
         for d in o.condition:
-            waiting.setdefault((o.giver, d), []).append(o)
+            waiting.setdefault((o.giver, d), []).append(i)
     supplied: dict[tuple, Promise] = {}
     fired: list = []
     while round_:
         start = len(fired)
-        for o in round_:
+        for i in round_:
+            o = promises[i]
             pair = (o.receiver, o.type_tag)
             if pair in supplied or (o.receiver, o.giver, o.type_tag, True, ()) not in by_key:
                 continue
             supplied[pair] = o
             for w in waiting.get(pair, ()):
-                unmet[id(w)] -= 1
-                if not unmet[id(w)]:
+                unmet[w] -= 1
+                if not unmet[w]:
                     fired.append(w)
-        round_ = _in_graph_order(fired[start:])
+        # Positions follow graph order, so sorting them puts the round in graph order.
+        round_ = sorted(fired[start:])
     return supplied, fired
 
 
@@ -360,12 +359,12 @@ def reduce_conditionals(graph: PromiseGraph) -> PromiseGraph:
     """
     if graph._reduced:
         return graph
-    fired = {id(p) for p in _discharge(graph)[1]}
+    fired = _discharge(graph)[1]
     if fired:
-        promises = [
-            Promise(p.giver, p.receiver, p.type_tag, p.polarity, p.constraint) if id(p) in fired else p
-            for p in graph.promises
-        ]
+        promises = list(graph.promises)
+        for i in fired:
+            p = promises[i]
+            promises[i] = Promise(p.giver, p.receiver, p.type_tag, p.polarity, p.constraint)
         graph = PromiseGraph(graph.agents, promises, graph.calibration)
     # Discharge reaches a fixed point, so the result is its own reduction.
     graph._reduced = True

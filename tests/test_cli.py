@@ -128,9 +128,13 @@ class TestUsl:
         assert code == 0
         assert out == "22.360679775\n"
 
-    def test_missing_n_without_peak(self, run):
-        code, out, err = run(["usl-eval", "--contention", "0.1"])
-        assert code == 1 and out == "" and "--n is required" in err
+    def test_missing_n_without_peak(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["usl-eval", "--contention", "0.1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: commscale usl-eval ")
+        assert err.endswith("error: --n is required unless --peak is given\n")
 
     def test_unbounded_peak_reported(self, run):
         code, _, err = run(["usl-eval", "--contention", "0.5", "--peak"])
@@ -178,6 +182,13 @@ class TestSerialAndQueue:
         code, out, err = run(["queue", "--lambda", "2.0", "--mu", "1.0"])
         assert code == 1 and out == ""
         assert "unstable queue" in err
+
+    def test_arithmetic_error_exits_1_with_its_message(self, run, monkeypatch):
+        def overflow(params):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(uslkit, "response_time", overflow)
+        assert run(["queue", "--lambda", "1", "--mu", "2"]) == (1, "", "error: math range error\n")
 
 
 class TestEnsemblePipeline:

@@ -821,6 +821,26 @@ class TestAggregate:
         g = pg.aggregate(base, ["a", "b1", "b2", "m"], "S")
         assert g.agent("S").assessment == pytest.approx(0.9 * 0.3, rel=1e-15)
 
+    def test_fired_offers_are_taken_in_graph_order(self):
+        # Round 1 takes m1's offer before m2's, so b2's fuel offer fires before
+        # b1's; round 2 still takes b1's first, by graph order, so b1 is the witness.
+        base = PromiseGraph(
+            [Agent("a", 0.9), Agent("b1", 0.5), Agent("b2", 0.4), Agent("m1", 0.8), Agent("m2", 0.7), Agent("c")],
+            [
+                offer("a", "c", "svc", cond=("fuel",)),
+                accept("a", "b1", "fuel"),
+                offer("b1", "a", "fuel", cond=("q1",)),
+                accept("a", "b2", "fuel"),
+                offer("b2", "a", "fuel", cond=("q2",)),
+                accept("b1", "m2", "q1"),
+                offer("m2", "b1", "q1"),
+                accept("b2", "m1", "q2"),
+                offer("m1", "b2", "q2"),
+            ],
+        )
+        g = pg.aggregate(base, ["a", "b1", "b2", "m1", "m2"], "S")
+        assert g.agent("S").assessment == pytest.approx(0.9 * 0.5 * 0.7, rel=1e-15)
+
     def test_interior_cycle_does_not_discharge(self):
         # a needs fuel from b, which needs power from a, which needs fuel.
         base = PromiseGraph(

@@ -264,6 +264,11 @@ def reference_corpus():
         ("quadratic", [(n, n * (1 + 0.01 * n)) for n in ns], None),
         ("retrograde", [(n, 8 * n / (n + 10) * math.exp(-n / 40)) for n in ns], None),
         ("scatter", [(n, rng.uniform(0.5, 3.0)) for n in ns], None),
+        # Off-model curves that need usl_fit's restart grid: from the linearised
+        # start alone, the first overflows and the second stops at a residual
+        # 8.6 times worse.
+        ("grid-infeasible", [(3, 3.359), (46, 68.001), (76, 1.967)], None),
+        ("grid-minimum", [(75, 916.844), (77, 149.94), (82, 7.662)], None),
     ]
     return out
 
