@@ -127,6 +127,8 @@ def _cmd_compare(args) -> dict:
 def _cmd_usl_eval(args) -> float:
     if args.n is None and not args.peak:
         args.usage_error("--n is required unless --peak is given")
+    if args.n is not None and args.peak:
+        args.usage_error("--n and --peak exclude each other")
     params = UslParams(contention=args.contention, coherency=args.coherency)
     if args.peak:
         return uslkit.usl_peak(params)
@@ -149,12 +151,8 @@ def _cmd_queue(args) -> float:
     return uslkit.response_time(QueueParams(lam=args.lam, mu=args.mu))
 
 
-def _load_graph(args) -> promisegraph.PromiseGraph:
-    return graphio.parse_graph(_read_input(args), calibration=args.calibration)
-
-
 def _cmd_graph_value(args) -> dict:
-    graph = _load_graph(args)
+    graph = graphio.parse_graph(_read_input(args), args.calibration)
     reduced = promisegraph.reduce_conditionals(graph)
     # This binds the reduced graph, once: the measures below read the bindings it keeps.
     bindings = promisegraph.find_bindings(reduced)
@@ -175,7 +173,7 @@ _BINDING_ROW = (
 
 
 def _cmd_graph_bindings(args) -> str:
-    graph = _load_graph(args)
+    graph = graphio.parse_graph(_read_input(args), args.calibration)
     quote = json.encoder.encode_basestring_ascii
     rows = [
         _BINDING_ROW % (quote(b.offer.giver), quote(b.offer.receiver), quote(b.offer.type_tag),
@@ -187,12 +185,12 @@ def _cmd_graph_bindings(args) -> str:
 
 
 def _cmd_graph_reduce(args) -> str:
-    return graphio.emit_graph(promisegraph.reduce_conditionals(_load_graph(args)))
+    return graphio.emit_graph(promisegraph.reduce_conditionals(graphio.parse_graph(_read_input(args))))
 
 
 def _cmd_graph_aggregate(args) -> str:
     members = [m for m in args.members.split(",") if m]
-    return graphio.emit_graph(promisegraph.aggregate(_load_graph(args), members, args.super_id))
+    return graphio.emit_graph(promisegraph.aggregate(graphio.parse_graph(_read_input(args)), members, args.super_id))
 
 
 def _find_offer(graph: promisegraph.PromiseGraph, giver: str, receiver: str, type_tag: str) -> promisegraph.Promise:
@@ -206,7 +204,7 @@ def _find_offer(graph: promisegraph.PromiseGraph, giver: str, receiver: str, typ
 def _cmd_graph_classify(args) -> dict:
     if (args.D is None) != (args.H is None):
         args.usage_error("--D and --H must be given together")
-    graph = _load_graph(args)
+    graph = graphio.parse_graph(_read_input(args))
     offer = _find_offer(graph, args.giver, args.receiver, args.type)
     cls = promisegraph.classify_pattern(
         graph, offer, scarcity_threshold=args.threshold, membership_type=args.membership_type
@@ -218,7 +216,8 @@ def _cmd_graph_classify(args) -> dict:
 
 
 def _cmd_graph_community(args) -> list:
-    return sorted(promisegraph.community_members(_load_graph(args), args.authority, args.membership_type))
+    graph = graphio.parse_graph(_read_input(args))
+    return sorted(promisegraph.community_members(graph, args.authority, args.membership_type))
 
 
 _INPUT = [("--input", {"help": "read from this file instead of stdin"})]
@@ -226,8 +225,8 @@ _CLASS = [("--class", {"dest": "scaling_class", "choices": [c.value for c in Sca
 _DH = [("--D", {"type": int, "required": True, "help": "embedding dimension (integer >= 1)"}),
        ("--H", {"type": finite_float, "required": True, "help": "trajectory dimension (0 <= H <= D)"})]
 _INACTIVE = [("--inactive", {"type": finite_float, "default": 0.0, "help": "inactive fraction N_0/N (default 0)"})]
-_GRAPH_INPUT = [*_INPUT, ("--calibration", {"type": finite_float, "default": 1.0,
-                                              "help": "currency value per binding type (default 1)"})]
+_CALIBRATION = [("--calibration", {"type": finite_float, "default": 1.0,
+                                   "help": "currency value per binding type (default 1)"})]
 _MEMBERSHIP = [("--membership-type", {"dest": "membership_type", "default": "member"})]
 
 _COMMANDS = {
@@ -268,23 +267,24 @@ _COMMANDS = {
         ("--mu", {"type": finite_float, "required": True, "help": "service rate"}),
     ]),
     "graph": (None, "promise-graph operations on the text format", []),
-    "graph value": (_cmd_graph_value, "total value, mesh density and largest component, as JSON", _GRAPH_INPUT),
-    "graph bindings": (_cmd_graph_bindings, "list bindings as JSON", _GRAPH_INPUT),
-    "graph reduce": (_cmd_graph_reduce, "discharge assisted conditional promises; emits canonical text", _GRAPH_INPUT),
+    "graph value": (_cmd_graph_value, "total value, mesh density and largest component, as JSON",
+                    [*_INPUT, *_CALIBRATION]),
+    "graph bindings": (_cmd_graph_bindings, "list bindings as JSON", [*_INPUT, *_CALIBRATION]),
+    "graph reduce": (_cmd_graph_reduce, "discharge assisted conditional promises; emits canonical text", _INPUT),
     "graph aggregate": (_cmd_graph_aggregate, "collapse members into a superagent; emits canonical text", [
-        *_GRAPH_INPUT,
+        *_INPUT,
         ("--members", {"required": True, "help": "comma-separated member agent ids"}),
         ("--super-id", {"dest": "super_id", "required": True, "help": "fresh id for the superagent"}),
     ]),
     "graph classify": (_cmd_graph_classify, "scaling class of one offer, as JSON", [
-        *_GRAPH_INPUT, *_MEMBERSHIP,
+        *_INPUT, *_MEMBERSHIP,
         ("--giver", {"required": True}), ("--receiver", {"required": True}), ("--type", {"required": True}),
         ("--threshold", {"type": finite_float, "default": 0.1,
                          "help": "scarcity consumer-fraction threshold (default 0.1)"}),
         *[(flag, {**kwargs, "required": False}) for flag, kwargs in _DH],
     ]),
     "graph community": (_cmd_graph_community, "members mutually bound to an authority, as JSON",
-                        [*_GRAPH_INPUT, *_MEMBERSHIP, ("--authority", {"required": True})]),
+                        [*_INPUT, *_MEMBERSHIP, ("--authority", {"required": True})]),
 }
 
 

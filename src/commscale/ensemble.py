@@ -189,13 +189,14 @@ def fit_power_law(ns, ys) -> PowerLawFit:
     if len(ns) != len(ys):
         raise DomainError(f"N and Y columns differ in length: {len(ns)} and {len(ys)}")
     try:
-        # math.log raises ValueError for values <= 0; nan and inf pass it and leave non-finite logs.
+        # math.log raises ValueError for values <= 0 and TypeError for non-numbers; nan and inf pass it and
+        # leave non-finite logs.
         x = np.array(list(map(math.log, ns)))
         y = np.array(list(map(math.log, ys)))
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError
-    except ValueError:
-        raise DomainError("samples must be finite and positive for log-log fitting") from None
+    except (TypeError, ValueError):
+        raise DomainError("samples must be finite and positive numbers for log-log fitting") from None
     if x.size == 0 or x.min() == x.max():
         raise DomainError("need at least 2 distinct N values to fit a slope")
     xbar = x.mean()
@@ -203,7 +204,7 @@ def fit_power_law(ns, ys) -> PowerLawFit:
     sxx = float(((x - xbar) ** 2).sum())
     sxy = float(((x - xbar) * (y - ybar)).sum())
     beta = sxy / sxx
-    intercept = ybar - beta * xbar
+    intercept = float(ybar - beta * xbar)
     resid = y - (intercept + beta * x)
     ssr = float((resid**2).sum())
     sst = float(((y - ybar) ** 2).sum())
@@ -252,5 +253,20 @@ def ingest_csv(path) -> tuple[list, list]:
 
 
 def samples_to_csv(ns, ys) -> str:
-    """Render the N and Y columns as `N,Y` CSV, 12 significant digits, bytewise reproducible."""
+    """Render the N and Y columns as `N,Y` CSV, 12 significant digits, bytewise reproducible.
+
+    The columns must have equal length and hold finite, strictly positive
+    numbers, the cells parse_csv reads back.
+    """
+    if len(ns) != len(ys):
+        raise DomainError(f"N and Y columns differ in length: {len(ns)} and {len(ys)}")
+    try:
+        # C-speed passes: min finds a cell <= 0 and a nan or inf cell makes the sum non-finite; only a sum
+        # that overflows on finite cells needs the isfinite pass over every cell.
+        valid = (min(ns, default=1) > 0 and min(ys, default=1) > 0
+                 and (math.isfinite(sum(ns) + sum(ys)) or all(map(math.isfinite, [*ns, *ys]))))
+    except (TypeError, OverflowError):
+        valid = False
+    if not valid:
+        raise DomainError("samples must be finite and positive numbers to be written as CSV")
     return format_pairs(zip(ns, ys), _HEADER)

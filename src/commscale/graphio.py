@@ -19,7 +19,8 @@ trailing newline. parse_graph and emit_graph are mutually inverse on
 canonical text, byte for byte.
 
 Calibration is not part of the wire format; pass it to parse_graph (or
-the CLI --calibration flag) when values matter.
+the --calibration flag of graph value and graph bindings) when values
+matter.
 """
 
 from __future__ import annotations

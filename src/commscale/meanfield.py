@@ -468,6 +468,9 @@ def impulse_rate(channel: Channel, V: float, p: ImpulseParams, D: int) -> float:
             raise DomainError(f"D must be >= 1, got {D}")
         return p.r * p.T_explore * V ** (1 / D) * p.density_I * p.alpha_tau
     if channel is Channel.VIRTUAL:
+        # The virtual rate reads neither V nor D, yet a nan one is refused, as for every scalar argument.
+        if math.isnan(V) or math.isnan(D):
+            raise DomainError(f"V and D must not be nan, got {V} and {D}")
         return p.B * p.T_explore * p.density_I * p.alpha_tau
     raise DomainError(f"unknown channel {channel!r}")
 

@@ -401,10 +401,13 @@ def total_value(graph: PromiseGraph) -> float:
 
 
 def mesh_density(graph: PromiseGraph) -> float:
-    """Bindings as a fraction of the N(N-1) possible directed pairs.
+    """The number of bindings divided by N(N-1), the count of directed agent pairs.
 
-    Measured on the graph as given (reduce first if conditional promises
-    should count). Zero for graphs with fewer than two agents.
+    Every binding counts, so this is not a fraction of pairs: two agents
+    bound both ways on two types give 2.0, and a self-binding adds to
+    the count (a<->b plus a->a gives 1.5). Measured on the graph as given
+    (reduce first if conditional promises should count). Zero for graphs
+    with fewer than two agents.
     """
     n = len(graph.agents)
     if n < 2:
@@ -562,6 +565,8 @@ def classify_pattern(
     """
     if output_promise.polarity is not Polarity.OFFER:
         raise DomainError("only offers can be classified")
+    if math.isnan(scarcity_threshold):
+        raise DomainError("scarcity_threshold must not be nan")
     by_key = graph._by_key
     stored = by_key.get(output_promise._key())
     if stored is None:

@@ -148,7 +148,10 @@ def usl_fit(data) -> UslFit:
     leaves a relative residual above 1e-6 is the fit restarted from a
     fixed 3x3 grid, skipping grid points where a denominator is <= 0.
     """
-    pts = [(float(n), float(s)) for n, s in data]
+    try:
+        pts = [(float(n), float(s)) for n, s in data]
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("data must be (N, speedup) pairs of numbers") from None
     if not pts:
         raise DomainError("no data points")
     if not all(math.isfinite(n) and math.isfinite(s) for n, s in pts):

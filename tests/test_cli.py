@@ -136,6 +136,15 @@ class TestUsl:
         assert out == "" and err.startswith("usage: commscale usl-eval ")
         assert err.endswith("error: --n is required unless --peak is given\n")
 
+    def test_n_with_peak(self, capsys):
+        # --peak prints the speedup-maximizing N instead of the speedup at --n, so the two exclude each other.
+        with pytest.raises(SystemExit) as exc:
+            main(["usl-eval", "--contention", "0.1", "--n", "8", "--peak"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: commscale usl-eval ")
+        assert err.endswith("error: --n and --peak exclude each other\n")
+
     def test_unbounded_peak_reported(self, run):
         code, _, err = run(["usl-eval", "--contention", "0.5", "--peak"])
         assert code == 1 and err.startswith("error:")
@@ -908,6 +917,7 @@ ARGV_DH = {"--D": ["1", "2", "3", "4"], "--H": ["0", "0.5", "1", "1.5", "2"]}
 ARGV_CLASS = {"--class": [c.value for c in ScalingClass]}
 # "" reads stdin, as no --input does.
 ARGV_INPUT = {"--input": [""]}
+# graph value and graph bindings, which value bindings, take a calibration; the other graph commands do not.
 ARGV_GRAPH = {**ARGV_INPUT, "--calibration": ["1", "0.5", "2.5", "-1"]}
 ARGV_MEMBERSHIP = {"--membership-type": ["member", "svc"]}
 
@@ -959,18 +969,19 @@ ARGV_FUZZ = {
     "serial": _argv_spec(["serial"], "scalar", {"--sigma": ["0", "1.5"], "--n": ["1", "32"]},
                          {"--pi": ["0", "40"], "--kappa": ["0", "0.01"]}, switches=("--exponent",)),
     "queue": _argv_spec(["queue"], "scalar", {"--lambda": ["0", "3.5"], "--mu": ["1", "4.25"]}),
-    **{f"graph-{command}": _argv_spec(["graph", command], form, optional=ARGV_GRAPH, stdin=mutated_graph_text())
-       for command, form in (("value", "json"), ("bindings", "json"), ("reduce", "graph"))},
+    **{f"graph-{command}": _argv_spec(["graph", command], form, optional=flags, stdin=mutated_graph_text())
+       for command, form, flags in (("value", "json", ARGV_GRAPH), ("bindings", "json", ARGV_GRAPH),
+                                    ("reduce", "graph", ARGV_INPUT))},
     "graph-aggregate": _argv_spec(["graph", "aggregate"], "graph",
                                   {"--members": ["a,b", "m1,m2", "a", "researcher,university"],
-                                   "--super-id": ["S", "T"]}, ARGV_GRAPH, stdin=mutated_graph_text()),
+                                   "--super-id": ["S", "T"]}, ARGV_INPUT, stdin=mutated_graph_text()),
     # The ordinary offer is one of FUZZ_BASE's; edge values of the three flags name others, or none.
     "graph-classify": _argv_spec(["graph", "classify"], "json",
                                  {"--giver": ["a"], "--receiver": ["b"], "--type": ["svc"]},
-                                 {**ARGV_GRAPH, **ARGV_MEMBERSHIP, **ARGV_DH, "--threshold": ["0", "0.1", "0.5"]},
+                                 {**ARGV_INPUT, **ARGV_MEMBERSHIP, **ARGV_DH, "--threshold": ["0", "0.1", "0.5"]},
                                  stdin=mutated_graph_text()),
     "graph-community": _argv_spec(["graph", "community"], "json", {"--authority": ["hub", "a"]},
-                                  {**ARGV_GRAPH, **ARGV_MEMBERSHIP}, stdin=mutated_graph_text()),
+                                  {**ARGV_INPUT, **ARGV_MEMBERSHIP}, stdin=mutated_graph_text()),
 }
 
 
@@ -1234,6 +1245,24 @@ class TestUsageErrors:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and "--D and --H must be given together" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduce"],
+            ["aggregate", "--members", "a,b", "--super-id", "S"],
+            ["classify", "--giver", "a", "--receiver", "b", "--type", "svc"],
+            ["community", "--authority", "hub"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_calibration_only_where_bindings_are_valued(self, argv, capsys):
+        # Only graph value and graph bindings turn bindings into value.
+        with pytest.raises(SystemExit) as exc:
+            main(["graph", *argv, "--calibration", "2"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("error: unrecognized arguments: --calibration 2\n")
 
 
     @pytest.mark.parametrize(

@@ -350,6 +350,15 @@ class TestFitPowerLaw:
         assert fit.beta == pytest.approx(1.0, rel=1e-12)
         assert fit.stderr_beta == 0.0
 
+    def test_fields_are_builtin_numbers(self):
+        # A numpy scalar would show in the repr and make unpickling need numpy.
+        fit = ens.fit_power_law([10, 100, 1000], [3.0, 40.0, 700.0])
+        assert all(type(value) in (float, int) for value in fit._values), repr(fit)
+
+    def test_non_numbers_are_domain_errors(self):
+        with pytest.raises(DomainError, match="finite and positive numbers"):
+            ens.fit_power_law(["a", "b"], [1.0, 2.0])
+
     def test_needs_two_distinct_populations(self):
         with pytest.raises(DomainError):
             ens.fit_power_law([10, 10], [1, 2])
@@ -443,6 +452,20 @@ class TestCsv:
         with pytest.raises(CsvFormatError) as err:
             ens.parse_csv("N,Y\n10,1\n-3,1\n")
         assert "row 3" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "ns,ys",
+        [([1.0, 2.0], [3.0]), ([1.0], [math.nan]), ([math.inf], [1.0]), ([0.0], [1.0]), ([2.0], [-1.0]),
+         ([1.0], ["2"]), ([10**400], [1.0]), ([1e308, 1e308, math.inf], [1.0, 1.0, 1.0])],
+        ids=["unequal-lengths", "nan", "inf", "zero", "negative", "text", "huge-int", "inf-where-the-sum-overflows"],
+    )
+    def test_render_refuses_what_parse_refuses(self, ns, ys):
+        with pytest.raises(DomainError):
+            ens.samples_to_csv(ns, ys)
+
+    def test_render_takes_finite_cells_whose_sum_overflows(self):
+        text = ens.samples_to_csv([1.7e308, 1.7e308], [1.0, 2.0])
+        assert text == "N,Y\n1.7e+308,1\n1.7e+308,2\n" and ens.parse_csv(text) == ([1.7e308] * 2, [1.0, 2.0])
 
     def test_ingest_reads_files(self, tmp_path):
         path = tmp_path / "series.csv"

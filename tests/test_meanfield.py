@@ -574,6 +574,9 @@ SCALAR_CALLS = {
                               {"V"}),
     "node_degree": (mf.node_degree, dict(pop=Population(10.0, 1.0), V=100.0, params=params()), {"V"}),
     "impulse_rate": (mf.impulse_rate, dict(channel=mf.Channel.PHYSICAL, V=100.0, p=mf.ImpulseParams(), D=2), {"V"}),
+    # The virtual rate reads neither V nor D, so an infinite one still gives the bandwidth-limited rate.
+    "impulse_rate-virtual": (mf.impulse_rate, dict(channel=mf.Channel.VIRTUAL, V=100.0, p=mf.ImpulseParams(), D=2),
+                             set()),
     "infra_agent_count": (mf.infra_agent_count, dict(N_client=100.0, valency=4.0, alpha_minus=0.5, alpha_plus=0.25),
                           {"N_client", "alpha_minus"}),
     "serialized_client_count": (mf.serialized_client_count,

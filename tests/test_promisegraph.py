@@ -659,6 +659,13 @@ class TestMeshDensity:
         assert pg.mesh_density(PromiseGraph([])) == 0.0
         assert pg.mesh_density(PromiseGraph([Agent("a")])) == 0.0
 
+    def test_counts_bindings_not_pairs(self):
+        # Bindings over N(N-1): two types bound both ways give 2.0, and a self-binding adds one more.
+        both_ways = [*pair("a", "b", "s"), *pair("b", "a", "s"), *pair("a", "b", "t"), *pair("b", "a", "t")]
+        assert pg.mesh_density(PromiseGraph([Agent("a"), Agent("b")], both_ways)) == 2.0
+        with_self = [*pair("a", "b"), *pair("b", "a"), *pair("a", "a")]
+        assert pg.mesh_density(PromiseGraph([Agent("a"), Agent("b")], with_self)) == 1.5
+
 
 class TestLargestBindingComponent:
     def test_empty(self):
@@ -957,6 +964,16 @@ class TestClassifyPattern:
         p = offer("a00", "a01", "svc")
         assert pg.classify_pattern(g, p) == ScalingClass.INTERACTION
         assert pg.classify_pattern(g, p, scarcity_threshold=0.2) == ScalingClass.SCARCE_AGENT
+
+    def test_nan_threshold_is_a_domain_error(self):
+        # fraction >= nan is false, which would read as SCARCE_AGENT; the infinite thresholds keep their classes.
+        agents = [Agent(f"a{i:02d}") for i in range(11)]
+        g = PromiseGraph(agents, pair("a00", "a01"))
+        p = offer("a00", "a01", "svc")
+        with pytest.raises(DomainError, match="nan"):
+            pg.classify_pattern(g, p, scarcity_threshold=math.nan)
+        assert pg.classify_pattern(g, p, scarcity_threshold=-math.inf) == ScalingClass.INTERACTION
+        assert pg.classify_pattern(g, p, scarcity_threshold=math.inf) == ScalingClass.SCARCE_AGENT
 
     def test_scarce_dependency_for_exterior_provider(self):
         g = PromiseGraph(
