@@ -75,10 +75,10 @@ class EnsembleSpec(Record):
                  N_max: float = 1e7, noise_sigma: float = 0.1, inactive_fraction: float = 0.0, seed: int = 0) -> None:
         self._freeze(scaling_class, params, n_samples, N_min, N_max, noise_sigma, inactive_fraction, seed)
         for name in ("n_samples", "seed"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.n_samples < 2:
             raise DomainError(f"n_samples must be >= 2, got {self.n_samples}")
         if not 1 <= self.N_min < self.N_max < math.inf:
@@ -175,28 +175,37 @@ def generate(spec: EnsembleSpec) -> tuple[list, list]:
     return ns, ys
 
 
+def _columns(ns, ys) -> tuple[list, list]:
+    """The N and Y columns as lists; DomainError unless they have equal length and every cell is a finite number > 0."""
+    try:
+        ns, ys = list(ns), list(ys)
+        if len(ns) != len(ys):
+            raise DomainError(f"N and Y columns differ in length: {len(ns)} and {len(ys)}")
+        # C-speed passes: min finds a cell <= 0 and a nan or inf cell makes the sum non-finite; only a sum
+        # that overflows on finite cells needs the isfinite pass over every cell.
+        if (min(ns, default=1) > 0 and min(ys, default=1) > 0
+                and (math.isfinite(sum(ns) + sum(ys)) or all(map(math.isfinite, [*ns, *ys])))):
+            return ns, ys
+    except (TypeError, ArithmeticError):
+        pass
+    raise DomainError("samples must be finite and positive numbers")
+
+
 def fit_power_law(ns, ys) -> PowerLawFit:
     """Ordinary least squares on (ln N, ln Y) over the N and Y columns.
 
-    The columns must have equal length and hold finite, strictly
-    positive values, and N needs at least two distinct values.
-    stderr_beta follows the standard slope formula with n-2 degrees of
-    freedom (0.0 when there are exactly two points); r_squared is 1.0
-    for an exact fit, including the degenerate all-equal-Y case.
+    The columns may be any iterables of numbers; they must have equal
+    length and hold finite, strictly positive values, and N needs at
+    least two distinct values. stderr_beta follows the standard slope
+    formula with n-2 degrees of freedom (0.0 when there are exactly two
+    points); r_squared is 1.0 for an exact fit, including the degenerate
+    all-equal-Y case.
     """
     import numpy as np
 
-    if len(ns) != len(ys):
-        raise DomainError(f"N and Y columns differ in length: {len(ns)} and {len(ys)}")
-    try:
-        # math.log raises ValueError for values <= 0 and TypeError for non-numbers; nan and inf pass it and
-        # leave non-finite logs.
-        x = np.array(list(map(math.log, ns)))
-        y = np.array(list(map(math.log, ys)))
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValueError
-    except (TypeError, ValueError):
-        raise DomainError("samples must be finite and positive numbers for log-log fitting") from None
+    ns, ys = _columns(ns, ys)
+    x = np.array(list(map(math.log, ns)))
+    y = np.array(list(map(math.log, ys)))
     if x.size == 0 or x.min() == x.max():
         raise DomainError("need at least 2 distinct N values to fit a slope")
     xbar = x.mean()
@@ -255,18 +264,8 @@ def ingest_csv(path) -> tuple[list, list]:
 def samples_to_csv(ns, ys) -> str:
     """Render the N and Y columns as `N,Y` CSV, 12 significant digits, bytewise reproducible.
 
-    The columns must have equal length and hold finite, strictly positive
-    numbers, the cells parse_csv reads back.
+    The columns may be any iterables of numbers; they must have equal
+    length and hold finite, strictly positive numbers, the cells
+    parse_csv reads back.
     """
-    if len(ns) != len(ys):
-        raise DomainError(f"N and Y columns differ in length: {len(ns)} and {len(ys)}")
-    try:
-        # C-speed passes: min finds a cell <= 0 and a nan or inf cell makes the sum non-finite; only a sum
-        # that overflows on finite cells needs the isfinite pass over every cell.
-        valid = (min(ns, default=1) > 0 and min(ys, default=1) > 0
-                 and (math.isfinite(sum(ns) + sum(ys)) or all(map(math.isfinite, [*ns, *ys]))))
-    except (TypeError, OverflowError):
-        valid = False
-    if not valid:
-        raise DomainError("samples must be finite and positive numbers to be written as CSV")
-    return format_pairs(zip(ns, ys), _HEADER)
+    return format_pairs(zip(*_columns(ns, ys)), _HEADER)

@@ -73,7 +73,8 @@ class Agent(Record):
             raise DomainError(f"agent id must be a non-empty string, got {id!r}")
         if not (isinstance(assessment, Real) and 0 <= assessment <= 1):
             raise DomainError(f"assessment must be a number in [0, 1], got {assessment!r}")
-        self._freeze(id, float(assessment))
+        # + 0.0 turns -0.0 into 0.0, so equal agents emit the same text; it keeps every other value.
+        self._freeze(id, float(assessment) + 0.0)
 
 
 class Polarity(enum.Enum):

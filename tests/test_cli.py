@@ -502,6 +502,15 @@ class TestNonFiniteResult:
         assert code == 1 and out == ""
         assert "Traceback" not in err and "finite" in err
 
+    def test_scalar_result_is_checked_where_it_is_written(self, run, monkeypatch):
+        # The last guard: a library result that is not finite never reaches stdout.
+        monkeypatch.setattr(cli.uslkit, "response_time", lambda params: math.inf)
+        assert run(["queue", "--lambda", "1", "--mu", "2"]) == (1, "", "error: result inf is not a finite number\n")
+
+    def test_json_result_is_checked_where_it_is_written(self, run, monkeypatch):
+        monkeypatch.setattr(cli.meanfield, "predicted_exponent", lambda cls, params: math.nan)
+        assert run(["exponents", "--D", "2", "--H", "1"]) == (1, "", "error: result nan is not a finite number\n")
+
     def test_peak_of_a_tiny_coherency_is_finite(self, run):
         # sqrt(2) / sqrt(1e-320) is about 1.4e160; the quotient 2 / 1e-320 alone would overflow.
         argv = ["usl-eval", "--contention", "-1", "--coherency", "1e-320", "--peak"]
@@ -941,10 +950,11 @@ def speedup_csv_text(draw):
     return "N,value\n" + "".join(f"{n!r},{v!r}\n" for n, v in rows)
 
 
-def _argv_spec(argv, stdout, required=(), optional=(), switches=(), stdin=st.just(""), edges=()):
-    """required and optional map each flag to its ordinary values; edges gives a flag edge values of its own."""
+def _argv_spec(argv, stdout, required=(), optional=(), switches=(), stdin=st.just(""), edges=(), one_of=()):
+    """required and optional map each flag to its ordinary values; edges gives a flag edge values of its own;
+    one_of names optional flags and switches that exclude each other, of which each run passes exactly one."""
     return SimpleNamespace(argv=argv, stdout=stdout, required=dict(required), optional=dict(optional),
-                           switches=switches, stdin=stdin, edges={**ARGV_EDGES, **dict(edges)})
+                           switches=switches, stdin=stdin, edges={**ARGV_EDGES, **dict(edges)}, one_of=one_of)
 
 
 # Every subcommand: its flags, the form of its stdout, and what it reads on stdin (TestHostileInputFuzz gives
@@ -964,7 +974,8 @@ ARGV_FUZZ = {
     "compare": _argv_spec(["compare"], "json", {**ARGV_CLASS, **ARGV_DH}, {**ARGV_INPUT, "--k": ["0", "2", "3.5"]},
                           stdin=fit_json_text()),
     "usl-eval": _argv_spec(["usl-eval"], "scalar", {"--contention": ["0", "0.05", "0.5", "-0.5"]},
-                           {"--coherency": ["0", "0.0002", "0.1"], "--n": ["1", "8", "64"]}, switches=("--peak",)),
+                           {"--coherency": ["0", "0.0002", "0.1"], "--n": ["1", "8", "64"]}, switches=("--peak",),
+                           one_of=("--n", "--peak")),
     "usl-fit": _argv_spec(["usl-fit"], "json", optional=ARGV_INPUT, stdin=speedup_csv_text()),
     "serial": _argv_spec(["serial"], "scalar", {"--sigma": ["0", "1.5"], "--n": ["1", "32"]},
                          {"--pi": ["0", "40"], "--kappa": ["0", "0.01"]}, switches=("--exponent",)),
@@ -992,15 +1003,20 @@ ALMOST_ALWAYS = st.sampled_from([True] * 15 + [False])
 @st.composite
 def fuzzed_argv(draw, spec):
     """spec's argv with each flag as --flag=value. A required flag is left out in a few runs in a hundred and an
-    optional one in half of them; up to two of the flags given take an edge value; now and then a stray token goes
-    in."""
+    optional flag or a switch in half of them, but each run passes exactly one of the flags that one_of names; up to
+    two of the flags given take an edge value; now and then a stray token goes in."""
+    picked = draw(st.sampled_from(spec.one_of)) if spec.one_of else None
+
+    def drawn(flag):
+        return flag == picked if flag in spec.one_of else draw(st.booleans())
+
     values = {**spec.required, **spec.optional}
-    flags = [f for f in spec.required if draw(ALMOST_ALWAYS)] + [f for f in spec.optional if draw(st.booleans())]
+    flags = [f for f in spec.required if draw(ALMOST_ALWAYS)] + [f for f in spec.optional if drawn(f)]
     edged = draw(st.sets(st.sampled_from(flags), max_size=2)) if flags else set()
     argv = spec.argv + [
         f"{f}={draw(spec.edges.get(f, ARGV_EDGE) if f in edged else st.sampled_from(values[f]))}" for f in flags
     ]
-    argv += [switch for switch in spec.switches if draw(st.booleans())]
+    argv += [switch for switch in spec.switches if drawn(switch)]
     if not draw(ALMOST_ALWAYS):
         argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "extra", "--n", "-x"])))
     return argv

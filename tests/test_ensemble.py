@@ -28,6 +28,12 @@ class TestSpecValidation:
             spec(n_samples=10.5)
         assert spec(n_samples=np.int64(10)) == spec(n_samples=10)
 
+    @pytest.mark.parametrize("name", ["n_samples", "seed"])
+    def test_a_bool_is_not_an_integer(self, name):
+        # operator.index(True) is 1; PowerLawFit refuses n=True alike.
+        with pytest.raises(DomainError, match=f"^{name} must be an integer, got True$"):
+            spec(**{name: True})
+
     def test_population_bounds(self):
         with pytest.raises(DomainError):
             spec(N_min=0.5)
@@ -359,6 +365,21 @@ class TestFitPowerLaw:
         with pytest.raises(DomainError, match="finite and positive numbers"):
             ens.fit_power_law(["a", "b"], [1.0, 2.0])
 
+    def test_iterator_columns_fit_as_lists(self):
+        ns, ys = [10, 100, 1000], [3.0, 40.0, 700.0]
+        assert ens.fit_power_law(iter(ns), (y for y in ys)) == ens.fit_power_law(ns, ys)
+
+    @pytest.mark.parametrize("call", [ens.fit_power_law, ens.samples_to_csv], ids=["fit", "csv"])
+    @pytest.mark.parametrize("ns, ys", [(5, 6), (None, [1.0]), ([10.0, 100.0], 7)], ids=["numbers", "none", "one"])
+    def test_columns_that_are_not_iterables_are_domain_errors(self, call, ns, ys):
+        with pytest.raises(DomainError, match="^samples must be finite and positive numbers$"):
+            call(ns, ys)
+
+    def test_int_too_large_for_a_float_is_a_domain_error(self):
+        # math.log would take it, but no float cell can hold it, so neither column function does.
+        with pytest.raises(DomainError, match="finite and positive numbers"):
+            ens.fit_power_law([10, 10**400], [1.0, 2.0])
+
     def test_needs_two_distinct_populations(self):
         with pytest.raises(DomainError):
             ens.fit_power_law([10, 10], [1, 2])
@@ -466,6 +487,10 @@ class TestCsv:
     def test_render_takes_finite_cells_whose_sum_overflows(self):
         text = ens.samples_to_csv([1.7e308, 1.7e308], [1.0, 2.0])
         assert text == "N,Y\n1.7e+308,1\n1.7e+308,2\n" and ens.parse_csv(text) == ([1.7e308] * 2, [1.0, 2.0])
+
+    def test_render_takes_iterators(self):
+        ns, ys = ens.generate(spec(n_samples=25, seed=6))
+        assert ens.samples_to_csv(iter(ns), (y for y in ys)) == ens.samples_to_csv(ns, ys)
 
     def test_ingest_reads_files(self, tmp_path):
         path = tmp_path / "series.csv"

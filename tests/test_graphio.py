@@ -118,6 +118,12 @@ class TestEmit:
         with pytest.raises(DomainError, match="giver, receiver and type must be strings"):
             emit_graph(PromiseGraph([Agent("a"), Agent("b")], [Promise("a", "b", 5, Polarity.OFFER)]))
 
+    def test_negative_zero_assessment_emits_as_zero(self):
+        # The two graphs are equal, so their canonical text is too.
+        assert parse_graph("agent a -0.0\n") == parse_graph("agent a 0.0\n")
+        assert emit_graph(parse_graph("agent a -0.0\n")) == "agent a 0.0\n"
+        assert emit_graph(PromiseGraph([Agent("a", -0.0)])) == "agent a 0.0\n"
+
     def test_agents_sorted_then_promises(self):
         g = PromiseGraph([Agent("b"), Agent("a", 0.5)], [Promise("b", "a", "svc", Polarity.OFFER)])
         assert emit_graph(g) == "agent a 0.5\nagent b 1.0\npromise b a svc + *\n"

@@ -319,6 +319,9 @@ class TestKeptBindings:
 
 
 class TestPromiseGraph:
+    def test_never_equals_a_non_graph(self):
+        assert PromiseGraph([]) != 5 and not PromiseGraph([]) == 5
+
     def test_duplicate_agent_rejected(self):
         with pytest.raises(DomainError):
             PromiseGraph([Agent("a"), Agent("a", 0.5)])

@@ -154,6 +154,11 @@ class TestUslFit:
             with pytest.raises(DomainError, match=r"\(N, speedup\) pairs of numbers"):
                 uslkit.usl_fit(malformed)
 
+    def test_refine_stops_at_a_singular_step(self):
+        # A zero basis makes J'J singular: the first solve fails and the start comes back with its error.
+        theta, cost = uslkit._refine(np.zeros((3, 2)), np.ones(3), 2 * np.ones(3), np.array([0.1, 0.01]))
+        assert theta.tolist() == [0.1, 0.01] and cost == 3.0
+
 
 class TestSerialModel:
     def test_time_hand_value(self):
