@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from itertools import count
 
 from ._record import Record
@@ -176,9 +177,13 @@ def generate(spec: EnsembleSpec) -> tuple[list, list]:
 
 
 def _columns(ns, ys) -> tuple[list, list]:
-    """The N and Y columns as lists; DomainError unless they have equal length and every cell is a finite number > 0."""
+    """The N and Y columns as lists of their cells' floats; DomainError unless equal in length, all finite and > 0."""
     try:
-        ns, ys = list(ns), list(ys)
+        # array("d") refuses text, which float() would parse; list() first, as array("d", b) reads raw doubles.
+        ns, ys = array("d", list(ns)).tolist(), array("d", list(ys)).tolist()
+    except (TypeError, ValueError, ArithmeticError):
+        pass
+    else:
         if len(ns) != len(ys):
             raise DomainError(f"N and Y columns differ in length: {len(ns)} and {len(ys)}")
         # C-speed passes: min finds a cell <= 0 and a nan or inf cell makes the sum non-finite; only a sum
@@ -186,8 +191,6 @@ def _columns(ns, ys) -> tuple[list, list]:
         if (min(ns, default=1) > 0 and min(ys, default=1) > 0
                 and (math.isfinite(sum(ns) + sum(ys)) or all(map(math.isfinite, [*ns, *ys])))):
             return ns, ys
-    except (TypeError, ArithmeticError):
-        pass
     raise DomainError("samples must be finite and positive numbers")
 
 
@@ -195,11 +198,11 @@ def fit_power_law(ns, ys) -> PowerLawFit:
     """Ordinary least squares on (ln N, ln Y) over the N and Y columns.
 
     The columns may be any iterables of numbers; they must have equal
-    length and hold finite, strictly positive values, and N needs at
-    least two distinct values. stderr_beta follows the standard slope
-    formula with n-2 degrees of freedom (0.0 when there are exactly two
-    points); r_squared is 1.0 for an exact fit, including the degenerate
-    all-equal-Y case.
+    length, each cell's float must be finite and strictly positive, and
+    N needs at least two distinct values. stderr_beta follows the
+    standard slope formula with n-2 degrees of freedom (0.0 when there
+    are exactly two points); r_squared is 1.0 for an exact fit,
+    including the degenerate all-equal-Y case.
     """
     import numpy as np
 
@@ -265,7 +268,7 @@ def samples_to_csv(ns, ys) -> str:
     """Render the N and Y columns as `N,Y` CSV, 12 significant digits, bytewise reproducible.
 
     The columns may be any iterables of numbers; they must have equal
-    length and hold finite, strictly positive numbers, the cells
-    parse_csv reads back.
+    length, and each cell is written as its float, which must be finite
+    and strictly positive, as parse_csv requires of what it reads back.
     """
-    return format_pairs(zip(*_columns(ns, ys)), _HEADER)
+    return format_pairs(*_columns(ns, ys), _HEADER)

@@ -55,6 +55,16 @@ __all__ = [
 ]
 
 
+def _dimension(D) -> int:
+    """The embedding dimension D as an int; DomainError unless D is an integral number >= 1 and not a bool."""
+    try:
+        if not isinstance(D, bool) and 1 <= D < math.inf and D == int(D):
+            return int(D)
+    except (TypeError, ArithmeticError):
+        pass
+    raise DomainError(f"D must be an integer >= 1, got {D}")
+
+
 class ScalingParams(Record):
     """Dimensional and coupling constants of the mean-field model.
 
@@ -74,9 +84,7 @@ class ScalingParams(Record):
 
     def __init__(self, D: int, H: float, g_I: float = 1.0, g_Y: float = 1.0, G_Y: float = 1.0, c_Y: float = 1.0,
                  v_Y: float = 1.0, L: float = 1.0) -> None:
-        if not 1 <= D < math.inf or D != int(D):
-            raise DomainError(f"D must be an integer >= 1, got {D}")
-        self._freeze(int(D), H, g_I, g_Y, G_Y, c_Y, v_Y, L)
+        self._freeze(_dimension(D), H, g_I, g_Y, G_Y, c_Y, v_Y, L)
         if not 0 <= self.H <= self.D:
             raise DomainError(f"H must satisfy 0 <= H <= D, got H={self.H} with D={self.D}")
         for name in ("g_I", "g_Y", "G_Y", "c_Y", "v_Y", "L"):
@@ -449,9 +457,7 @@ def serialized_client_count(V_catchment: float, N_users: float, D: int, cross_se
         raise DomainError(f"user count must be finite and positive, got {N_users}")
     if not 0 < cross_section < math.inf:
         raise DomainError(f"cross-section must be finite and positive, got {cross_section}")
-    if not D >= 1:
-        raise DomainError(f"D must be >= 1, got {D}")
-    return (V_catchment / N_users) ** (1 / D) * cross_section * N_users
+    return (V_catchment / N_users) ** (1 / _dimension(D)) * cross_section * N_users
 
 
 @_finite
@@ -464,9 +470,7 @@ def impulse_rate(channel: Channel, V: float, p: ImpulseParams, D: int) -> float:
     if channel is Channel.PHYSICAL:
         if not 0 < V < math.inf:
             raise DomainError(f"physical discovery requires a finite positive volume, got {V}")
-        if not D >= 1:
-            raise DomainError(f"D must be >= 1, got {D}")
-        return p.r * p.T_explore * V ** (1 / D) * p.density_I * p.alpha_tau
+        return p.r * p.T_explore * V ** (1 / _dimension(D)) * p.density_I * p.alpha_tau
     if channel is Channel.VIRTUAL:
         # The virtual rate reads neither V nor D, yet a nan one is refused, as for every scalar argument.
         if math.isnan(V) or math.isnan(D):

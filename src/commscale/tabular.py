@@ -7,11 +7,11 @@ significant digits, which gives the same bytes on every platform;
 parsing returns the value rounded to 12 digits, not the float that was
 written. Errors carry 1-based row and column positions.
 
-Parsing returns the two columns, not rows: the rows' cells are
-converted by one float() over all of them and checked finite in one
-pass, and only input that fails is read again row by row, to name the
-first bad row and column. Valid and invalid input therefore get the
-values and messages of a row-by-row reader.
+Both directions take the two columns, not rows. Formatting writes all
+rows by one '%' format over the interleaved cells. Parsing converts the
+cells by one float() over all of them, checks them finite in one pass,
+and reads only input that fails again row by row, to name the first bad
+row and column, so it gives the values and messages of a row reader.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ def _parse_rows(body: list) -> list:
     return values
 
 
-def format_pairs(pairs, header: str) -> str:
-    """Render (x, y) pairs as CSV text under the given header."""
-    lines = [header]
-    lines.extend(f"{x:.12g},{y:.12g}" for x, y in pairs)
-    return "\n".join(lines) + "\n"
+def format_pairs(xs, ys, header: str) -> str:
+    """Render the x and y columns, of equal length, as CSV text under the given header."""
+    cells = [0.0] * (2 * len(xs))
+    cells[0::2], cells[1::2] = xs, ys
+    return header + "\n" + ("%.12g,%.12g\n" * len(xs)) % tuple(cells)

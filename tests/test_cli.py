@@ -1042,7 +1042,7 @@ def _check_stdout(form, out):
     elif form == "scalar":
         assert math.isfinite(float(out)) and out == format(float(out), ".12g") + "\n"
     elif form == "csv":
-        assert out == tabular.format_pairs(zip(*tabular.parse_pairs(out, "N,Y")), "N,Y")
+        assert out == tabular.format_pairs(*tabular.parse_pairs(out, "N,Y"), "N,Y")
     else:
         _canonical_graph(out)
 

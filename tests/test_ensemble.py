@@ -1,5 +1,8 @@
 import math
+import struct
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -375,10 +378,22 @@ class TestFitPowerLaw:
         with pytest.raises(DomainError, match="^samples must be finite and positive numbers$"):
             call(ns, ys)
 
+    @pytest.mark.parametrize("call", [ens.fit_power_law, ens.samples_to_csv], ids=["fit", "csv"])
+    @pytest.mark.parametrize("cell", ["20", b"20", bytearray(b"20")], ids=["str", "bytes", "bytearray"])
+    def test_text_cells_are_refused_though_float_parses_them(self, call, cell):
+        with pytest.raises(DomainError, match="^samples must be finite and positive numbers$"):
+            call([10.0, cell], [1.0, 2.0])
+
     def test_int_too_large_for_a_float_is_a_domain_error(self):
         # math.log would take it, but no float cell can hold it, so neither column function does.
         with pytest.raises(DomainError, match="finite and positive numbers"):
             ens.fit_power_law([10, 10**400], [1.0, 2.0])
+
+    @pytest.mark.parametrize("cell", [Fraction(1, 10**400), Decimal("sNaN")], ids=["fraction-float-is-0", "snan"])
+    def test_a_cell_is_judged_by_the_float_it_becomes(self, cell):
+        # The Fraction is > 0, but its float is 0.0, whose log is no number; a signaling nan has no float.
+        with pytest.raises(DomainError, match="^samples must be finite and positive numbers$"):
+            ens.fit_power_law([cell, 1], [1.0, 2.0])
 
     def test_needs_two_distinct_populations(self):
         with pytest.raises(DomainError):
@@ -492,6 +507,21 @@ class TestCsv:
         ns, ys = ens.generate(spec(n_samples=25, seed=6))
         assert ens.samples_to_csv(iter(ns), (y for y in ys)) == ens.samples_to_csv(ns, ys)
 
+    @pytest.mark.parametrize(
+        "ns, row",
+        [([Fraction(1, 3), 1], "0.333333333333,1"), ([Decimal("1E+2"), 2], "100,1"), ([True, 2], "1,1")],
+        ids=["fraction", "decimal", "bool"],
+    )
+    def test_render_writes_each_cell_as_its_float(self, ns, row):
+        assert ens.samples_to_csv(ns, [1.0, 2.0]).split("\n")[1] == row
+
+    def test_render_takes_int_cells_whose_sum_no_float_holds(self):
+        assert ens.samples_to_csv([10**308, 10**308], [1, 2]) == "N,Y\n1e+308,1\n1e+308,2\n"
+
+    def test_render_reads_a_bytes_column_as_its_ints(self):
+        # Eight bytes, which array("d", ...) alone would read as one raw double.
+        assert ens.samples_to_csv(bytes(range(1, 9)), range(1, 9)) == ens.samples_to_csv(range(1, 9), range(1, 9))
+
     def test_ingest_reads_files(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("N,Y\n10,100\n20,300\n", encoding="utf-8")
@@ -525,5 +555,12 @@ class TestTabular:
             parse_pairs("N,Y\n1,2\nx,4\n", "N,Y")
 
     def test_format_emits_trailing_newline_and_12_digits(self):
-        text = format_pairs([(1 / 3, 2e-7)], "a,b")
+        text = format_pairs([1 / 3], [2e-7], "a,b")
         assert text == "a,b\n0.333333333333,2e-07\n"
+
+    @settings(max_examples=2000)
+    @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+                     .filter(math.isfinite)))
+    def test_percent_format_writes_what_format_writes(self, x):
+        assert "%.12g" % x == format(x, ".12g")

@@ -418,6 +418,12 @@ class TestSupportCounts:
         with pytest.raises(DomainError, match="D must be"):
             mf.serialized_client_count(10, 10, 0, 1.0)
 
+    def test_serialized_client_count_needs_an_integral_dimension(self):
+        # ScalingParams' rule for D: an integral float such as 2.0 stays a dimension, 1.5 is none.
+        with pytest.raises(DomainError, match="^D must be an integer >= 1, got 1.5$"):
+            mf.serialized_client_count(8.0, 2.0, 1.5, 1.0)
+        assert mf.serialized_client_count(8.0, 2.0, 2.0, 1.0) == mf.serialized_client_count(8.0, 2.0, 2, 1.0)
+
 
 class TestImpulseRates:
     def test_virtual_independent_of_volume(self):
@@ -438,6 +444,10 @@ class TestImpulseRates:
     def test_physical_rejects_nonpositive_volume(self):
         with pytest.raises(DomainError):
             mf.impulse_rate(mf.Channel.PHYSICAL, 0.0, mf.ImpulseParams(), 2)
+
+    def test_physical_needs_an_integral_dimension(self):
+        with pytest.raises(DomainError, match="^D must be an integer >= 1, got 2.5$"):
+            mf.impulse_rate(mf.Channel.PHYSICAL, 8.0, mf.ImpulseParams(), 2.5)
 
     def test_unknown_channel(self):
         with pytest.raises(DomainError, match="unknown channel"):
@@ -505,6 +515,11 @@ class TestValidation:
             ScalingParams(D=2, H=2.5)
         with pytest.raises(DomainError):
             ScalingParams(D=2, H=-0.1)
+
+    def test_params_refuse_a_bool_dimension(self):
+        # 1 <= True holds, yet a bool is no dimension, as it is no EnsembleSpec count.
+        with pytest.raises(DomainError, match="^D must be an integer >= 1, got True$"):
+            ScalingParams(D=True, H=1.0)
 
     def test_params_reject_bad_couplings(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,7 @@
 import importlib
+import inspect
+import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +9,13 @@ import commscale
 
 # The modules whose public names the package root re-exports.
 MODULES = ("ensemble", "errors", "graphio", "meanfield", "promisegraph", "uslkit")
+
+BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+# The timed stages of the traced runs, "layer.function"; import times are not stages of a function.
+TRACED_STAGES = [m["name"][:-2] for m in BENCHMARK["per_layer"] if m["name"].endswith("_s")
+                 and not m["name"].endswith(".import_s")]
+# Stages that the tracer names after something other than the function it wraps.
+TRACED_AS = {"cli.main_self": "cli.main", "promisegraph.construct": "promisegraph.PromiseGraph.__init__"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -21,3 +31,16 @@ def test_star_import_binds_every_public_name():
     exec("from commscale import *", namespace)
     wanted = {public for name in MODULES for public in importlib.import_module(f"commscale.{name}").__all__}
     assert wanted - namespace.keys() == set()
+
+
+@pytest.mark.parametrize("stage", TRACED_STAGES)
+def test_each_traced_stage_names_a_public_function_of_its_layer(stage):
+    # The tracer wraps a layer's public functions under "module.name"; were one renamed or moved, its
+    # stage would read zero in every traced run and nothing would fail.
+    layer, public, *attrs = TRACED_AS.get(stage, stage).split(".")
+    module = importlib.import_module(f"commscale.{layer}")
+    assert public in module.__all__
+    fn = getattr(module, public)
+    for attr in attrs:
+        fn = vars(fn)[attr]
+    assert inspect.isfunction(fn) and (fn.__module__, fn.__name__) == (module.__name__, [public, *attrs][-1])
