@@ -107,17 +107,11 @@ def _cmd_fit(args) -> dict:
     return _fields(ensemble.fit_power_law(*ensemble.parse_csv(_read_input(args))))
 
 
-_FIT_DEFAULTS = (("log_intercept", 0.0), ("r_squared", 1.0), ("stderr_beta", 0.0))
-
-
 def _cmd_compare(args) -> dict:
     try:
         obj = json.loads(_read_input(args))
-        values = [obj["beta"]] + [obj.get(k, d) for k, d in _FIT_DEFAULTS]
-        # Only JSON numbers: float() would also take "1.17" and true.
-        if any(type(v) not in (int, float) for v in values):
-            raise TypeError
-        fit = ensemble.PowerLawFit(*map(finite_float, values), n=obj.get("n", 0))
+        fit = ensemble.PowerLawFit(obj["beta"], obj.get("log_intercept", 0.0), obj.get("r_squared", 1.0),
+                                   obj.get("stderr_beta", 0.0), obj.get("n", 0))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError, RecursionError):
         raise DomainError("input must be fit JSON with at least a 'beta' field, all numeric fields finite") from None
     report = ensemble.compare(fit, ScalingClass(args.scaling_class), ScalingParams(D=args.D, H=args.H), k=args.k)

@@ -36,12 +36,11 @@ draw or fit, so that the commands which do neither start without it.
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from itertools import count
 
 from ._record import Record
-from .errors import CsvFormatError, DomainError, _finite
+from .errors import CsvFormatError, DomainError, _finite, _integer, _real
 from .meanfield import ScalingClass, ScalingParams, _law, predicted_exponent
 from .tabular import format_pairs, parse_pairs
 
@@ -74,21 +73,16 @@ class EnsembleSpec(Record):
 
     def __init__(self, scaling_class: ScalingClass, params: ScalingParams, n_samples: int = 500, N_min: float = 1e3,
                  N_max: float = 1e7, noise_sigma: float = 0.1, inactive_fraction: float = 0.0, seed: int = 0) -> None:
-        self._freeze(scaling_class, params, n_samples, N_min, N_max, noise_sigma, inactive_fraction, seed)
-        for name in ("n_samples", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
-        if self.n_samples < 2:
-            raise DomainError(f"n_samples must be >= 2, got {self.n_samples}")
+        self._freeze(scaling_class, params, _integer(n_samples, "n_samples", 2),
+                     *map(_real, (N_min, N_max, noise_sigma, inactive_fraction), self._fields[3:]),
+                     _integer(seed, "seed", 0))
         if not 1 <= self.N_min < self.N_max < math.inf:
             raise DomainError(f"population bounds need 1 <= N_min < N_max < inf, got [{self.N_min}, {self.N_max}]")
         if not 0 <= self.noise_sigma < math.inf:
             raise DomainError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not 0 <= self.inactive_fraction < 1:
             raise DomainError(f"inactive_fraction must be in [0, 1), got {self.inactive_fraction}")
-        if not 0 <= self.seed < _MAX_SEED:
+        if not self.seed < _MAX_SEED:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
@@ -98,21 +92,17 @@ class PowerLawFit(Record):
     __slots__ = ("beta", "log_intercept", "r_squared", "stderr_beta", "n")
 
     def __init__(self, beta: float, log_intercept: float, r_squared: float, stderr_beta: float, n: int) -> None:
+        self._freeze(*map(_real, (beta, log_intercept, r_squared, stderr_beta), self._fields), n)
         # Each comparison is false for nan.
-        for name, value in (("beta", beta), ("log_intercept", log_intercept)):
-            if not -math.inf < value < math.inf:
-                raise DomainError(f"{name} must be finite, got {value}")
-        if not 0 <= r_squared <= 1:
-            raise DomainError(f"r_squared must be in [0, 1], got {r_squared}")
-        if not 0 <= stderr_beta < math.inf:
-            raise DomainError(f"stderr_beta must be finite and >= 0, got {stderr_beta}")
-        try:
-            index = operator.index(n)
-        except TypeError:
-            index = -1
-        if index < 0 or isinstance(n, bool):
-            raise DomainError(f"n must be an integer >= 0, got {n!r}")
-        self._freeze(beta, log_intercept, r_squared, stderr_beta, index)
+        for name in ("beta", "log_intercept"):
+            if not -math.inf < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 <= self.r_squared <= 1:
+            raise DomainError(f"r_squared must be in [0, 1], got {self.r_squared}")
+        if not 0 <= self.stderr_beta < math.inf:
+            raise DomainError(f"stderr_beta must be finite and >= 0, got {self.stderr_beta}")
+        # n last: a bad float field is reported before a bad count.
+        object.__setattr__(self, "n", _integer(n, "n", 0))
 
 
 @_finite
@@ -136,9 +126,9 @@ def model_value(scaling_class: ScalingClass, N: float, inactive_fraction: float,
     N must be finite and positive and inactive_fraction in [0, 1]; a
     value that leaves the float range is a DomainError.
     """
-    if not 0 < N < math.inf:
+    if not 0 < (N := _real(N, "N")) < math.inf:
         raise DomainError(f"population must be finite and positive, got {N}")
-    if not 0 <= inactive_fraction <= 1:
+    if not 0 <= (inactive_fraction := _real(inactive_fraction, "inactive_fraction")) <= 1:
         raise DomainError(f"inactive fraction must be in [0, 1], got {inactive_fraction}")
     n0 = inactive_fraction * N
     return _law(scaling_class, params).kernel(params)(N - n0, n0)
@@ -233,7 +223,7 @@ class CompareReport(Record):
 
     def __init__(self, theory_beta: float, fitted_beta: float, gap: float, stderr_beta: float, k: float,
                  within_k_stderr: bool) -> None:
-        self._freeze(theory_beta, fitted_beta, gap, stderr_beta, k, within_k_stderr)
+        self._freeze(*map(_real, (theory_beta, fitted_beta, gap, stderr_beta, k), self._fields), within_k_stderr)
         for name in ("theory_beta", "fitted_beta", "gap", "stderr_beta", "k"):
             if not -math.inf < getattr(self, name) < math.inf:
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
@@ -241,7 +231,7 @@ class CompareReport(Record):
 
 def compare(fit: PowerLawFit, scaling_class: ScalingClass, params: ScalingParams, k: float = 2.0) -> CompareReport:
     """Absolute gap between fit and theory, flagged against k standard errors (0 <= k < inf)."""
-    if not 0 <= k < math.inf:
+    if not 0 <= (k := _real(k, "k")) < math.inf:
         raise DomainError(f"k must be finite and >= 0, got {k}")
     theory = predicted_exponent(scaling_class, params)
     gap = abs(fit.beta - theory)

@@ -1,4 +1,11 @@
-"""Exception types shared across the package, and the finite-result check that raises DomainError."""
+"""Exception types shared across the package, and the checks that raise DomainError.
+
+_finite checks a function's float result. _real and _integer hold the
+package's one number rule, which every record field and scalar argument
+passes before its range check: a real is a value float() converts,
+stored as that float; an integer is an integral number, stored as an
+int (2.0 gives 2). Neither is a bool or text.
+"""
 
 from __future__ import annotations
 
@@ -58,3 +65,23 @@ def _finite(f):
         raise DomainError("result is out of the finite float range")
 
     return checked
+
+
+def _real(value, name: str) -> float:
+    """value as its float; DomainError unless float() converts it and it is neither a bool nor text."""
+    try:
+        if not isinstance(value, (bool, str, bytes, bytearray)):
+            return float(value)
+    except (TypeError, ValueError, ArithmeticError):
+        pass
+    raise DomainError(f"{name} must be a real number, got {value!r}")
+
+
+def _integer(value, name: str, least: int) -> int:
+    """value as an int; DomainError unless _real takes it and it is an integral number >= least."""
+    try:
+        if _real(value, name) >= least and (integer := int(value)) == value:
+            return integer
+    except (TypeError, ValueError, ArithmeticError):
+        pass
+    raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable
 
 from ._record import Record
-from .errors import DomainError, UnsupportedConfigError, _finite
+from .errors import DomainError, UnsupportedConfigError, _finite, _integer, _real
 
 __all__ = [
     "ScalingParams",
@@ -55,16 +55,6 @@ __all__ = [
 ]
 
 
-def _dimension(D) -> int:
-    """The embedding dimension D as an int; DomainError unless D is an integral number >= 1 and not a bool."""
-    try:
-        if not isinstance(D, bool) and 1 <= D < math.inf and D == int(D):
-            return int(D)
-    except (TypeError, ArithmeticError):
-        pass
-    raise DomainError(f"D must be an integer >= 1, got {D}")
-
-
 class ScalingParams(Record):
     """Dimensional and coupling constants of the mean-field model.
 
@@ -84,7 +74,7 @@ class ScalingParams(Record):
 
     def __init__(self, D: int, H: float, g_I: float = 1.0, g_Y: float = 1.0, G_Y: float = 1.0, c_Y: float = 1.0,
                  v_Y: float = 1.0, L: float = 1.0) -> None:
-        self._freeze(_dimension(D), H, g_I, g_Y, G_Y, c_Y, v_Y, L)
+        self._freeze(_integer(D, "D", 1), *map(_real, (H, g_I, g_Y, G_Y, c_Y, v_Y, L), self._fields[1:]))
         if not 0 <= self.H <= self.D:
             raise DomainError(f"H must satisfy 0 <= H <= D, got H={self.H} with D={self.D}")
         for name in ("g_I", "g_Y", "G_Y", "c_Y", "v_Y", "L"):
@@ -105,10 +95,10 @@ class Population(Record):
     __slots__ = ("N_I", "N_0")
 
     def __init__(self, N_I: float, N_0: float = 0.0) -> None:
+        self._freeze(_real(N_I, "N_I"), _real(N_0, "N_0"))
         # False for nan as well as for inf and negative counts.
-        if not (0 <= N_I < math.inf and 0 <= N_0 < math.inf):
-            raise DomainError(f"population counts must be finite and non-negative, got N_I={N_I}, N_0={N_0}")
-        self._freeze(N_I, N_0)
+        if not (0 <= self.N_I < math.inf and 0 <= self.N_0 < math.inf):
+            raise DomainError(f"population counts must be finite and non-negative, got N_I={self.N_I}, N_0={self.N_0}")
 
     @property
     def N(self) -> float:
@@ -134,9 +124,9 @@ class ConsumptionCoeffs(Record):
     __slots__ = ("e_minus", "e_plus")
 
     def __init__(self, e_minus: float, e_plus: float) -> None:
-        if not (0 <= e_minus < math.inf and 0 <= e_plus < math.inf):
+        self._freeze(_real(e_minus, "e_minus"), _real(e_plus, "e_plus"))
+        if not (0 <= self.e_minus < math.inf and 0 <= self.e_plus < math.inf):
             raise DomainError("consumption coefficients must be finite and non-negative")
-        self._freeze(e_minus, e_plus)
 
 
 class Channel(enum.Enum):
@@ -163,7 +153,7 @@ class ImpulseParams(Record):
     def __init__(self, r: float = 1.0, T_explore: float = 1.0, B: float = 1.0, density_I: float = 1.0,
                  alpha_tau: float = 1.0, c_phys: float = 1.0, c_virt: float = 1.0, N_D: float = 1.0,
                  N_W: float = 1.0) -> None:
-        self._freeze(r, T_explore, B, density_I, alpha_tau, c_phys, c_virt, N_D, N_W)
+        self._freeze(*map(_real, (r, T_explore, B, density_I, alpha_tau, c_phys, c_virt, N_D, N_W), self._fields))
         if not 0 <= self.alpha_tau <= 1:
             raise DomainError(f"alpha_tau is a probability, got {self.alpha_tau}")
         for name in ("r", "T_explore", "B", "density_I", "c_phys", "c_virt", "N_D", "N_W"):
@@ -226,7 +216,7 @@ def infrastructure_volume(V: float, pop: Population, params: ScalingParams) -> f
     as an equality; every scaling statement uses the bound as the
     operating point. Zero connected agents means zero infrastructure.
     """
-    return _infrastructure(params)(V, pop.N_I, pop.N)
+    return _infrastructure(params)(_real(V, "V"), pop.N_I, pop.N)
 
 
 @_finite
@@ -432,13 +422,13 @@ def infra_agent_count(N_client: float, valency: float, alpha_minus: float, alpha
 
     where valency is how many clients one supply agent can serve at once.
     """
-    if not alpha_plus > 0:
+    if not (alpha_plus := _real(alpha_plus, "alpha_plus")) > 0:
         raise DomainError(f"alpha_plus must be positive, got {alpha_plus}")
-    if not 0 <= alpha_minus < math.inf:
+    if not 0 <= (alpha_minus := _real(alpha_minus, "alpha_minus")) < math.inf:
         raise DomainError(f"alpha_minus must be finite and non-negative, got {alpha_minus}")
-    if not valency >= 1:
+    if not (valency := _real(valency, "valency")) >= 1:
         raise DomainError(f"valency must be >= 1, got {valency}")
-    if not 0 <= N_client < math.inf:
+    if not 0 <= (N_client := _real(N_client, "N_client")) < math.inf:
         raise DomainError(f"client count must be finite and non-negative, got {N_client}")
     return (alpha_minus / alpha_plus) * N_client / valency
 
@@ -451,13 +441,13 @@ def serialized_client_count(V_catchment: float, N_users: float, D: int, cross_se
     extent to the 1/D power, times the tube cross-section, times the
     user count gives the serialized total.
     """
-    if not 0 < V_catchment < math.inf:
+    if not 0 < (V_catchment := _real(V_catchment, "V_catchment")) < math.inf:
         raise DomainError(f"catchment volume must be finite and positive, got {V_catchment}")
-    if not 0 < N_users < math.inf:
+    if not 0 < (N_users := _real(N_users, "N_users")) < math.inf:
         raise DomainError(f"user count must be finite and positive, got {N_users}")
-    if not 0 < cross_section < math.inf:
+    if not 0 < (cross_section := _real(cross_section, "cross_section")) < math.inf:
         raise DomainError(f"cross-section must be finite and positive, got {cross_section}")
-    return (V_catchment / N_users) ** (1 / _dimension(D)) * cross_section * N_users
+    return (V_catchment / N_users) ** (1 / _integer(D, "D", 1)) * cross_section * N_users
 
 
 @_finite
@@ -467,14 +457,15 @@ def impulse_rate(channel: Channel, V: float, p: ImpulseParams, D: int) -> float:
     Physical discovery sweeps a linear extent V**(1/D) at speed r;
     virtual discovery is bandwidth-limited and independent of volume.
     """
+    V, D = _real(V, "V"), _integer(D, "D", 1)
     if channel is Channel.PHYSICAL:
         if not 0 < V < math.inf:
             raise DomainError(f"physical discovery requires a finite positive volume, got {V}")
-        return p.r * p.T_explore * V ** (1 / _dimension(D)) * p.density_I * p.alpha_tau
+        return p.r * p.T_explore * V ** (1 / D) * p.density_I * p.alpha_tau
     if channel is Channel.VIRTUAL:
-        # The virtual rate reads neither V nor D, yet a nan one is refused, as for every scalar argument.
-        if math.isnan(V) or math.isnan(D):
-            raise DomainError(f"V and D must not be nan, got {V} and {D}")
+        # The virtual rate reads neither V nor D, yet a nan V is refused, as for every scalar argument.
+        if math.isnan(V):
+            raise DomainError(f"V must not be nan, got {V}")
         return p.B * p.T_explore * p.density_I * p.alpha_tau
     raise DomainError(f"unknown channel {channel!r}")
 
@@ -482,6 +473,7 @@ def impulse_rate(channel: Channel, V: float, p: ImpulseParams, D: int) -> float:
 @_finite
 def city_idea_rate(p: ImpulseParams, i_phys: float, i_virt: float) -> float:
     """Community-wide idea rate: N_W workgroups of N_D agents mixing both channels."""
+    i_phys, i_virt = _real(i_phys, "i_phys"), _real(i_virt, "i_virt")
     if not (0 <= i_phys < math.inf and 0 <= i_virt < math.inf):
         raise DomainError(f"impulse rates must be finite and non-negative, got {i_phys} and {i_virt}")
     return p.N_W * p.N_D * (p.c_phys * i_phys + p.c_virt * i_virt)

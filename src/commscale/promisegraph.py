@@ -28,11 +28,10 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterable, Mapping
-from numbers import Real
 from typing import TYPE_CHECKING, Union
 
 from ._record import Record
-from .errors import DomainError, UnknownAgentError, _finite
+from .errors import DomainError, UnknownAgentError, _finite, _real
 from .meanfield import ScalingClass
 
 if TYPE_CHECKING:
@@ -71,10 +70,10 @@ class Agent(Record):
     def __init__(self, id: str, assessment: float = 1.0) -> None:
         if not isinstance(id, str) or not id:
             raise DomainError(f"agent id must be a non-empty string, got {id!r}")
-        if not (isinstance(assessment, Real) and 0 <= assessment <= 1):
+        if not 0 <= (alpha := _real(assessment, "assessment")) <= 1:
             raise DomainError(f"assessment must be a number in [0, 1], got {assessment!r}")
         # + 0.0 turns -0.0 into 0.0, so equal agents emit the same text; it keeps every other value.
-        self._freeze(id, float(assessment) + 0.0)
+        self._freeze(id, alpha + 0.0)
 
 
 class Polarity(enum.Enum):
@@ -161,7 +160,8 @@ class PromiseGraph:
     condition) collapse into one, with their constraint sets unioned:
     adjacency is 0/1, a repeated declaration is not a stronger link.
     calibration is either one scalar applied to every type or a mapping
-    from type tag to currency value; calibration values must be finite.
+    from type tag to currency value; calibration values must be finite
+    reals, and are stored as their floats.
     """
 
     def __init__(self, agents: Iterable[Agent], promises: Iterable[Promise] = (), calibration: Calibration = 1.0):
@@ -182,8 +182,13 @@ class PromiseGraph:
             if prev is not p:
                 chi = prev.constraint | p.constraint
                 merged[key] = Promise(giver, receiver, p.type_tag, p.polarity, chi, p.condition)
-        values = calibration.values() if isinstance(calibration, Mapping) else (calibration,)
-        if not all(isinstance(c, Real) and -math.inf < c < math.inf for c in values):
+        mapping = isinstance(calibration, Mapping)
+        try:
+            values = [_real(c, "calibration") for c in (calibration.values() if mapping else (calibration,))]
+            finite = all(map(math.isfinite, values))
+        except DomainError:
+            finite = False
+        if not finite:
             raise DomainError(f"calibration values must be finite numbers, got {calibration!r}")
         self._agents = agent_map
         # The merge table, the graph's one promise index: bindings, discharge and classification read it.
@@ -203,7 +208,7 @@ class PromiseGraph:
             decorated.append((giver, receiver, type_tag, accepts, chi, condition, p))
         decorated.sort()
         self._promises = tuple([d[-1] for d in decorated])
-        self._calibration = calibration
+        self._calibration = dict(zip(calibration, values)) if mapping else values[0]
         self._bound: list | None = None  # the graph's bindings, once _kept_bindings has found them
         self._reduced = False  # set by reduce_conditionals on the graph it returns
 
@@ -235,10 +240,10 @@ class PromiseGraph:
     def calibration_for(self, type_tag: str) -> float:
         if isinstance(self._calibration, Mapping):
             try:
-                return float(self._calibration[type_tag])
+                return self._calibration[type_tag]
             except KeyError:
                 raise DomainError(f"no calibration for promise type {type_tag!r}") from None
-        return float(self._calibration)
+        return self._calibration
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PromiseGraph):
@@ -566,7 +571,7 @@ def classify_pattern(
     """
     if output_promise.polarity is not Polarity.OFFER:
         raise DomainError("only offers can be classified")
-    if math.isnan(scarcity_threshold):
+    if math.isnan(scarcity_threshold := _real(scarcity_threshold, "scarcity_threshold")):
         raise DomainError("scarcity_threshold must not be nan")
     by_key = graph._by_key
     stored = by_key.get(output_promise._key())

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from itertools import repeat
 
-from .errors import CsvFormatError
+from .errors import CsvFormatError, DomainError
 
 __all__ = ["finite_float", "parse_pairs", "format_pairs"]
 
@@ -77,7 +77,14 @@ def _parse_rows(body: list) -> list:
 
 
 def format_pairs(xs, ys, header: str) -> str:
-    """Render the x and y columns, of equal length, as CSV text under the given header."""
-    cells = [0.0] * (2 * len(xs))
-    cells[0::2], cells[1::2] = xs, ys
-    return header + "\n" + ("%.12g,%.12g\n" * len(xs)) % tuple(cells)
+    """Render the x and y columns, of equal length, as CSV text under the given header.
+
+    DomainError unless the columns are equal in length and every cell is
+    a number that '%g' formats: no text, no int beyond the float range.
+    """
+    try:
+        cells = [0.0] * (2 * len(xs))
+        cells[0::2], cells[1::2] = xs, ys
+        return header + "\n" + ("%.12g,%.12g\n" * len(xs)) % tuple(cells)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("x and y columns must be equal in length and hold only numbers in the float range") from None

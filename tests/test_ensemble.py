@@ -33,8 +33,9 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("name", ["n_samples", "seed"])
     def test_a_bool_is_not_an_integer(self, name):
-        # operator.index(True) is 1; PowerLawFit refuses n=True alike.
-        with pytest.raises(DomainError, match=f"^{name} must be an integer, got True$"):
+        # int(True) is 1; PowerLawFit refuses n=True alike.
+        least = {"n_samples": 2, "seed": 0}[name]
+        with pytest.raises(DomainError, match=f"^{name} must be an integer >= {least}, got True$"):
             spec(**{name: True})
 
     def test_population_bounds(self):
@@ -92,7 +93,6 @@ class TestSpecValidation:
             ((math.nan, math.inf, 1.0, 0.0, True), "beta"),
             ((1.0, 0.0, 1.0, 0.0, True), "n"),
             ((1.0, 0.0, 1.0, 0.0, 2.7), "n"),
-            ((1.0, 0.0, 1.0, 0.0, 3.0), "n"),
             ((1.0, 0.0, 1.0, 0.0, "3"), "n"),
             ((1.0, 0.0, 1.0, 0.0, None), "n"),
         ],
@@ -105,6 +105,9 @@ class TestSpecValidation:
     def test_integer_like_count_is_kept_as_int(self):
         fit = PowerLawFit(1.0, 0.0, 1.0, 0.0, np.int64(7))
         assert fit.n == 7 and type(fit.n) is int
+        # Every count follows the rule of the dimension D: an integral float is its int.
+        fit = PowerLawFit(1.0, 0.0, 1.0, 0.0, 3.0)
+        assert fit.n == 3 and type(fit.n) is int
         assert PowerLawFit(1.0, 0.0, 0.0, 0.0, 0).n == 0
 
 
@@ -557,6 +560,12 @@ class TestTabular:
     def test_format_emits_trailing_newline_and_12_digits(self):
         text = format_pairs([1 / 3], [2e-7], "a,b")
         assert text == "a,b\n0.333333333333,2e-07\n"
+
+    @pytest.mark.parametrize("xs, ys", [([1.0, 2.0], [1.0]), ([1.0], [1.0, 2.0]), ([1.0], ["x"]), ([10**400], [1.0])],
+                             ids=["longer-x", "longer-y", "text", "int-beyond-float"])
+    def test_format_refuses_what_percent_cannot_write(self, xs, ys):
+        with pytest.raises(DomainError, match="^x and y columns must be equal in length and hold only numbers"):
+            format_pairs(xs, ys, "a,b")
 
     @settings(max_examples=2000)
     @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),

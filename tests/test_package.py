@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import json
@@ -10,6 +11,7 @@ import commscale
 # The modules whose public names the package root re-exports.
 MODULES = ("ensemble", "errors", "graphio", "meanfield", "promisegraph", "uslkit")
 
+SRC = Path(commscale.__file__).parent
 BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
 # The timed stages of the traced runs, "layer.function"; import times are not stages of a function.
 TRACED_STAGES = [m["name"][:-2] for m in BENCHMARK["per_layer"] if m["name"].endswith("_s")
@@ -44,3 +46,32 @@ def test_each_traced_stage_names_a_public_function_of_its_layer(stage):
     for attr in attrs:
         fn = vars(fn)[attr]
     assert inspect.isfunction(fn) and (fn.__module__, fn.__name__) == (module.__name__, [public, *attrs][-1])
+
+
+def _number_rules(tree: ast.AST) -> list:
+    """The imports of numbers, uses of operator.index and mentions of __index__ in a module's tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "numbers"]
+        elif isinstance(node, ast.ImportFrom) and node.module in ("numbers", "operator"):
+            found += [f"{node.module}.{alias.name}" for alias in node.names
+                      if node.module == "numbers" or alias.name == "index"]
+        elif isinstance(node, ast.Attribute) and (node.attr == "__index__" or ast.unparse(node) == "operator.index"):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Constant) and node.value == "__index__":
+            found.append("'__index__'")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "errors.py"], ids=lambda p: p.name)
+def test_only_errors_holds_a_number_rule(path):
+    # errors._real and errors._integer decide what a number is; a second rule would need one of these.
+    assert _number_rules(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_number_rule_probe_sees_each_old_rule():
+    old = ("from numbers import Real\nimport operator\noperator.index(n)\nhasattr(type(v), '__index__')\n"
+           "v.__index__()\nfrom operator import index\nimport numbers\n")
+    assert sorted(_number_rules(ast.parse(old))) == sorted(["numbers.Real", "operator.index", "'__index__'",
+                                                            "v.__index__", "operator.index", "numbers"])

@@ -150,7 +150,9 @@ class TestUslFit:
             uslkit.usl_fit([(1, 1.0), (2, 1.5), (1e200, 2.0)])
         with pytest.raises(DomainError, match="overflows at every start"):
             uslkit.usl_fit([(1, 1e200), (2, 1e200), (3, 1e200)])
-        for malformed in ([(1, 2, 3)], [1, 2, 3], [("a", "b")] * 3, [(10**400, 1.0)] * 3):
+        # Each cell is a real by the package's number rule: text and bools are refused, as fit_power_law refuses text.
+        for malformed in ([(1, 2, 3)], [1, 2, 3], [("a", "b")] * 3, [(10**400, 1.0)] * 3,
+                          [("1", "1"), ("2", "1.9"), ("4", "3.4")], [(True, 1.0), (2, 1.9), (4, 3.4)]):
             with pytest.raises(DomainError, match=r"\(N, speedup\) pairs of numbers"):
                 uslkit.usl_fit(malformed)
 
