@@ -40,7 +40,7 @@ from array import array
 from itertools import count
 
 from ._record import Record
-from .errors import CsvFormatError, DomainError, _finite, _integer, _real
+from .errors import CsvFormatError, DomainError, _boolean, _finite, _integer, _real
 from .meanfield import ScalingClass, ScalingParams, _law, predicted_exponent
 from .tabular import format_pairs, parse_pairs
 
@@ -57,7 +57,6 @@ __all__ = [
     "samples_to_csv",
 ]
 
-_MAX_SEED = 2**64
 _HEADER = "N,Y"
 
 
@@ -74,15 +73,12 @@ class EnsembleSpec(Record):
     def __init__(self, scaling_class: ScalingClass, params: ScalingParams, n_samples: int = 500, N_min: float = 1e3,
                  N_max: float = 1e7, noise_sigma: float = 0.1, inactive_fraction: float = 0.0, seed: int = 0) -> None:
         self._freeze(scaling_class, params, _integer(n_samples, "n_samples", 2),
-                     *map(_real, (N_min, N_max, noise_sigma, inactive_fraction), self._fields[3:]),
+                     *map(_real, (N_min, N_max, noise_sigma, inactive_fraction), self._fields[3:],
+                          ["[1, inf)", "[1, inf)", "[0, inf)", "[0, 1)"]),
                      _integer(seed, "seed", 0))
-        if not 1 <= self.N_min < self.N_max < math.inf:
-            raise DomainError(f"population bounds need 1 <= N_min < N_max < inf, got [{self.N_min}, {self.N_max}]")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise DomainError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if not 0 <= self.inactive_fraction < 1:
-            raise DomainError(f"inactive_fraction must be in [0, 1), got {self.inactive_fraction}")
-        if not self.seed < _MAX_SEED:
+        if not self.N_min < self.N_max:
+            raise DomainError(f"population bounds need N_min < N_max, got [{self.N_min}, {self.N_max}]")
+        if not self.seed < 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
@@ -92,17 +88,9 @@ class PowerLawFit(Record):
     __slots__ = ("beta", "log_intercept", "r_squared", "stderr_beta", "n")
 
     def __init__(self, beta: float, log_intercept: float, r_squared: float, stderr_beta: float, n: int) -> None:
-        self._freeze(*map(_real, (beta, log_intercept, r_squared, stderr_beta), self._fields), n)
-        # Each comparison is false for nan.
-        for name in ("beta", "log_intercept"):
-            if not -math.inf < getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0 <= self.r_squared <= 1:
-            raise DomainError(f"r_squared must be in [0, 1], got {self.r_squared}")
-        if not 0 <= self.stderr_beta < math.inf:
-            raise DomainError(f"stderr_beta must be finite and >= 0, got {self.stderr_beta}")
         # n last: a bad float field is reported before a bad count.
-        object.__setattr__(self, "n", _integer(n, "n", 0))
+        self._freeze(*map(_real, (beta, log_intercept, r_squared, stderr_beta), self._fields,
+                          ["(-inf, inf)", "(-inf, inf)", "[0, 1]", "[0, inf)"]), _integer(n, "n", 0))
 
 
 @_finite
@@ -126,11 +114,8 @@ def model_value(scaling_class: ScalingClass, N: float, inactive_fraction: float,
     N must be finite and positive and inactive_fraction in [0, 1]; a
     value that leaves the float range is a DomainError.
     """
-    if not 0 < (N := _real(N, "N")) < math.inf:
-        raise DomainError(f"population must be finite and positive, got {N}")
-    if not 0 <= (inactive_fraction := _real(inactive_fraction, "inactive_fraction")) <= 1:
-        raise DomainError(f"inactive fraction must be in [0, 1], got {inactive_fraction}")
-    n0 = inactive_fraction * N
+    N = _real(N, "N", "(0, inf)")
+    n0 = _real(inactive_fraction, "inactive_fraction", "[0, 1]") * N
     return _law(scaling_class, params).kernel(params)(N - n0, n0)
 
 
@@ -169,16 +154,19 @@ def generate(spec: EnsembleSpec) -> tuple[list, list]:
 def _columns(ns, ys) -> tuple[list, list]:
     """The N and Y columns as lists of their cells' floats; DomainError unless equal in length, all finite and > 0."""
     try:
-        # array("d") refuses text, which float() would parse; list() first, as array("d", b) reads raw doubles.
-        ns, ys = array("d", list(ns)).tolist(), array("d", list(ys)).tolist()
+        # list() first, as array("d", b) reads raw doubles; array("d") refuses text, which float() would parse.
+        cells = list(ns), list(ys)
+        ns, ys = array("d", cells[0]).tolist(), array("d", cells[1]).tolist()
     except (TypeError, ValueError, ArithmeticError):
         pass
     else:
         if len(ns) != len(ys):
             raise DomainError(f"N and Y columns differ in length: {len(ns)} and {len(ys)}")
         # C-speed passes: min finds a cell <= 0 and a nan or inf cell makes the sum non-finite; only a sum
-        # that overflows on finite cells needs the isfinite pass over every cell.
-        if (min(ns, default=1) > 0 and min(ys, default=1) > 0
+        # that overflows on finite cells needs the isfinite pass over every cell. array("d") reads a bool as
+        # 0.0 or 1.0, so only columns with a cell <= 1 need the pass over the cells' types.
+        least = min(min(ns, default=1), min(ys, default=1))
+        if (least > 0 and (least > 1 or not any(map(_boolean, {*map(type, cells[0]), *map(type, cells[1])})))
                 and (math.isfinite(sum(ns) + sum(ys)) or all(map(math.isfinite, [*ns, *ys])))):
             return ns, ys
     raise DomainError("samples must be finite and positive numbers")
@@ -223,16 +211,15 @@ class CompareReport(Record):
 
     def __init__(self, theory_beta: float, fitted_beta: float, gap: float, stderr_beta: float, k: float,
                  within_k_stderr: bool) -> None:
-        self._freeze(*map(_real, (theory_beta, fitted_beta, gap, stderr_beta, k), self._fields), within_k_stderr)
-        for name in ("theory_beta", "fitted_beta", "gap", "stderr_beta", "k"):
-            if not -math.inf < getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+        if type(within_k_stderr) is not bool:
+            raise DomainError(f"within_k_stderr must be a bool, got {within_k_stderr!r}")
+        self._freeze(*map(_real, (theory_beta, fitted_beta, gap, stderr_beta, k), self._fields, 5 * ["(-inf, inf)"]),
+                     within_k_stderr)
 
 
 def compare(fit: PowerLawFit, scaling_class: ScalingClass, params: ScalingParams, k: float = 2.0) -> CompareReport:
     """Absolute gap between fit and theory, flagged against k standard errors (0 <= k < inf)."""
-    if not 0 <= (k := _real(k, "k")) < math.inf:
-        raise DomainError(f"k must be finite and >= 0, got {k}")
+    k = _real(k, "k", "[0, inf)")
     theory = predicted_exponent(scaling_class, params)
     gap = abs(fit.beta - theory)
     return CompareReport(theory, fit.beta, gap, fit.stderr_beta, k, gap <= k * fit.stderr_beta)

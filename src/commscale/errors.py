@@ -1,10 +1,13 @@
 """Exception types shared across the package, and the checks that raise DomainError.
 
-_finite checks a function's float result. _real and _integer hold the
-package's one number rule, which every record field and scalar argument
-passes before its range check: a real is a value float() converts,
-stored as that float; an integer is an integral number, stored as an
-int (2.0 gives 2). Neither is a bool or text.
+_finite checks a function's float result. _real and _integer hold the one
+number rule of every record field and scalar argument: a real is a value
+float() converts, kept as that float, and an integer is an integral number
+from a least value on, kept as an int (2.0 gives 2); neither is a bool
+(Python's or numpy's) or text. Each _real call states its interval once,
+as "[0, 1]" or "(0, inf)", and a value outside it (nan always is) raises
+"<name> must be a real number in <interval>, got <value>". A check of one
+field against another, as H <= D, stays with its record.
 """
 
 from __future__ import annotations
@@ -67,20 +70,42 @@ def _finite(f):
     return checked
 
 
-def _real(value, name: str) -> float:
-    """value as its float; DomainError unless float() converts it and it is neither a bool nor text."""
+def _boolean(kind: type) -> bool:
+    """Whether kind is Python's bool or numpy's (named bool_ before numpy 2), which float() reads as 0.0 or 1.0."""
+    return kind.__name__ in ("bool", "bool_")
+
+
+@functools.cache
+def _bounds(interval: str) -> tuple[float, float]:
+    """The least and the greatest float of an interval written "[lo, hi]", "(lo, hi)", "[lo, hi)" or "(lo, hi]"."""
+    lo, hi = map(float, interval[1:-1].split(","))
+    return (lo if interval[0] == "[" else math.nextafter(lo, math.inf),
+            hi if interval[-1] == "]" else math.nextafter(hi, -math.inf))
+
+
+def _real(value, name: str, interval: str | None) -> float:
+    """value as its float; DomainError unless float() converts it, it is no bool or text, and it lies in interval.
+
+    An interval of None takes every float, nan included: usl_fit's pairs, which it then checks itself.
+    """
     try:
-        if not isinstance(value, (bool, str, bytes, bytearray)):
-            return float(value)
+        if not (isinstance(value, (str, bytes, bytearray)) or _boolean(type(value))):
+            x = float(value)
+            if interval is None:
+                return x
+            lo, hi = _bounds(interval)
+            if lo <= x <= hi:
+                return x
     except (TypeError, ValueError, ArithmeticError):
         pass
-    raise DomainError(f"{name} must be a real number, got {value!r}")
+    raise DomainError(f"{name} must be a real number in {interval}, got {value!r}")
 
 
 def _integer(value, name: str, least: int) -> int:
-    """value as an int; DomainError unless _real takes it and it is an integral number >= least."""
+    """value as an int; DomainError unless _real takes it in [least, inf) and it is an integral number."""
     try:
-        if _real(value, name) >= least and (integer := int(value)) == value:
+        _real(value, name, f"[{least}, inf)")
+        if (integer := int(value)) == value:
             return integer
     except (TypeError, ValueError, ArithmeticError):
         pass

@@ -74,14 +74,10 @@ class ScalingParams(Record):
 
     def __init__(self, D: int, H: float, g_I: float = 1.0, g_Y: float = 1.0, G_Y: float = 1.0, c_Y: float = 1.0,
                  v_Y: float = 1.0, L: float = 1.0) -> None:
-        self._freeze(_integer(D, "D", 1), *map(_real, (H, g_I, g_Y, G_Y, c_Y, v_Y, L), self._fields[1:]))
-        if not 0 <= self.H <= self.D:
-            raise DomainError(f"H must satisfy 0 <= H <= D, got H={self.H} with D={self.D}")
-        for name in ("g_I", "g_Y", "G_Y", "c_Y", "v_Y", "L"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be finite and strictly positive, got {getattr(self, name)}")
-        if self.g_I > 1:
-            raise DomainError(f"g_I is a volume fraction and must not exceed 1, got {self.g_I}")
+        self._freeze(_integer(D, "D", 1), *map(_real, (H, g_I, g_Y, G_Y, c_Y, v_Y, L), self._fields[1:],
+                                               ["[0, inf)", "(0, 1]"] + 5 * ["(0, inf)"]))
+        if self.H > self.D:
+            raise DomainError(f"H must not exceed D, got H={self.H} with D={self.D}")
 
 
 class Population(Record):
@@ -95,10 +91,7 @@ class Population(Record):
     __slots__ = ("N_I", "N_0")
 
     def __init__(self, N_I: float, N_0: float = 0.0) -> None:
-        self._freeze(_real(N_I, "N_I"), _real(N_0, "N_0"))
-        # False for nan as well as for inf and negative counts.
-        if not (0 <= self.N_I < math.inf and 0 <= self.N_0 < math.inf):
-            raise DomainError(f"population counts must be finite and non-negative, got N_I={self.N_I}, N_0={self.N_0}")
+        self._freeze(_real(N_I, "N_I", "[0, inf)"), _real(N_0, "N_0", "[0, inf)"))
 
     @property
     def N(self) -> float:
@@ -124,9 +117,7 @@ class ConsumptionCoeffs(Record):
     __slots__ = ("e_minus", "e_plus")
 
     def __init__(self, e_minus: float, e_plus: float) -> None:
-        self._freeze(_real(e_minus, "e_minus"), _real(e_plus, "e_plus"))
-        if not (0 <= self.e_minus < math.inf and 0 <= self.e_plus < math.inf):
-            raise DomainError("consumption coefficients must be finite and non-negative")
+        self._freeze(_real(e_minus, "e_minus", "[0, inf)"), _real(e_plus, "e_plus", "[0, inf)"))
 
 
 class Channel(enum.Enum):
@@ -153,12 +144,8 @@ class ImpulseParams(Record):
     def __init__(self, r: float = 1.0, T_explore: float = 1.0, B: float = 1.0, density_I: float = 1.0,
                  alpha_tau: float = 1.0, c_phys: float = 1.0, c_virt: float = 1.0, N_D: float = 1.0,
                  N_W: float = 1.0) -> None:
-        self._freeze(*map(_real, (r, T_explore, B, density_I, alpha_tau, c_phys, c_virt, N_D, N_W), self._fields))
-        if not 0 <= self.alpha_tau <= 1:
-            raise DomainError(f"alpha_tau is a probability, got {self.alpha_tau}")
-        for name in ("r", "T_explore", "B", "density_I", "c_phys", "c_virt", "N_D", "N_W"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
+        self._freeze(*map(_real, (r, T_explore, B, density_I, alpha_tau, c_phys, c_virt, N_D, N_W), self._fields,
+                          4 * ["[0, inf)"] + ["[0, 1]"] + 4 * ["[0, inf)"]))
 
 
 def _delta(D: int, H: Fraction) -> Fraction:
@@ -174,18 +161,14 @@ def delta_exponent(params: ScalingParams) -> float:
     return float(_delta(params.D, Fraction(params.H)))
 
 
-_NO_AGENTS = "equilibrium volume requires N > 0 and N_I > 0"
-_NO_YIELD = "yield requires N_I > 0"
-
-
-def _equilibrium(params: ScalingParams, no_agents: str = _NO_AGENTS):
-    """equilibrium_volume as v_eq(n_i, n), with its constants hoisted; no_agents is the error for n_i = 0."""
+def _equilibrium(params: ScalingParams):
+    """equilibrium_volume as v_eq(n_i, n), with its constants hoisted."""
     expo = params.D / (params.D + params.H)
     a = (params.g_Y * params.v_Y / params.c_Y) ** expo
 
     def v_eq(n_i: float, n: float) -> float:
         if n == 0 or n_i == 0:
-            raise DomainError(no_agents)
+            raise DomainError("equilibrium volume requires N > 0 and N_I > 0")
         return a * (n_i**2 / n) ** expo
 
     return v_eq
@@ -196,6 +179,7 @@ def _infrastructure(params: ScalingParams):
     g_I, hd, Lc = params.g_I, params.H / params.D, params.L ** (params.D - params.H)
 
     def v_i(V: float, n_i: float, n: float) -> float:
+        # An equilibrium volume that a kernel computes may underflow to 0 or overflow to inf.
         if not 0 < V < math.inf:
             raise DomainError(f"community volume must be finite and positive, got {V}")
         if n == 0:
@@ -216,7 +200,7 @@ def infrastructure_volume(V: float, pop: Population, params: ScalingParams) -> f
     as an equality; every scaling statement uses the bound as the
     operating point. Zero connected agents means zero infrastructure.
     """
-    return _infrastructure(params)(_real(V, "V"), pop.N_I, pop.N)
+    return _infrastructure(params)(_real(V, "V", "(0, inf)"), pop.N_I, pop.N)
 
 
 @_finite
@@ -263,12 +247,12 @@ def _degree(n_i: float, v_i: float) -> float:
     return n_i / v_i
 
 
-def _at_equilibrium(params: ScalingParams, out, no_agents: str = _NO_AGENTS):
+def _at_equilibrium(params: ScalingParams, out):
     """Kernel (n_i, n_0) -> out(G_Y, n_i, V_I), V_I at the equilibrium volume of N = n_i + n_0.
 
-    n_i = 0 raises DomainError(no_agents) before any volume is computed.
+    n_i = 0 raises the equilibrium volume's DomainError before any volume is computed.
     """
-    v_eq, v_i, G_Y = _equilibrium(params, no_agents), _infrastructure(params), params.G_Y
+    v_eq, v_i, G_Y = _equilibrium(params), _infrastructure(params), params.G_Y
 
     def kernel(n_i: float, n_0: float) -> float:
         n = n_i + n_0
@@ -325,7 +309,7 @@ _LAWS = {
     ScalingClass.INTERACTION: _ClassLaw(
         exponent=lambda D, H, d: 1 + d,
         share=lambda D, H, d: 1 - d,
-        kernel=lambda p: _at_equilibrium(p, _yield, _NO_YIELD),
+        kernel=lambda p: _at_equilibrium(p, _yield),
     ),
     ScalingClass.SCARCE_AGENT: _ClassLaw(
         exponent=lambda D, H, d: d,
@@ -336,7 +320,7 @@ _LAWS = {
         exponent=lambda D, H, d: 1 + 2 * d,
         share=lambda D, H, d: 2 * (1 - d),
         # Yield times node degree, from one V_eq and one V_I.
-        kernel=lambda p: _at_equilibrium(p, lambda G_Y, n_i, v_i: _yield(G_Y, n_i, v_i) * _degree(n_i, v_i), _NO_YIELD),
+        kernel=lambda p: _at_equilibrium(p, lambda G_Y, n_i, v_i: _yield(G_Y, n_i, v_i) * _degree(n_i, v_i)),
     ),
     ScalingClass.RECURSIVE_DEPENDENCY: _ClassLaw(
         exponent=lambda D, H, d: 1 + Fraction(1, D * D) - Fraction(1, D * (D + 1)),
@@ -422,14 +406,8 @@ def infra_agent_count(N_client: float, valency: float, alpha_minus: float, alpha
 
     where valency is how many clients one supply agent can serve at once.
     """
-    if not (alpha_plus := _real(alpha_plus, "alpha_plus")) > 0:
-        raise DomainError(f"alpha_plus must be positive, got {alpha_plus}")
-    if not 0 <= (alpha_minus := _real(alpha_minus, "alpha_minus")) < math.inf:
-        raise DomainError(f"alpha_minus must be finite and non-negative, got {alpha_minus}")
-    if not (valency := _real(valency, "valency")) >= 1:
-        raise DomainError(f"valency must be >= 1, got {valency}")
-    if not 0 <= (N_client := _real(N_client, "N_client")) < math.inf:
-        raise DomainError(f"client count must be finite and non-negative, got {N_client}")
+    alpha_plus, alpha_minus = _real(alpha_plus, "alpha_plus", "(0, inf]"), _real(alpha_minus, "alpha_minus", "[0, inf)")
+    valency, N_client = _real(valency, "valency", "[1, inf]"), _real(N_client, "N_client", "[0, inf)")
     return (alpha_minus / alpha_plus) * N_client / valency
 
 
@@ -441,12 +419,8 @@ def serialized_client_count(V_catchment: float, N_users: float, D: int, cross_se
     extent to the 1/D power, times the tube cross-section, times the
     user count gives the serialized total.
     """
-    if not 0 < (V_catchment := _real(V_catchment, "V_catchment")) < math.inf:
-        raise DomainError(f"catchment volume must be finite and positive, got {V_catchment}")
-    if not 0 < (N_users := _real(N_users, "N_users")) < math.inf:
-        raise DomainError(f"user count must be finite and positive, got {N_users}")
-    if not 0 < (cross_section := _real(cross_section, "cross_section")) < math.inf:
-        raise DomainError(f"cross-section must be finite and positive, got {cross_section}")
+    V_catchment, N_users = _real(V_catchment, "V_catchment", "(0, inf)"), _real(N_users, "N_users", "(0, inf)")
+    cross_section = _real(cross_section, "cross_section", "(0, inf)")
     return (V_catchment / N_users) ** (1 / _integer(D, "D", 1)) * cross_section * N_users
 
 
@@ -457,15 +431,11 @@ def impulse_rate(channel: Channel, V: float, p: ImpulseParams, D: int) -> float:
     Physical discovery sweeps a linear extent V**(1/D) at speed r;
     virtual discovery is bandwidth-limited and independent of volume.
     """
-    V, D = _real(V, "V"), _integer(D, "D", 1)
+    # The virtual rate reads neither V nor D; both are still checked, V as any real number but nan.
+    V, D = _real(V, "V", "(0, inf)" if channel is Channel.PHYSICAL else "[-inf, inf]"), _integer(D, "D", 1)
     if channel is Channel.PHYSICAL:
-        if not 0 < V < math.inf:
-            raise DomainError(f"physical discovery requires a finite positive volume, got {V}")
         return p.r * p.T_explore * V ** (1 / D) * p.density_I * p.alpha_tau
     if channel is Channel.VIRTUAL:
-        # The virtual rate reads neither V nor D, yet a nan V is refused, as for every scalar argument.
-        if math.isnan(V):
-            raise DomainError(f"V must not be nan, got {V}")
         return p.B * p.T_explore * p.density_I * p.alpha_tau
     raise DomainError(f"unknown channel {channel!r}")
 
@@ -473,7 +443,5 @@ def impulse_rate(channel: Channel, V: float, p: ImpulseParams, D: int) -> float:
 @_finite
 def city_idea_rate(p: ImpulseParams, i_phys: float, i_virt: float) -> float:
     """Community-wide idea rate: N_W workgroups of N_D agents mixing both channels."""
-    i_phys, i_virt = _real(i_phys, "i_phys"), _real(i_virt, "i_virt")
-    if not (0 <= i_phys < math.inf and 0 <= i_virt < math.inf):
-        raise DomainError(f"impulse rates must be finite and non-negative, got {i_phys} and {i_virt}")
+    i_phys, i_virt = _real(i_phys, "i_phys", "[0, inf)"), _real(i_virt, "i_virt", "[0, inf)")
     return p.N_W * p.N_D * (p.c_phys * i_phys + p.c_virt * i_virt)

@@ -70,10 +70,8 @@ class Agent(Record):
     def __init__(self, id: str, assessment: float = 1.0) -> None:
         if not isinstance(id, str) or not id:
             raise DomainError(f"agent id must be a non-empty string, got {id!r}")
-        if not 0 <= (alpha := _real(assessment, "assessment")) <= 1:
-            raise DomainError(f"assessment must be a number in [0, 1], got {assessment!r}")
         # + 0.0 turns -0.0 into 0.0, so equal agents emit the same text; it keeps every other value.
-        self._freeze(id, alpha + 0.0)
+        self._freeze(id, _real(assessment, "assessment", "[0, 1]") + 0.0)
 
 
 class Polarity(enum.Enum):
@@ -184,12 +182,10 @@ class PromiseGraph:
                 merged[key] = Promise(giver, receiver, p.type_tag, p.polarity, chi, p.condition)
         mapping = isinstance(calibration, Mapping)
         try:
-            values = [_real(c, "calibration") for c in (calibration.values() if mapping else (calibration,))]
-            finite = all(map(math.isfinite, values))
+            values = [_real(c, "calibration", "(-inf, inf)")
+                      for c in (calibration.values() if mapping else (calibration,))]
         except DomainError:
-            finite = False
-        if not finite:
-            raise DomainError(f"calibration values must be finite numbers, got {calibration!r}")
+            raise DomainError(f"calibration values must be finite numbers, got {calibration!r}") from None
         self._agents = agent_map
         # The merge table, the graph's one promise index: bindings, discharge and classification read it.
         self._by_key = merged
@@ -571,8 +567,7 @@ def classify_pattern(
     """
     if output_promise.polarity is not Polarity.OFFER:
         raise DomainError("only offers can be classified")
-    if math.isnan(scarcity_threshold := _real(scarcity_threshold, "scarcity_threshold")):
-        raise DomainError("scarcity_threshold must not be nan")
+    scarcity_threshold = _real(scarcity_threshold, "scarcity_threshold", "[-inf, inf]")
     by_key = graph._by_key
     stored = by_key.get(output_promise._key())
     if stored is None:

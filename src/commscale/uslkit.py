@@ -42,18 +42,13 @@ class UslParams(Record):
     __slots__ = ("contention", "coherency")
 
     def __init__(self, contention: float, coherency: float = 0.0) -> None:
-        self._freeze(_real(contention, "contention"), _real(coherency, "coherency"))
-        if not -1 <= self.contention < math.inf:
-            raise DomainError(f"contention must be finite and >= -1, got {self.contention}")
-        if not 0 <= self.coherency < math.inf:
-            raise DomainError(f"coherency must be finite and >= 0, got {self.coherency}")
+        self._freeze(_real(contention, "contention", "[-1, inf)"), _real(coherency, "coherency", "[0, inf)"))
 
 
 @_finite
 def usl_speedup(N: float, p: UslParams) -> float:
     """S(N) = N / (1 + contention*(N-1) + coherency*N*(N-1)); S(1) = 1 exactly."""
-    if not 1 <= (N := _real(N, "N")) < math.inf:
-        raise DomainError(f"N must be finite and >= 1, got {N}")
+    N = _real(N, "N", "[1, inf)")
     den = 1.0 + p.contention * (N - 1.0) + p.coherency * N * (N - 1.0)
     if den <= 0:
         raise DomainError(f"speedup denominator is not positive at N={N} (contention too negative)")
@@ -89,9 +84,7 @@ class UslFit(Record):
     __slots__ = ("params", "residual")
 
     def __init__(self, params: UslParams, residual: float) -> None:
-        self._freeze(params, _real(residual, "residual"))
-        if not 0 <= self.residual < math.inf:
-            raise DomainError(f"residual must be finite and >= 0, got {self.residual}")
+        self._freeze(params, _real(residual, "residual", "[0, inf)"))
 
 
 # Tuples, not arrays, so that importing this module does not import numpy.
@@ -149,7 +142,7 @@ def usl_fit(data) -> UslFit:
     fixed 3x3 grid, skipping grid points where a denominator is <= 0.
     """
     try:
-        pts = [(_real(n, "N"), _real(s, "speedup")) for n, s in data]
+        pts = [(_real(n, "N", None), _real(s, "speedup", None)) for n, s in data]
     except (TypeError, ValueError, OverflowError):
         raise DomainError("data must be (N, speedup) pairs of numbers") from None
     if not pts:
@@ -188,18 +181,13 @@ class SerialModel(Record):
     __slots__ = ("sigma", "pi_par", "kappa")
 
     def __init__(self, sigma: float, pi_par: float = 0.0, kappa: float = 0.0) -> None:
-        self._freeze(*map(_real, (sigma, pi_par, kappa), self._fields))
-        if not 0 < self.sigma < math.inf:
-            raise DomainError(f"sigma must be finite and positive, got {self.sigma}")
-        if not (0 <= self.pi_par < math.inf and 0 <= self.kappa < math.inf):
-            raise DomainError("pi_par and kappa must be finite and non-negative")
+        self._freeze(*map(_real, (sigma, pi_par, kappa), self._fields, ["(0, inf)", "[0, inf)", "[0, inf)"]))
 
 
 @_finite
 def serial_time(N: float, m: SerialModel) -> float:
     """T(N) = sigma + pi_par/N + kappa*N for finite N >= 1."""
-    if not 1 <= (N := _real(N, "N")) < math.inf:
-        raise DomainError(f"N must be finite and >= 1, got {N}")
+    N = _real(N, "N", "[1, inf)")
     return m.sigma + m.pi_par / N + m.kappa * N
 
 
@@ -215,9 +203,7 @@ def effective_exponent(N: float, m: SerialModel) -> float:
     """
     if m.kappa != 0:
         raise UnsupportedConfigError("effective exponent is defined for kappa = 0 only")
-    if not (N := _real(N, "N")) >= 1:
-        raise DomainError(f"N must be >= 1, got {N}")
-    x = m.pi_par / (m.sigma * N)
+    x = m.pi_par / (m.sigma * _real(N, "N", "[1, inf]"))
     return x / (1.0 + x)
 
 
@@ -227,9 +213,7 @@ class QueueParams(Record):
     __slots__ = ("lam", "mu")
 
     def __init__(self, lam: float, mu: float) -> None:
-        self._freeze(_real(lam, "lam"), _real(mu, "mu"))
-        if not (0 <= self.lam < math.inf and 0 <= self.mu < math.inf):
-            raise DomainError("rates must be finite and non-negative")
+        self._freeze(_real(lam, "lam", "[0, inf)"), _real(mu, "mu", "[0, inf)"))
 
 
 @_finite

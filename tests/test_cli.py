@@ -287,7 +287,7 @@ class TestEnsemblePipeline:
     def test_compare_rejects_a_negative_k(self, run):
         code, out, err = run(["compare", "--class", "interaction", "--D", "2", "--H", "1", "--k", "-1"],
                              stdin_text=FIT_JSON)
-        assert code == 1 and out == "" and err == "error: k must be finite and >= 0, got -1.0\n"
+        assert code == 1 and out == "" and err == "error: k must be a real number in [0, inf), got -1.0\n"
 
 
 class TestGraphCommands:

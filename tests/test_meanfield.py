@@ -274,7 +274,7 @@ class TestScarceDependencyLaw:
         assert got == want
 
     def test_no_connected_agents_is_the_yield_error(self):
-        with pytest.raises(DomainError, match=r"^yield requires N_I > 0$"):
+        with pytest.raises(DomainError, match=r"^equilibrium volume requires N > 0 and N_I > 0$"):
             model_value(ScalingClass.SCARCE_DEPENDENCY, 10.0, 1.0, params())
 
 
@@ -394,7 +394,7 @@ class TestSupportCounts:
     def test_infra_agent_count_rejects_small_valency_and_negative_clients(self):
         with pytest.raises(DomainError, match="valency"):
             mf.infra_agent_count(100, 0.5, 1.0, 1.0)
-        with pytest.raises(DomainError, match="client count"):
+        with pytest.raises(DomainError, match="N_client"):
             mf.infra_agent_count(-1, 10, 1.0, 1.0)
 
     def test_serialized_client_count_unit_capture(self):
@@ -413,7 +413,7 @@ class TestSupportCounts:
             mf.serialized_client_count(0, 10, 2, 1.0)
         with pytest.raises(DomainError):
             mf.serialized_client_count(10, 0, 2, 1.0)
-        with pytest.raises(DomainError, match="cross-section"):
+        with pytest.raises(DomainError, match="cross_section"):
             mf.serialized_client_count(10, 10, 2, 0.0)
         with pytest.raises(DomainError, match="D must be"):
             mf.serialized_client_count(10, 10, 0, 1.0)
@@ -576,7 +576,7 @@ def test_non_finite_parameters_are_domain_errors(record, field, bad):
 
 
 def test_fitted_residual_is_not_negative():
-    with pytest.raises(DomainError, match="residual must be finite and >= 0"):
+    with pytest.raises(DomainError, match=r"residual must be a real number in \[0, inf\)"):
         UslFit(UslParams(0.1, 0.01), -1.0)
 
 

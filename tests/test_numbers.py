@@ -1,16 +1,19 @@
 """One number rule for every record field and scalar argument of the library.
 
 errors._real and errors._integer decide what a number is: a real is a
-value that float() converts, other than a bool or text, and is kept as
-that float; an integer is an integral real, kept as an int (3.0 gives 3).
-Every public record and every public function with a number parameter
-has one valid call below; each number argument is replaced in turn. A
-float in the valid call marks a real position, an int an integer one.
+value that float() converts, other than a bool (Python's or numpy's) or
+text, and is kept as that float; an integer is an integral real, kept as
+an int (3.0 gives 3). Every public record and every public function with
+a number parameter has one valid call below; each number argument is
+replaced in turn. A float in the valid call marks a real position, an int
+an integer one. Each real position takes exactly the interval INTERVALS
+gives it; an integer position takes the integers from its least value on.
 """
 
 import importlib
 import inspect
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -63,6 +66,41 @@ ENTRIES = {
 }
 
 
+# The interval of each real position, as its refusal names it; nan lies in none.
+NONNEGATIVE, POSITIVE, FINITE = "[0, inf)", "(0, inf)", "(-inf, inf)"
+INTERVALS = {
+    "ScalingParams": dict(H=NONNEGATIVE, g_I="(0, 1]", g_Y=POSITIVE, G_Y=POSITIVE, c_Y=POSITIVE, v_Y=POSITIVE,
+                          L=POSITIVE),
+    "Population": dict(N_I=NONNEGATIVE, N_0=NONNEGATIVE),
+    "ConsumptionCoeffs": dict(e_minus=NONNEGATIVE, e_plus=NONNEGATIVE),
+    "ImpulseParams": dict(r=NONNEGATIVE, T_explore=NONNEGATIVE, B=NONNEGATIVE, density_I=NONNEGATIVE,
+                          alpha_tau="[0, 1]", c_phys=NONNEGATIVE, c_virt=NONNEGATIVE, N_D=NONNEGATIVE, N_W=NONNEGATIVE),
+    "infrastructure_volume": dict(V=POSITIVE),
+    "node_degree": dict(V=POSITIVE),
+    "infra_agent_count": dict(N_client=NONNEGATIVE, valency="[1, inf]", alpha_minus=NONNEGATIVE,
+                              alpha_plus="(0, inf]"),
+    "serialized_client_count": dict(V_catchment=POSITIVE, N_users=POSITIVE, cross_section=POSITIVE),
+    "impulse_rate": dict(V=POSITIVE),
+    "city_idea_rate": dict(i_phys=NONNEGATIVE, i_virt=NONNEGATIVE),
+    "UslParams": dict(contention="[-1, inf)", coherency=NONNEGATIVE),
+    "UslFit": dict(residual=NONNEGATIVE),
+    "SerialModel": dict(sigma=POSITIVE, pi_par=NONNEGATIVE, kappa=NONNEGATIVE),
+    "QueueParams": dict(lam=NONNEGATIVE, mu=NONNEGATIVE),
+    "usl_speedup": dict(N="[1, inf)"),
+    "serial_time": dict(N="[1, inf)"),
+    "effective_exponent": dict(N="[1, inf]"),
+    "EnsembleSpec": dict(N_min="[1, inf)", N_max="[1, inf)", noise_sigma=NONNEGATIVE, inactive_fraction="[0, 1)"),
+    "PowerLawFit": dict(beta=FINITE, log_intercept=FINITE, r_squared="[0, 1]", stderr_beta=NONNEGATIVE),
+    "CompareReport": dict(theory_beta=FINITE, fitted_beta=FINITE, gap=FINITE, stderr_beta=FINITE, k=FINITE),
+    "model_value": dict(N=POSITIVE, inactive_fraction="[0, 1]"),
+    "compare": dict(k=NONNEGATIVE),
+    "Agent": dict(assessment="[0, 1]"),
+    "classify_pattern": dict(scarcity_threshold="[-inf, inf]"),
+    "PromiseGraph": dict(calibration=FINITE),
+    "PromiseGraph-mapping": dict(svc=FINITE),
+}
+
+
 def positions(kind):
     return [pytest.param(entry, name, id=f"{entry}-{name}")
             for entry, (_, kwargs) in ENTRIES.items() for name, value in kwargs.items() if type(value) is kind]
@@ -81,7 +119,7 @@ def kept(result, name):
 
 
 @pytest.mark.parametrize("entry, name", positions(float) + positions(int))
-@pytest.mark.parametrize("bad", ["1", None, 1j, True], ids=repr)
+@pytest.mark.parametrize("bad", ["1", None, 1j, True, np.True_], ids=repr)
 def test_a_non_number_is_a_domain_error(entry, name, bad):
     call(entry)
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
@@ -107,7 +145,7 @@ def test_an_integral_number_is_its_int(entry, name):
 
 
 @pytest.mark.parametrize("entry, name", positions(int))
-@pytest.mark.parametrize("bad", [2.5, True, "3", math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("bad", [2.5, True, "3", math.nan, math.inf, np.True_], ids=repr)
 def test_anything_else_is_no_integer(entry, name, bad):
     with pytest.raises(DomainError, match=f"^{name} must be an integer >= "):
         call(entry, **{name: bad})
@@ -126,3 +164,41 @@ def test_every_number_parameter_is_in_the_table():
                 wanted |= {(target, name) for name, param in inspect.signature(target).parameters.items()
                            if param.annotation in ("float", "int")}
     assert wanted - covered == set()
+
+
+def test_each_real_position_has_one_interval():
+    wanted = {(entry, name) for entry, names in INTERVALS.items() for name in names}
+    assert {tuple(p.values) for p in positions(float)} == wanted
+
+
+def bounds(interval):
+    """(lo, hi, lo is in, hi is in) of an interval written as "[lo, hi)" and the like."""
+    lo, hi = map(float, interval[1:-1].split(", "))
+    return lo, hi, interval[0] == "[", interval[-1] == "]"
+
+
+def refusal(entry, name):
+    """The message that refuses a value at a position: its own, but for the graph's calibration, which is kept."""
+    if entry.startswith("PromiseGraph"):
+        return r"^calibration values must be finite numbers, got "
+    return rf"^{name} must be a real number in {re.escape(INTERVALS[entry][name])}, got "
+
+
+@pytest.mark.parametrize("entry, name", positions(float))
+def test_a_real_position_takes_exactly_its_interval(entry, name):
+    lo, hi, lo_in, hi_in = bounds(INTERVALS[entry][name])
+    # Each edge, just inside and just outside it, and the values no finite interval holds.
+    grid = [lo, math.nextafter(lo, math.inf), math.nextafter(lo, -math.inf),
+            hi, math.nextafter(hi, -math.inf), math.nextafter(hi, math.inf), math.nan, -math.inf, math.inf]
+    for x in grid:
+        if (lo < x or lo_in and x == lo) and (x < hi or hi_in and x == hi):
+            try:
+                result = call(entry, **{name: x})
+            except DomainError as exc:
+                # Another check may refuse it (H <= D, a result beyond the float range), but not the position's.
+                assert not re.search(refusal(entry, name), str(exc)), x
+            else:
+                assert kept(result, name) in (None, x), x
+        else:
+            with pytest.raises(DomainError, match=refusal(entry, name)):
+                call(entry, **{name: x})

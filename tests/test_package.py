@@ -75,3 +75,29 @@ def test_the_number_rule_probe_sees_each_old_rule():
            "v.__index__()\nfrom operator import index\nimport numbers\n")
     assert sorted(_number_rules(ast.parse(old))) == sorted(["numbers.Real", "operator.index", "'__index__'",
                                                             "v.__index__", "operator.index", "numbers"])
+
+
+def _ranges_in_record_inits(tree: ast.AST) -> list:
+    """The __init__ methods of the module's Record subclasses that name math.inf, as a hand-written range would."""
+    found = []
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and "Record" in map(ast.unparse, cls.bases):
+            for init in cls.body:
+                if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                    named = {ast.unparse(n) for n in ast.walk(init) if isinstance(n, (ast.Attribute, ast.Name))}
+                    if named & {"math.inf", "inf"}:
+                        found.append(f"{cls.name}.__init__")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "errors.py"], ids=lambda p: p.name)
+def test_records_state_their_ranges_in_the_number_rule(path):
+    # A field's interval is written once, in the errors._real call that reads it.
+    assert _ranges_in_record_inits(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_range_probe_sees_a_hand_written_range():
+    old = ("class Queue(Record):\n    def __init__(self, lam):\n        if not 0 <= lam < math.inf:\n            pass\n"
+           "class Spec(Record):\n    def __init__(self, n):\n        assert n < inf\n    def bound(self):\n"
+           "        return math.inf\nclass Plain:\n    def __init__(self, x):\n        self.x = math.inf\n")
+    assert _ranges_in_record_inits(ast.parse(old)) == ["Queue.__init__", "Spec.__init__"]
