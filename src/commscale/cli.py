@@ -11,6 +11,10 @@ flags in help order ("graph value" is value in the group graph, a row
 without handler). The parser is built once per process. Handlers return
 results and main alone writes stdout: a str as it is, a dict or list as
 JSON with every float rounded and checked, a number as one line.
+
+At start this module loads only errors, tabular and meanfield (whose
+ScalingClass gives the --class choices); each handler imports the
+library modules it runs, so a command loads no module it does not use.
 """
 
 from __future__ import annotations
@@ -21,12 +25,9 @@ import json
 import math
 import sys
 
-from . import ensemble, graphio, meanfield, promisegraph, tabular, uslkit
 from .errors import DomainError
-from .meanfield import Population, ScalingClass, ScalingParams
-from .promisegraph import Polarity
+from .meanfield import ScalingClass
 from .tabular import finite_float
-from .uslkit import QueueParams, SerialModel, UslParams
 
 __all__ = ["main"]
 
@@ -69,13 +70,9 @@ def _read_input(args) -> str:
     return sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
 
 
-def _population(args) -> Population:
-    n0 = args.inactive * args.n
-    return Population(args.n - n0, n0)
-
-
 def _cmd_exponents(args) -> dict:
-    params = ScalingParams(D=args.D, H=args.H)
+    from . import meanfield
+    params = meanfield.ScalingParams(D=args.D, H=args.H)
     table = {}
     for cls in ScalingClass:
         try:
@@ -86,13 +83,16 @@ def _cmd_exponents(args) -> dict:
 
 
 def _cmd_yield(args) -> float:
-    return meanfield.yield_output(_population(args), ScalingParams(D=args.D, H=args.H))
+    from . import meanfield
+    n0 = args.inactive * args.n
+    return meanfield.yield_output(meanfield.Population(args.n - n0, n0), meanfield.ScalingParams(D=args.D, H=args.H))
 
 
 def _cmd_ensemble(args) -> str:
+    from . import ensemble, meanfield
     spec = ensemble.EnsembleSpec(
         scaling_class=ScalingClass(args.scaling_class),
-        params=ScalingParams(D=args.D, H=args.H),
+        params=meanfield.ScalingParams(D=args.D, H=args.H),
         n_samples=args.n,
         N_min=args.nmin,
         N_max=args.nmax,
@@ -104,17 +104,20 @@ def _cmd_ensemble(args) -> str:
 
 
 def _cmd_fit(args) -> dict:
+    from . import ensemble
     return _fields(ensemble.fit_power_law(*ensemble.parse_csv(_read_input(args))))
 
 
 def _cmd_compare(args) -> dict:
+    from . import ensemble, meanfield
     try:
         obj = json.loads(_read_input(args))
         fit = ensemble.PowerLawFit(obj["beta"], obj.get("log_intercept", 0.0), obj.get("r_squared", 1.0),
                                    obj.get("stderr_beta", 0.0), obj.get("n", 0))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError, RecursionError):
         raise DomainError("input must be fit JSON with at least a 'beta' field, all numeric fields finite") from None
-    report = ensemble.compare(fit, ScalingClass(args.scaling_class), ScalingParams(D=args.D, H=args.H), k=args.k)
+    params = meanfield.ScalingParams(D=args.D, H=args.H)
+    report = ensemble.compare(fit, ScalingClass(args.scaling_class), params, k=args.k)
     return _fields(report)
 
 
@@ -123,29 +126,34 @@ def _cmd_usl_eval(args) -> float:
         args.usage_error("--n is required unless --peak is given")
     if args.n is not None and args.peak:
         args.usage_error("--n and --peak exclude each other")
-    params = UslParams(contention=args.contention, coherency=args.coherency)
+    from . import uslkit
+    params = uslkit.UslParams(contention=args.contention, coherency=args.coherency)
     if args.peak:
         return uslkit.usl_peak(params)
     return uslkit.usl_speedup(args.n, params)
 
 
 def _cmd_usl_fit(args) -> dict:
+    from . import tabular, uslkit
     fit = uslkit.usl_fit(zip(*tabular.parse_pairs(_read_input(args), "N,value")))
     return {**_fields(fit.params), "residual": fit.residual}
 
 
 def _cmd_serial(args) -> float:
-    model = SerialModel(sigma=args.sigma, pi_par=args.pi, kappa=args.kappa)
+    from . import uslkit
+    model = uslkit.SerialModel(sigma=args.sigma, pi_par=args.pi, kappa=args.kappa)
     if args.exponent:
         return uslkit.effective_exponent(args.n, model)
     return uslkit.serial_time(args.n, model)
 
 
 def _cmd_queue(args) -> float:
-    return uslkit.response_time(QueueParams(lam=args.lam, mu=args.mu))
+    from . import uslkit
+    return uslkit.response_time(uslkit.QueueParams(lam=args.lam, mu=args.mu))
 
 
 def _cmd_graph_value(args) -> dict:
+    from . import graphio, promisegraph
     graph = graphio.parse_graph(_read_input(args), args.calibration)
     reduced = promisegraph.reduce_conditionals(graph)
     # This binds the reduced graph, once: the measures below read the bindings it keeps.
@@ -167,6 +175,7 @@ _BINDING_ROW = (
 
 
 def _cmd_graph_bindings(args) -> str:
+    from . import graphio, promisegraph
     graph = graphio.parse_graph(_read_input(args), args.calibration)
     quote = json.encoder.encode_basestring_ascii
     rows = [
@@ -179,16 +188,19 @@ def _cmd_graph_bindings(args) -> str:
 
 
 def _cmd_graph_reduce(args) -> str:
+    from . import graphio, promisegraph
     return graphio.emit_graph(promisegraph.reduce_conditionals(graphio.parse_graph(_read_input(args))))
 
 
 def _cmd_graph_aggregate(args) -> str:
+    from . import graphio, promisegraph
     members = [m for m in args.members.split(",") if m]
     return graphio.emit_graph(promisegraph.aggregate(graphio.parse_graph(_read_input(args)), members, args.super_id))
 
 
-def _find_offer(graph: promisegraph.PromiseGraph, giver: str, receiver: str, type_tag: str) -> promisegraph.Promise:
-    """The first offer giver -> receiver of type_tag in graph order, whatever its condition."""
+def _find_offer(graph, giver: str, receiver: str, type_tag: str):
+    """The first offer (a Promise) giver -> receiver of type_tag in graph's order, whatever its condition."""
+    from .promisegraph import Polarity
     for p in graph.promises:
         if p.giver == giver and p.receiver == receiver and p.type_tag == type_tag and p.polarity is Polarity.OFFER:
             return p
@@ -198,6 +210,7 @@ def _find_offer(graph: promisegraph.PromiseGraph, giver: str, receiver: str, typ
 def _cmd_graph_classify(args) -> dict:
     if (args.D is None) != (args.H is None):
         args.usage_error("--D and --H must be given together")
+    from . import graphio, meanfield, promisegraph
     graph = graphio.parse_graph(_read_input(args))
     offer = _find_offer(graph, args.giver, args.receiver, args.type)
     cls = promisegraph.classify_pattern(
@@ -205,11 +218,12 @@ def _cmd_graph_classify(args) -> dict:
     )
     out = {"class": cls.value}
     if args.D is not None:
-        out["exponent"] = meanfield.predicted_exponent(cls, ScalingParams(D=args.D, H=args.H))
+        out["exponent"] = meanfield.predicted_exponent(cls, meanfield.ScalingParams(D=args.D, H=args.H))
     return out
 
 
 def _cmd_graph_community(args) -> list:
+    from . import graphio, promisegraph
     graph = graphio.parse_graph(_read_input(args))
     return sorted(promisegraph.community_members(graph, args.authority, args.membership_type))
 

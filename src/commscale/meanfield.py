@@ -27,11 +27,13 @@ from __future__ import annotations
 
 import enum
 import math
-from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ._record import Record
 from .errors import DomainError, UnsupportedConfigError, _finite, _integer, _real
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "ScalingParams",
@@ -148,17 +150,13 @@ class ImpulseParams(Record):
                           4 * ["[0, inf)"] + ["[0, 1]"] + 4 * ["[0, inf)"]))
 
 
-def _delta(D: int, H: Fraction) -> Fraction:
-    return H * H / (D * (D + H))
-
-
 def delta_exponent(params: ScalingParams) -> float:
     """Elasticity delta = H^2 / (D (D + H)).
 
     Reduces to 1/(D(D+1)) for H=1 and to 0 for unconnected nodes (H=0).
     For 0 < H <= D it lies in (0, 1/2].
     """
-    return float(_delta(params.D, Fraction(params.H)))
+    return _rational(lambda D, H, d: d, params)
 
 
 def _equilibrium(params: ScalingParams):
@@ -289,8 +287,8 @@ class _ClassLaw(Record):
 
     __slots__ = ("exponent", "share", "kernel", "unit_h_only")
 
-    def __init__(self, exponent: Callable[[int, Fraction, Fraction], Fraction],
-                 share: Callable[[int, Fraction, Fraction], Fraction],
+    def __init__(self, exponent: Callable[[Fraction, Fraction, Fraction], Fraction],
+                 share: Callable[[Fraction, Fraction, Fraction], Fraction],
                  kernel: Callable[[ScalingParams], Callable[[float, float], float]], unit_h_only: bool = False) -> None:
         self._freeze(exponent, share, kernel, unit_h_only)
 
@@ -302,8 +300,8 @@ _LAWS = {
         kernel=lambda p: _at_equilibrium(p, lambda G_Y, n_i, v_i: v_i),
     ),
     ScalingClass.LINEAR_CONSUMPTION: _ClassLaw(
-        exponent=lambda D, H, d: Fraction(1),
-        share=lambda D, H, d: Fraction(1),
+        exponent=lambda D, H, d: 1,
+        share=lambda D, H, d: 1,
         kernel=lambda p: lambda n_i, n_0: n_i + n_0,
     ),
     ScalingClass.INTERACTION: _ClassLaw(
@@ -323,7 +321,7 @@ _LAWS = {
         kernel=lambda p: _at_equilibrium(p, lambda G_Y, n_i, v_i: _yield(G_Y, n_i, v_i) * _degree(n_i, v_i)),
     ),
     ScalingClass.RECURSIVE_DEPENDENCY: _ClassLaw(
-        exponent=lambda D, H, d: 1 + Fraction(1, D * D) - Fraction(1, D * (D + 1)),
+        exponent=lambda D, H, d: 1 + 1 / (D * D) - 1 / (D * (D + 1)),
         share=lambda D, H, d: d,
         kernel=_recursive,
         unit_h_only=True,
@@ -348,9 +346,12 @@ def _law(scaling_class, params: ScalingParams) -> _ClassLaw:
     return law
 
 
-def _rational(part: Callable[[int, Fraction, Fraction], Fraction], params: ScalingParams) -> float:
-    H = Fraction(params.H)
-    return float(part(params.D, H, _delta(params.D, H)))
+def _rational(part: Callable[[Fraction, Fraction, Fraction], Fraction], params: ScalingParams) -> float:
+    """part(D, H, delta) in exact arithmetic, as a float."""
+    from fractions import Fraction  # here, not at the top: it loads decimal, and most commands need no exponent
+
+    D, H = Fraction(params.D), Fraction(params.H)
+    return float(part(D, H, H * H / (D * (D + H))))
 
 
 def predicted_exponent(scaling_class: ScalingClass, params: ScalingParams) -> float:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from commscale import cli, ensemble, errors, promisegraph, tabular, uslkit
+from commscale import cli, ensemble, errors, meanfield, promisegraph, tabular, uslkit
 from commscale.cli import _find_offer, main
 from commscale.errors import CsvFormatError, DomainError
 from commscale.graphio import emit_graph, parse_graph
@@ -210,6 +210,11 @@ class TestEnsemblePipeline:
         assert out1 == out2
         assert out1.startswith("N,Y\n")
         assert out1.count("\n") == 501
+
+    @pytest.mark.parametrize("n", [10**7 + 1, 2**64])
+    def test_a_sample_count_over_the_cap_exits_1(self, run, n):
+        # 2**64 samples once reached numpy as a ValueError traceback.
+        assert run([*self.ARGS, "--n", str(n)]) == (1, "", f"error: n_samples must be at most 10**7, got {n}\n")
 
     def test_pipe_into_fit(self, run):
         _, csv_text, _ = run(self.ARGS)
@@ -504,11 +509,11 @@ class TestNonFiniteResult:
 
     def test_scalar_result_is_checked_where_it_is_written(self, run, monkeypatch):
         # The last guard: a library result that is not finite never reaches stdout.
-        monkeypatch.setattr(cli.uslkit, "response_time", lambda params: math.inf)
+        monkeypatch.setattr(uslkit, "response_time", lambda params: math.inf)
         assert run(["queue", "--lambda", "1", "--mu", "2"]) == (1, "", "error: result inf is not a finite number\n")
 
     def test_json_result_is_checked_where_it_is_written(self, run, monkeypatch):
-        monkeypatch.setattr(cli.meanfield, "predicted_exponent", lambda cls, params: math.nan)
+        monkeypatch.setattr(meanfield, "predicted_exponent", lambda cls, params: math.nan)
         assert run(["exponents", "--D", "2", "--H", "1"]) == (1, "", "error: result nan is not a finite number\n")
 
     def test_peak_of_a_tiny_coherency_is_finite(self, run):
@@ -1096,9 +1101,11 @@ class TestHelpText:
 
 
 SRC = Path(uslkit.__file__).resolve().parents[1]
-# The modules whose loading the start probe reports: numpy, the Philox draws, and
-# dataclasses with the inspect, ast and dis that it would pull in.
-PROBED = ("numpy", "commscale._philox", "dataclasses", "inspect", "ast", "dis")
+# The modules whose loading the start probe reports: numpy, the Philox draws, dataclasses with
+# the inspect, ast and dis that it would pull in, the library modules that cli does not import
+# at start, and fractions, which pulls in decimal.
+PROBED = ("numpy", "commscale._philox", "dataclasses", "inspect", "ast", "dis", "commscale.ensemble",
+          "commscale.graphio", "commscale.promisegraph", "commscale.uslkit", "fractions")
 # Runs cli.main(argv) in a fresh interpreter, or only imports commscale.cli when argv
 # is empty, then reports the exit code and the PROBED modules loaded as the last line of stderr.
 START_PROBE = (
@@ -1121,39 +1128,62 @@ def _fresh_main(argv, stdin_text=""):
     return int(code), set(loaded)
 
 
+def _fresh_module_main(argv, stdin_text=""):
+    """(exit code, the PROBED modules loaded) of `python -m commscale argv`, as the benchmark runs each command.
+
+    -I would drop PYTHONPATH, so the package is found through it alone, with no other variable set and no user
+    site; -X importtime names every module the run imports.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-s", "-X", "importtime", "-m", "commscale", *argv],
+        input=stdin_text, capture_output=True, text=True, env={"PYTHONPATH": str(SRC)},
+    )
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return proc.returncode, imported & set(PROBED)
+
+
 LEAN = frozenset()
-FITTING = frozenset({"numpy"})
-DRAWING = frozenset({"numpy", "commscale._philox"})
-# One row per probed run: argv, stdin, exit code and the PROBED modules it loads, numpy's own aside.
+EXACT = frozenset({"fractions"})
+USL = frozenset({"commscale.uslkit"})
+GRAPH = frozenset({"commscale.graphio", "commscale.promisegraph"})
+# One row per probed run: argv, stdin, exit code, the PROBED modules it loads (numpy's own aside)
+# and the probe that runs it: main in a fresh interpreter, or `python -m commscale`.
 START_RUNS = [
-    pytest.param([], "", 0, LEAN, id="import"),
-    pytest.param(["exponents", "--D", "2", "--H", "1"], "", 0, LEAN, id="exponents"),
-    pytest.param(["yield", "--D", "2", "--H", "1", "--n", "1000"], "", 0, LEAN, id="yield"),
-    pytest.param(["compare", "--class", "interaction", "--D", "2", "--H", "1"], FIT_JSON, 0, LEAN, id="compare"),
-    pytest.param(["usl-eval", "--contention", "0.1", "--coherency", "0.01", "--n", "8"], "", 0, LEAN, id="usl-eval"),
-    pytest.param(["usl-eval", "--contention", "0.1", "--coherency", "0.01", "--peak"], "", 0, LEAN,
+    pytest.param([], "", 0, LEAN, _fresh_main, id="import"),
+    pytest.param(["exponents", "--D", "2", "--H", "1"], "", 0, EXACT, _fresh_main, id="exponents"),
+    pytest.param(["yield", "--D", "2", "--H", "1", "--n", "1000"], "", 0, LEAN, _fresh_main, id="yield"),
+    pytest.param(["compare", "--class", "interaction", "--D", "2", "--H", "1"], FIT_JSON, 0,
+                 EXACT | {"commscale.ensemble"}, _fresh_main, id="compare"),
+    pytest.param(["usl-eval", "--contention", "0.1", "--coherency", "0.01", "--n", "8"], "", 0, USL, _fresh_main,
+                 id="usl-eval"),
+    pytest.param(["usl-eval", "--contention", "0.1", "--coherency", "0.01", "--peak"], "", 0, USL, _fresh_main,
                  id="usl-eval-peak"),
-    pytest.param(["serial", "--sigma", "1", "--pi", "4", "--n", "8"], "", 0, LEAN, id="serial"),
-    pytest.param(["serial", "--sigma", "1", "--pi", "4", "--n", "8", "--exponent"], "", 0, LEAN,
+    pytest.param(["serial", "--sigma", "1", "--pi", "4", "--n", "8"], "", 0, USL, _fresh_main, id="serial"),
+    pytest.param(["serial", "--sigma", "1", "--pi", "4", "--n", "8", "--exponent"], "", 0, USL, _fresh_main,
                  id="serial-exponent"),
-    pytest.param(["queue", "--lambda", "1", "--mu", "2"], "", 0, LEAN, id="queue"),
-    *[pytest.param(["graph", command, *flags], MESH3 + COMMUNITY, 0, LEAN, id=f"graph-{command}")
+    pytest.param(["queue", "--lambda", "1", "--mu", "2"], "", 0, USL, _fresh_main, id="queue"),
+    pytest.param(["queue", "--lambda", "1", "--mu", "2"], "", 0, USL, _fresh_module_main, id="python-m-queue"),
+    # Only classify's --D/--H asks for an exponent.
+    *[pytest.param(["graph", command, *flags], MESH3 + COMMUNITY, 0, GRAPH | (EXACT if "--D" in flags else LEAN),
+                   _fresh_main, id=f"graph-{command}")
       for command, flags in GRAPH_COMMANDS.items()],
-    pytest.param(["--help"], "", 0, LEAN, id="help"),
-    pytest.param(["yield", "--D", "2", "--H", "1"], "", 2, LEAN, id="usage-error"),
-    pytest.param(["ensemble", "--class", "interaction", "--D", "2", "--H", "1", "--n", "20"], "", 0, DRAWING,
-                 id="ensemble"),
-    pytest.param(["fit"], "N,Y\n10,1\n20,2.2\n40,4.9\n", 0, FITTING, id="fit"),
-    pytest.param(["usl-fit"], SPEEDUPS, 0, FITTING, id="usl-fit"),
+    pytest.param(["--help"], "", 0, LEAN, _fresh_main, id="help"),
+    pytest.param(["yield", "--D", "2", "--H", "1"], "", 2, LEAN, _fresh_main, id="usage-error"),
+    pytest.param(["ensemble", "--class", "interaction", "--D", "2", "--H", "1", "--n", "20"], "", 0,
+                 frozenset({"numpy", "commscale._philox", "commscale.ensemble"}), _fresh_main, id="ensemble"),
+    pytest.param(["fit"], "N,Y\n10,1\n20,2.2\n40,4.9\n", 0, frozenset({"numpy", "commscale.ensemble"}), _fresh_main,
+                 id="fit"),
+    pytest.param(["usl-fit"], SPEEDUPS, 0, USL | {"numpy"}, _fresh_main, id="usl-fit"),
 ]
 
 
 class TestStartImports:
-    """Only drawing, fitting and adjacency import numpy, only drawing imports _philox, no run imports dataclasses."""
+    """Each run loads only the library modules its handler runs; only drawing, fitting and adjacency import numpy,
+    only drawing imports _philox, only an exponent imports fractions, no run imports dataclasses."""
 
-    @pytest.mark.parametrize("argv, stdin_text, want_code, want_loaded", START_RUNS)
-    def test_start_loads_only_what_the_run_needs(self, argv, stdin_text, want_code, want_loaded):
-        code, loaded = _fresh_main(argv, stdin_text)
+    @pytest.mark.parametrize("argv, stdin_text, want_code, want_loaded, probe", START_RUNS)
+    def test_start_loads_only_what_the_run_needs(self, argv, stdin_text, want_code, want_loaded, probe):
+        code, loaded = probe(argv, stdin_text)
         if "numpy" in loaded:
             loaded -= NUMPY_LOADS
         assert (code, loaded) == (want_code, want_loaded)

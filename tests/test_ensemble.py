@@ -30,6 +30,10 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             spec(n_samples=10.5)
         assert spec(n_samples=np.int64(10)) == spec(n_samples=10)
+        # The cap is only constructed: generating it would take gigabytes.
+        assert spec(n_samples=10**7).n_samples == 10**7
+        with pytest.raises(DomainError, match=r"^n_samples must be at most 10\*\*7, got 10000001$"):
+            spec(n_samples=10**7 + 1)
 
     @pytest.mark.parametrize("name", ["n_samples", "seed"])
     def test_a_bool_is_not_an_integer(self, name):

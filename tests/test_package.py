@@ -2,6 +2,8 @@ import ast
 import importlib
 import inspect
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,43 @@ def test_star_import_binds_every_public_name():
     exec("from commscale import *", namespace)
     wanted = {public for name in MODULES for public in importlib.import_module(f"commscale.{name}").__all__}
     assert wanted - namespace.keys() == set()
+
+
+def _fresh(code: str) -> str:
+    """stdout of code run in a fresh `python -I` interpreter that imports commscale from this checkout."""
+    proc = subprocess.run([sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, sys.argv[1])\n{code}",
+                           str(SRC.parent)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+LOADED = "print(*sorted(m for m in sys.modules if m.startswith('commscale.')))"
+
+
+class TestLazyRoot:
+    """import commscale loads no submodule; a name loads what serves it on first use."""
+
+    def test_import_loads_no_submodule(self):
+        assert _fresh(f"import commscale\n{LOADED}") == "\n"
+
+    def test_a_submodule_name_loads_that_submodule_alone(self):
+        # cli's handlers import their modules this way; a search of every __all__ would load the whole package.
+        assert _fresh(f"from commscale import uslkit\n{LOADED}") == "commscale._record commscale.errors commscale.uslkit\n"
+
+    def test_a_public_name_and_a_submodule_resolve(self):
+        out = _fresh("import commscale\nfrom commscale import cli\nimport commscale.promisegraph as pg\n"
+                     "print(commscale.adjacency is pg.adjacency, cli.main is sys.modules['commscale.cli'].main)\n"
+                     "print('adjacency' in vars(commscale))")
+        # A public name is bound on first use, so later lookups are plain attribute reads.
+        assert out == "True True\nTrue\n"
+
+    def test_dir_holds_every_public_name(self):
+        wanted = {public for name in MODULES for public in importlib.import_module(f"commscale.{name}").__all__}
+        assert wanted | set(MODULES) <= set(_fresh("import commscale\nprint(*dir(commscale))").split())
+
+    def test_an_unknown_attribute_is_named(self):
+        code = "import commscale\ntry:\n    commscale.no_such_name\nexcept AttributeError as exc:\n    print(exc)"
+        assert _fresh(code) == "module 'commscale' has no attribute 'no_such_name'\n"
 
 
 @pytest.mark.parametrize("stage", TRACED_STAGES)
