@@ -3,8 +3,8 @@
 A record names its fields, in order, as its __slots__; a subclass adds
 its own after those of its base. Its own __init__ keeps the keyword
 names and defaults, validates, and stores the fields with _freeze, or
-one by one with object.__setattr__ where a record is built per parsed
-line. Record then gives it value semantics:
+one by one through the class's slot setters, _setters, where records
+are built in bulk. Record then gives it value semantics:
 
 - == between records of one class with equal fields, and a hash that
   agrees with it;
@@ -36,10 +36,13 @@ class Record:
         get = attrgetter(*fields)
         # The field values as one tuple, in field order.
         cls._values = property(get if len(fields) > 1 else lambda self: (get(self),))
+        # Each field's slot setter, in field order: the member descriptor's __set__, which stores past
+        # Record.__setattr__ at about a third of the cost of object.__setattr__.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
 
     def _freeze(self, *values) -> None:
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

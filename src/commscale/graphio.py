@@ -18,6 +18,11 @@ polarity), constraint and condition entries sorted, single spaces,
 trailing newline. parse_graph and emit_graph are mutually inverse on
 canonical text, byte for byte.
 
+Duplicate promise records, equal in all but their constraint sets,
+merge while the text is read, into one promise whose constraint set is
+their union, as PromiseGraph merges them; a duplicate builds no Promise
+of its own.
+
 Calibration is not part of the wire format; pass it to parse_graph (or
 the --calibration flag of graph value and graph bindings) when values
 matter.
@@ -27,33 +32,35 @@ from __future__ import annotations
 
 import re
 
-from .errors import GraphFormatError, UnknownAgentError
+from .errors import DomainError, GraphFormatError
 from .promisegraph import Agent, Calibration, Polarity, Promise, PromiseGraph
 
 __all__ = ["parse_graph", "emit_graph"]
 
 _TOKEN = re.compile(r"[^\s,|#]+\Z")
-_POLARITY = {"+": Polarity.OFFER, "-": Polarity.ACCEPT}
+_ACCEPTS = {"+": False, "-": True}
 
 
-def _check_token(token: str, what: str, passed: set, lineno: int | None = None) -> str:
-    # passed holds the tokens this call has already accepted; a failing token is never added.
-    if token not in passed:
+def _check_token(token: str, what: str, passed: dict, lineno: int | None = None) -> str:
+    # passed maps each token this call has already accepted to its one string object, which is returned;
+    # a failing token is never added.
+    checked = passed.get(token)
+    if checked is None:
         if not _TOKEN.match(token):
             where = f"line {lineno}: " if lineno is not None else ""
             raise GraphFormatError(f"{where}invalid {what} {token!r} (whitespace, ',', '|' and '#' are reserved)")
-        passed.add(token)
-    return token
+        checked = passed[token] = token
+    return checked
 
 
-def _split_csv(text: str, what: str, passed: set, lineno: int) -> list[str]:
+def _split_csv(text: str, what: str, passed: dict, lineno: int) -> list[str]:
     parts = text.split(",")
     if any(not p for p in parts):
         raise GraphFormatError(f"line {lineno}: empty entry in {what} {text!r}")
     return [_check_token(p, f"{what} entry", passed, lineno) for p in parts]
 
 
-def _joined(entries, what: str, passed: set, memo: dict) -> str:
+def _joined(entries, what: str, passed: dict, memo: dict) -> str:
     text = memo.get(entries)
     if text is None:
         text = memo[entries] = ",".join(_check_token(t, what, passed) for t in sorted(entries))
@@ -68,11 +75,13 @@ def parse_graph(text: str, calibration: Calibration = 1.0) -> PromiseGraph:
     """
     agents: dict[str, Agent] = {}
     agent_lines: dict[str, int] = {}
-    promises: list[Promise] = []
-    promise_lines: list[int] = []
-    # Each distinct token is checked once, and each distinct csv field is
+    # The merge table as it is read: (giver, receiver, type, is_accept, condition) -> the union of the
+    # constraint sets of its records, and the line of each key's first record, in key order.
+    table: dict[tuple, frozenset] = {}
+    key_lines: list[int] = []
+    # Each distinct token is checked once and kept as one string object, and each distinct csv field is
     # parsed once into one shared value.
-    passed: set[str] = set()
+    passed: dict[str, str] = {}
     constraints: dict[str, frozenset] = {}
     conditions: dict[str, tuple] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -94,18 +103,25 @@ def parse_graph(text: str, calibration: Calibration = 1.0) -> PromiseGraph:
                     f"got {line.split('#', 1)[0].strip()!r}"
                 )
             giver, receiver, type_tag, sign, chi = fields[1:6]
-            if not passed.issuperset((giver, receiver, type_tag)):
-                _check_token(giver, "agent id", passed, lineno)
-                _check_token(receiver, "agent id", passed, lineno)
-                _check_token(type_tag, "promise type", passed, lineno)
-            polarity = _POLARITY.get(sign)
-            if polarity is None:
+            try:
+                giver, receiver, type_tag = passed[giver], passed[receiver], passed[type_tag]
+            except KeyError:
+                giver = _check_token(giver, "agent id", passed, lineno)
+                receiver = _check_token(receiver, "agent id", passed, lineno)
+                type_tag = _check_token(type_tag, "promise type", passed, lineno)
+            accepts = _ACCEPTS.get(sign)
+            if accepts is None:
                 raise GraphFormatError(f"line {lineno}: polarity must be '+' or '-', got {sign!r}")
             constraint = constraints.get(chi)
             if constraint is None:
                 constraint = constraints[chi] = frozenset(_split_csv(chi, "constraint", passed, lineno))
-            promises.append(Promise(giver, receiver, type_tag, polarity, constraint, condition))
-            promise_lines.append(lineno)
+            key = (giver, receiver, type_tag, accepts, condition)
+            merged = table.get(key)
+            if merged is None:
+                table[key] = constraint
+                key_lines.append(lineno)
+            elif not constraint <= merged:
+                table[key] = merged | constraint
         elif kind == "agent":
             if len(fields) != 3:
                 raise GraphFormatError(f"line {lineno}: agent records take exactly 2 fields, got {len(fields) - 1}")
@@ -118,24 +134,31 @@ def parse_graph(text: str, calibration: Calibration = 1.0) -> PromiseGraph:
                 alpha = float(fields[2])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: assessment {fields[2]!r} is not a number") from None
-            if not 0 <= alpha <= 1:
-                raise GraphFormatError(f"line {lineno}: assessment must be in [0, 1], got {alpha}")
-            agents[agent_id] = Agent(agent_id, alpha)
+            try:
+                agents[agent_id] = Agent(agent_id, alpha)
+            except DomainError as exc:
+                raise GraphFormatError(f"line {lineno}: {exc}") from None
             agent_lines[agent_id] = lineno
         else:
             raise GraphFormatError(f"line {lineno}: unknown record {kind!r} (expected 'agent' or 'promise')")
 
-    try:
-        return PromiseGraph(agents.values(), promises, calibration)
-    except UnknownAgentError:
-        lineno, p = next((n, p) for n, p in zip(promise_lines, promises) if not {p.giver, p.receiver} <= agents.keys())
-        endpoint = p.receiver if p.giver in agents else p.giver
-        raise GraphFormatError(f"line {lineno}: promise references undeclared agent {endpoint!r}") from None
+    # Every record of a key names the same agents, so the first record to name an undeclared one is the first
+    # of its key.
+    offer, accept = Polarity.OFFER, Polarity.ACCEPT
+    for lineno, (key, constraint) in zip(key_lines, table.items()):
+        giver, receiver, type_tag, accepts, condition = key
+        if giver not in agents or receiver not in agents:
+            endpoint = receiver if giver in agents else giver
+            raise GraphFormatError(f"line {lineno}: promise references undeclared agent {endpoint!r}")
+        table[key] = Promise(giver, receiver, type_tag, accept if accepts else offer, constraint, condition)
+    graph = PromiseGraph.__new__(PromiseGraph)
+    graph._adopt(agents, table, calibration)
+    return graph
 
 
 def emit_graph(graph: PromiseGraph) -> str:
     """Emit the canonical text form of a graph."""
-    passed: set[str] = set()
+    passed: dict[str, str] = {}
     lines = []
     for agent_id in graph.agent_ids():
         _check_token(agent_id, "agent id", passed)

@@ -117,21 +117,22 @@ class Promise(Record):
             raise DomainError("constraint set must be non-empty")
         if not isinstance(polarity, Polarity):
             raise DomainError(f"polarity must be a Polarity, got {polarity!r}")
-        # Field by field rather than through _freeze's loop: a parse builds one Promise per record.
-        set_field = object.__setattr__
-        set_field(self, "giver", giver)
-        set_field(self, "receiver", receiver)
-        set_field(self, "type_tag", type_tag)
-        set_field(self, "polarity", polarity)
-        set_field(self, "constraint", constraint)
-        set_field(self, "condition", condition)
+        # Field by field rather than through _freeze's loop: a parse builds one Promise per merged record.
+        set_giver, set_receiver, set_type_tag, set_polarity, set_constraint, set_condition = self._setters
+        set_giver(self, giver)
+        set_receiver(self, receiver)
+        set_type_tag(self, type_tag)
+        set_polarity(self, polarity)
+        set_constraint(self, constraint)
+        set_condition(self, condition)
 
     @property
     def conditional(self) -> bool:
         return bool(self.condition)
 
     def _key(self):
-        # The key of PromiseGraph._by_key, laid out as __init__ builds it inline; the two must stay the same.
+        # The key of PromiseGraph._by_key, laid out as __init__ and graphio.parse_graph build it inline; all three
+        # must stay the same.
         return (self.giver, self.receiver, self.type_tag, self.polarity is Polarity.ACCEPT, self.condition)
 
 
@@ -142,10 +143,10 @@ class Binding(Record):
 
     def __init__(self, offer: Promise, accept: Promise, effective_constraint: frozenset) -> None:
         # Field by field, as in Promise: a bind builds one Binding per matched pair.
-        set_field = object.__setattr__
-        set_field(self, "offer", offer)
-        set_field(self, "accept", accept)
-        set_field(self, "effective_constraint", effective_constraint)
+        set_offer, set_accept, set_effective_constraint = self._setters
+        set_offer(self, offer)
+        set_accept(self, accept)
+        set_effective_constraint(self, effective_constraint)
 
 
 Calibration = Union[float, Mapping[str, float]]
@@ -180,20 +181,24 @@ class PromiseGraph:
             if prev is not p:
                 chi = prev.constraint | p.constraint
                 merged[key] = Promise(giver, receiver, p.type_tag, p.polarity, chi, p.condition)
+        self._adopt(agent_map, merged, calibration)
+
+    def _adopt(self, agents: dict, by_key: dict, calibration: Calibration) -> None:
+        """Keep agents ({id: Agent}) and by_key, a merge table over them as __init__ builds it; order its promises."""
         mapping = isinstance(calibration, Mapping)
         try:
             values = [_real(c, "calibration", "(-inf, inf)")
                       for c in (calibration.values() if mapping else (calibration,))]
         except DomainError:
             raise DomainError(f"calibration values must be finite numbers, got {calibration!r}") from None
-        self._agents = agent_map
+        self._agents = agents
         # The merge table, the graph's one promise index: bindings, discharge and classification read it.
-        self._by_key = merged
+        self._by_key = by_key
         # Graph order: (giver, receiver, type, polarity, sorted constraint, condition), '+' before '-'.
         # Merge keys are distinct, so the C tuple sort never compares the Promise items.
         chis: dict[frozenset, tuple] = {}
         decorated = []
-        for (giver, receiver, type_tag, accepts, condition), p in merged.items():
+        for (giver, receiver, type_tag, accepts, condition), p in by_key.items():
             chi = chis.get(p.constraint)
             if chi is None:
                 try:
@@ -234,7 +239,8 @@ class PromiseGraph:
         return agent_id in self._agents
 
     def calibration_for(self, type_tag: str) -> float:
-        if isinstance(self._calibration, Mapping):
+        # The stored form: a dict for a per-type calibration, else one float.
+        if type(self._calibration) is dict:
             try:
                 return self._calibration[type_tag]
             except KeyError:

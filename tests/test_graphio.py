@@ -54,6 +54,15 @@ class TestParse:
         g = parse_graph("")
         assert g.agents == () and g.promises == ()
 
+    def test_equal_tokens_are_one_string_object(self):
+        # str.split makes a new object of each multi-character token, so equal tokens are distinct until interned.
+        g = parse_graph("agent alice 1.0\nagent bob 1.0\npromise alice bob svc + bob,xy | svc\n"
+                        "promise bob alice svc - xy\npromise alice bob svc + alice\n")
+        tokens = [a.id for a in g.agents]
+        for p in g.promises:
+            tokens += [p.giver, p.receiver, p.type_tag, *p.constraint, *p.condition]
+        assert len({id(t) for t in tokens}) == len(set(tokens)) == 4
+
 
 class TestParseErrors:
     @pytest.mark.parametrize(
@@ -62,7 +71,7 @@ class TestParseErrors:
             ("agent a\n", "line 1"),
             ("agent a 1.0 extra\n", "line 1"),
             ("agent a not-a-number\n", "not a number"),
-            ("agent a 1.5\n", "must be in [0, 1]"),
+            ("agent a 1.5\n", "line 1: assessment must be a real number in [0, 1], got 1.5"),
             ("agent a 1.0\nagent a 0.5\n", "first declared on line 1"),
             ("widget a b\n", "unknown record"),
             ("agent a 1.0\npromise a a svc ? *\n", "polarity"),
@@ -271,7 +280,7 @@ def seed_parse_graph(text, calibration=1.0):
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: assessment {fields[2]!r} is not a number") from None
             if not 0 <= alpha <= 1:
-                raise GraphFormatError(f"line {lineno}: assessment must be in [0, 1], got {alpha}")
+                raise GraphFormatError(f"line {lineno}: assessment must be a real number in [0, 1], got {alpha!r}")
             agents[agent_id] = Agent(agent_id, alpha)
             agent_lines[agent_id] = lineno
         elif fields[0] == "promise":
@@ -308,7 +317,11 @@ def assert_parses_like_seed(text, calibration=1.0):
             parse_graph(text, calibration)
         assert (type(err.value), str(err.value)) == (type(exc), str(exc))
     else:
-        assert parse_graph(text, calibration) == expected
+        g = parse_graph(text, calibration)
+        assert g == expected
+        # The merge table the parser hands on is the one the public constructor builds from the same graph.
+        assert g._by_key == PromiseGraph(g.agents, g.promises, g.calibration)._by_key
+        assert all(g._by_key[p._key()] is p for p in g.promises)
 
 
 def _bench_inputs():

@@ -140,3 +140,24 @@ def test_the_range_probe_sees_a_hand_written_range():
            "class Spec(Record):\n    def __init__(self, n):\n        assert n < inf\n    def bound(self):\n"
            "        return math.inf\nclass Plain:\n    def __init__(self, x):\n        self.x = math.inf\n")
     assert _ranges_in_record_inits(ast.parse(old)) == ["Queue.__init__", "Spec.__init__"]
+
+
+def _object_setattr_uses(tree: ast.AST) -> list:
+    """Each object.__setattr__ that a module's tree reads, whether it calls it at once or binds it to a name."""
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "object.__setattr__"]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "_record.py"], ids=lambda p: p.name)
+def test_records_set_their_fields_through_record_alone(path):
+    # _record.Record builds each class's slot setters; a second way to store a field would get round them.
+    assert _object_setattr_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_field_setter_probe_sees_object_setattr():
+    # Promise.__init__ as it stored its fields before records had setters, and a direct call.
+    old = ("class Promise(Record):\n    def __init__(self, giver, receiver):\n"
+           "        set_field = object.__setattr__\n        set_field(self, 'giver', giver)\n"
+           "        set_field(self, 'receiver', receiver)\n"
+           "class Agent(Record):\n    def __init__(self, id):\n        object.__setattr__(self, 'id', id)\n")
+    assert _object_setattr_uses(ast.parse(old)) == ["line 3", "line 8"]
