@@ -2,13 +2,9 @@
 
 The one-dimensional counterpart of the community model: speedup of N
 cooperating workers under contention and coherency costs and its
-bounded least-squares fit in numpy (Gunther's linearisation as the
-start, then damped Gauss-Newton), the sigma + pi/N + kappa*N
-completion-time family, its local power-law slope, and the
-stability-gated queue response time.
-
-Only usl_fit() needs numpy, and it imports numpy when called, so the
-closed forms here start without it.
+bounded least-squares fit (Gunther's linearisation as the start, then
+damped Gauss-Newton), the sigma + pi/N + kappa*N completion-time family,
+its local power-law slope, and the stability-gated queue response time.
 """
 
 from __future__ import annotations
@@ -87,46 +83,53 @@ class UslFit(Record):
         self._freeze(params, _real(residual, "residual", "[0, inf)"))
 
 
-# Tuples, not arrays, so that importing this module does not import numpy.
-_LOWER = (-1.0, 0.0)
 _MULTISTART = tuple((a0, b0) for a0 in (-0.5, 0.05, 0.5) for b0 in (1e-6, 1e-3, 0.1))
 
 
-def _refine(basis, N, S, theta):
-    """Damped Gauss-Newton (Levenberg-Marquardt): (theta, sum of squared errors).
+def _pass(rows, a, b):
+    """(squared error, gradient, J'J) at (a, b) from one loop over the (N, S, N-1, N*(N-1)) rows; the error is inf
+    where a denominator is <= 0. Sums run in data order with +=, whose rounding no Python version changes."""
+    cost = ga = gb = aa = ab = bb = 0.0
+    for n, s, x, y in rows:
+        den = 1.0 + (a * x + b * y)
+        if not den > 0.0:
+            return math.inf, 0.0, 0.0, 0.0, 0.0, 0.0
+        q = n / sq if (sq := den * den) else math.inf  # the speedup's slopes in a and b are -q*x and -q*y
+        r, ja, jb = n / den - s, q * x, q * y
+        cost, ga, gb = cost + r * r, ga - ja * r, gb - jb * r
+        aa, ab, bb = aa + ja * ja, ab + ja * jb, bb + jb * jb
+    return cost, ga, gb, aa, ab, bb
 
-    A denominator is 1 + basis @ theta, and theta with one <= 0 has an
-    infinite error. The step is undamped until one fails to lower the
-    error. A parameter on its bound with the gradient pointing out is
-    held fixed, and steps are clipped to the bounds.
+
+def _refine(rows, a, b):
+    """Damped Gauss-Newton (Levenberg-Marquardt, More 1978): ((a, b), sum of squared errors).
+
+    The step is undamped until one fails to lower the error. A parameter on its bound with the gradient pointing
+    out is held fixed (a unit row and a zero gradient in the 2x2 solve), and steps are clipped to the bounds. The
+    solve eliminates with partial pivoting, as LAPACK does; a zero pivot (a singular J'J) ends the refinement.
     """
-    import numpy as np
-
-    def sse(t):
-        den = 1.0 + basis @ t
-        return float(((N / den - S) ** 2).sum()) if np.all(den > 0) else math.inf
-
-    cost, damping = sse(theta), 0.0
-    for _ in range(500 if cost < math.inf else 0):
-        den = 1.0 + basis @ theta
-        J = -(N / den**2)[:, None] * basis
-        grad = J.T @ (N / den - S)
-        free = (theta > _LOWER) | (grad <= 0)
-        A = (J.T @ J)[np.ix_(free, free)]
-        step = np.zeros(2)
-        try:
-            step[free] = np.linalg.solve(A + damping * np.diag(np.diag(A)), -grad[free])
-        except np.linalg.LinAlgError:
+    here, damping = _pass(rows, a, b), 0.0
+    for _ in range(500 if here[0] < math.inf else 0):
+        cost, ga, gb, aa, ab, bb = here
+        if not (a > -1.0 or ga <= 0):
+            aa, ab, ga = 1.0, 0.0, 0.0
+        if not (b > 0.0 or gb <= 0):
+            bb, ab, gb = 1.0, 0.0, 0.0
+        top, low = (aa + damping * aa, ab, -ga), (ab, bb + damping * bb, -gb)
+        (p, u, v), (c, w, z) = (low, top) if abs(ab) > abs(top[0]) else (top, low)
+        if p == 0 or (pivot := w - c / p * u) == 0:
             break
-        trial = np.maximum(theta + step, _LOWER)
-        if (trial_cost := sse(trial)) < cost:
-            theta, cost = trial, trial_cost
+        db = (z - c / p * v) / pivot
+        da = (v - u * db) / p
+        trial = max(a + da, -1.0), max(b + db, 0.0)
+        if (there := _pass(rows, *trial))[0] < cost:
+            (a, b), here = trial, there
             damping = damping / 10.0 if damping > 1e-4 else 0.0
-        elif damping > 1e11 or (damping == 0.0 and np.all(np.abs(step) <= 1e-14 * np.abs(theta))):
+        elif damping > 1e11 or (damping == 0.0 and abs(da) <= 1e-14 * abs(a) and abs(db) <= 1e-14 * abs(b)):
             break
         else:
             damping = max(1e-4, 10.0 * damping)
-    return theta, cost
+    return (a, b), here[0]
 
 
 def usl_fit(data) -> UslFit:
@@ -136,10 +139,11 @@ def usl_fit(data) -> UslFit:
     well-behaved when the data are superlinear. Bounds: contention >= -1
     (it may go negative), coherency >= 0. The start is Gunther's
     linearisation N/S - 1 = contention*(N-1) + coherency*N*(N-1), solved
-    by ordinary least squares and clamped to the bounds; a damped
-    Gauss-Newton iteration refines it. Deterministic: only if that
-    leaves a relative residual above 1e-6 is the fit restarted from a
-    fixed 3x3 grid, skipping grid points where a denominator is <= 0.
+    by Givens rotations, which keep large, close N values conditioned,
+    and clamped to the bounds; a damped Gauss-Newton iteration refines
+    it. Deterministic: only if that leaves a relative residual above
+    1e-6 is the fit restarted from a fixed 3x3 grid, skipping grid
+    points where a denominator is <= 0.
     """
     try:
         pts = [(_real(n, "N", None), _real(s, "speedup", None)) for n, s in data]
@@ -155,20 +159,24 @@ def usl_fit(data) -> UslFit:
         raise DomainError("speedup values must be positive")
     if len({n for n, _ in pts}) < 3:
         raise DomainError("need at least 3 distinct N values to fit two parameters")
-    import numpy as np
-    N, S = np.array(pts).T
-    with np.errstate(all="ignore"):
-        basis = np.stack([N - 1.0, N * (N - 1.0)], axis=1)
-        linear = N / S - 1.0
-        if not (np.isfinite(basis).all() and np.isfinite(linear).all()):
-            raise DomainError("N*(N-1) and N/speedup must be finite")
-        best = _refine(basis, N, S, np.maximum(np.linalg.lstsq(basis, linear, rcond=None)[0], _LOWER))
-        if math.sqrt(best[1]) / max(1.0, float(np.linalg.norm(S))) > 1e-6:
-            best = min([best, *(_refine(basis, N, S, x0) for x0 in np.array(_MULTISTART))], key=lambda fit: fit[1])
-    theta, residual = best
-    if not math.isfinite(residual):
+    rows = [(n, s, n - 1.0, n * (n - 1.0)) for n, s in pts]
+    if not all(math.isfinite(y) and math.isfinite(n / s) for n, s, _, y in rows):
+        raise DomainError("N*(N-1) and N/speedup must be finite")
+    r11 = r12 = r22 = z1 = z2 = 0.0
+    for n, s, x, y in rows:
+        z = n / s - 1.0
+        if h := math.hypot(r11, x):
+            c, t = r11 / h, x / h
+            r11, r12, z1, y, z = h, c * r12 + t * y, c * z1 + t * z, c * y - t * r12, c * z - t * z1
+        if h := math.hypot(r22, y):
+            r22, z2 = h, r22 / h * z2 + y / h * z
+    b = z2 / r22 if r22 else 0.0
+    best = _refine(rows, max((z1 - r12 * b) / r11, -1.0), max(b, 0.0))
+    if math.sqrt(best[1]) / max(1.0, math.hypot(*(s for _, s in pts))) > 1e-6:
+        best = min([best, *(_refine(rows, *x0) for x0 in _MULTISTART)], key=lambda fit: fit[1])
+    if not math.isfinite(best[1]):
         raise DomainError("the squared speedup error overflows at every start")
-    return UslFit(UslParams(float(theta[0]), float(theta[1])), residual)
+    return UslFit(UslParams(*best[0]), best[1])
 
 
 class SerialModel(Record):

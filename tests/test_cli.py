@@ -1101,10 +1101,10 @@ class TestHelpText:
 
 
 SRC = Path(uslkit.__file__).resolve().parents[1]
-# The modules whose loading the start probe reports: numpy, the Philox draws, dataclasses with
-# the inspect, ast and dis that it would pull in, the library modules that cli does not import
-# at start, and fractions, which pulls in decimal.
-PROBED = ("numpy", "commscale._philox", "dataclasses", "inspect", "ast", "dis", "commscale.ensemble",
+# The modules whose loading the start probe reports: numpy, scipy (which no run may load), the
+# Philox draws, dataclasses with the inspect, ast and dis that it would pull in, the library
+# modules that cli does not import at start, and fractions, which pulls in decimal.
+PROBED = ("numpy", "scipy", "commscale._philox", "dataclasses", "inspect", "ast", "dis", "commscale.ensemble",
           "commscale.graphio", "commscale.promisegraph", "commscale.uslkit", "fractions")
 # Runs cli.main(argv) in a fresh interpreter, or only imports commscale.cli when argv
 # is empty, then reports the exit code and the PROBED modules loaded as the last line of stderr.
@@ -1173,13 +1173,13 @@ START_RUNS = [
                  frozenset({"numpy", "commscale._philox", "commscale.ensemble"}), _fresh_main, id="ensemble"),
     pytest.param(["fit"], "N,Y\n10,1\n20,2.2\n40,4.9\n", 0, frozenset({"numpy", "commscale.ensemble"}), _fresh_main,
                  id="fit"),
-    pytest.param(["usl-fit"], SPEEDUPS, 0, USL | {"numpy"}, _fresh_main, id="usl-fit"),
+    pytest.param(["usl-fit"], SPEEDUPS, 0, USL, _fresh_main, id="usl-fit"),
 ]
 
 
 class TestStartImports:
-    """Each run loads only the library modules its handler runs; only drawing, fitting and adjacency import numpy,
-    only drawing imports _philox, only an exponent imports fractions, no run imports dataclasses."""
+    """Each run loads only the library modules its handler runs; only drawing, `fit` and adjacency import numpy,
+    only drawing imports _philox, only an exponent imports fractions, no run imports dataclasses or scipy."""
 
     @pytest.mark.parametrize("argv, stdin_text, want_code, want_loaded, probe", START_RUNS)
     def test_start_loads_only_what_the_run_needs(self, argv, stdin_text, want_code, want_loaded, probe):

@@ -4,24 +4,35 @@ bench/oracles.py shares no code with commscale: it reads graph text
 with a parser of its own, discharges conditions by a worklist fixed
 point and redraws ensembles from numpy's Philox. The benchmark runs it
 only on the workloads' own inputs; here it is imported (never written),
-as tests/test_golden.py imports bench/digest.py, and fed random graphs
-and ensembles.
+as tests/test_golden.py imports bench/digest.py, and fed random graphs,
+ensembles and the speedup curves of bench/inputs.py.
 """
 
+import contextlib
 import importlib.util
+import io
+import random
+import sys
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commscale import ensemble, graphio, promisegraph
+from commscale import cli, ensemble, graphio, promisegraph
 from commscale.ensemble import EnsembleSpec
 from commscale.meanfield import ScalingClass, ScalingParams
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_oracles", Path(__file__).resolve().parents[1] / "bench" / "oracles.py")
-oracles = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(oracles)
+
+def _bench_module(name):
+    """bench/<name>.py imported as bench_<name>, registered in sys.modules first, as dataclasses need."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", Path(__file__).resolve().parents[1] / "bench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracles, inputs = _bench_module("oracles"), _bench_module("inputs")
 
 AGENTS = [f"a{i}" for i in range(6)]
 # Two promise types that double as conditions, so that discharge fires often.
@@ -88,3 +99,26 @@ class TestEnsemblesAgainstTheDrawOracle:
         assert ensemble.generate(spec(n)) == (ns[:n], ys[:n])
         # Every row is the oracle's fresh Philox draw keyed by (seed, row).
         oracles.check_ensemble(ensemble.samples_to_csv(ns, ys), "interaction", 2, 1.0, seed, n + extra, 0.1)
+
+
+def _main(argv, stdin_text):
+    """(exit code, stdout) of cli.main(argv) run in this process with stdin_text on stdin."""
+    stdin, sys.stdin = sys.stdin, io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue()
+
+
+class TestUslFitAgainstTheCurveOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.booleans())
+    def test_usl_fit_passes_check_usl_fit(self, seed, noisy):
+        # The benchmark's curves at N = 1..64: exact ones give back their parameters, noisy ones a residual
+        # no worse than at the parameters they were drawn from; the JSON writer's rounding is part of the run.
+        text, params = inputs.usl_curve(random.Random(seed), noisy)
+        code, out = _main(["usl-fit"], text)
+        assert code == 0
+        oracles.check_usl_fit(out, text, params, noisy)
