@@ -157,7 +157,7 @@ def _cmd_graph_value(args) -> dict:
     graph = graphio.parse_graph(_read_input(args), args.calibration)
     reduced = promisegraph.reduce_conditionals(graph)
     # This binds the reduced graph, once: the measures below read the bindings it keeps.
-    bindings = promisegraph.find_bindings(reduced)
+    bindings = promisegraph.binding_values(reduced)
     return {
         "total_value": promisegraph.total_value(reduced),
         "rho": promisegraph.mesh_density(reduced),
@@ -179,10 +179,9 @@ def _cmd_graph_bindings(args) -> str:
     graph = graphio.parse_graph(_read_input(args), args.calibration)
     quote = json.encoder.encode_basestring_ascii
     rows = [
-        _BINDING_ROW % (quote(b.offer.giver), quote(b.offer.receiver), quote(b.offer.type_tag),
-                        ",\n      ".join(map(quote, sorted(b.effective_constraint))),
-                        _jnum(promisegraph.valuation(graph, b)))
-        for b in promisegraph.find_bindings(graph)
+        _BINDING_ROW % (quote(giver), quote(receiver), quote(type_tag), ",\n      ".join(map(quote, sorted(effective))),
+                        _jnum(value))
+        for giver, receiver, type_tag, effective, value in promisegraph.binding_values(graph)
     ]
     return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
 

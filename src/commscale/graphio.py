@@ -20,8 +20,10 @@ canonical text, byte for byte.
 
 Duplicate promise records, equal in all but their constraint sets,
 merge while the text is read, into one promise whose constraint set is
-their union, as PromiseGraph merges them; a duplicate builds no Promise
-of its own.
+their union, as PromiseGraph merges them. parse_graph hands the graph
+the merge table it reads and builds no Promise records, and emit_graph
+writes from that table; records are built only when graph.promises is
+read.
 
 Calibration is not part of the wire format; pass it to parse_graph (or
 the --calibration flag of graph value and graph bindings) when values
@@ -33,7 +35,7 @@ from __future__ import annotations
 import re
 
 from .errors import DomainError, GraphFormatError
-from .promisegraph import Agent, Calibration, Polarity, Promise, PromiseGraph
+from .promisegraph import Agent, Calibration, PromiseGraph
 
 __all__ = ["parse_graph", "emit_graph"]
 
@@ -144,16 +146,11 @@ def parse_graph(text: str, calibration: Calibration = 1.0) -> PromiseGraph:
 
     # Every record of a key names the same agents, so the first record to name an undeclared one is the first
     # of its key.
-    offer, accept = Polarity.OFFER, Polarity.ACCEPT
-    for lineno, (key, constraint) in zip(key_lines, table.items()):
-        giver, receiver, type_tag, accepts, condition = key
+    for lineno, (giver, receiver, _, _, _) in zip(key_lines, table):
         if giver not in agents or receiver not in agents:
             endpoint = receiver if giver in agents else giver
             raise GraphFormatError(f"line {lineno}: promise references undeclared agent {endpoint!r}")
-        table[key] = Promise(giver, receiver, type_tag, accept if accepts else offer, constraint, condition)
-    graph = PromiseGraph.__new__(PromiseGraph)
-    graph._adopt(agents, table, calibration)
-    return graph
+    return PromiseGraph._from_table(agents, table, calibration)
 
 
 def emit_graph(graph: PromiseGraph) -> str:
@@ -166,11 +163,11 @@ def emit_graph(graph: PromiseGraph) -> str:
     # Every promise endpoint is a graph agent, checked above.
     constraints: dict[frozenset, str] = {}
     conditions: dict[tuple, str] = {}
-    for p in graph.promises:
-        _check_token(p.type_tag, "promise type", passed)
-        chi = _joined(p.constraint, "constraint entry", passed, constraints)
-        record = f"promise {p.giver} {p.receiver} {p.type_tag} {p.polarity.value} {chi}"
-        if p.condition:
-            record += " | " + _joined(p.condition, "condition entry", passed, conditions)
+    for (giver, receiver, type_tag, accepts, condition), constraint in graph._table.items():
+        _check_token(type_tag, "promise type", passed)
+        chi = _joined(constraint, "constraint entry", passed, constraints)
+        record = f"promise {giver} {receiver} {type_tag} {'-' if accepts else '+'} {chi}"
+        if condition:
+            record += " | " + _joined(condition, "condition entry", passed, conditions)
         lines.append(record)
     return "\n".join(lines) + "\n" if lines else ""

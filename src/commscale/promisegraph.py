@@ -15,12 +15,18 @@ via mutual membership promises, and classification of an offer into one
 of the meanfield dependency classes.
 
 Graphs are immutable after construction; every operation returns new
-values and is safe to call concurrently. That holds as well for what a
-graph keeps once computed: its bindings, found at most once, on first
-use (find_bindings hands out a new list each time), and the mark that
-it is its own reduction. The records (Agent, Promise, Binding) are plain
-slotted classes that compare, hash and pickle by value and refuse
-assignment.
+values and is safe to call concurrently. A graph's one promise state is
+its merge table, which maps (giver, receiver, type, is_accept,
+condition) to the promise's constraint set, in graph order; parsing,
+binding, valuing, reducing, aggregating and emitting read it and build
+no records. What a graph keeps once computed holds as well: its
+bindings as (offer key, accept key, effective constraint) triples,
+found at most once, on first use; its Promise records with the map from
+merge key to record, built on the first read of promises; and the mark
+that it is its own reduction. find_bindings builds its Binding records
+from the kept triples on each call and hands out a new list. The
+records (Agent, Promise, Binding) are plain slotted classes that
+compare, hash and pickle by value and refuse assignment.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ __all__ = [
     "adjacency",
     "degree",
     "find_bindings",
+    "binding_values",
     "reduce_conditionals",
     "valuation",
     "total_value",
@@ -131,8 +138,8 @@ class Promise(Record):
         return bool(self.condition)
 
     def _key(self):
-        # The key of PromiseGraph._by_key, laid out as __init__ and graphio.parse_graph build it inline; all three
-        # must stay the same.
+        # This promise's key in a graph's merge table, laid out as PromiseGraph.__init__ and graphio.parse_graph
+        # build it inline; all three must stay the same.
         return (self.giver, self.receiver, self.type_tag, self.polarity is Polarity.ACCEPT, self.condition)
 
 
@@ -170,21 +177,24 @@ class PromiseGraph:
                 raise DomainError(f"duplicate agent id {a.id!r}")
             agent_map[a.id] = a
         accept = Polarity.ACCEPT
-        merged: dict[tuple, Promise] = {}
+        table: dict[tuple, frozenset] = {}
         for p in promises:
             giver, receiver = p.giver, p.receiver
             if giver not in agent_map or receiver not in agent_map:
                 missing = receiver if giver in agent_map else giver
                 raise UnknownAgentError(f"promise references unknown agent {missing!r}")
-            key = (giver, receiver, p.type_tag, p.polarity is accept, p.condition)
-            prev = merged.setdefault(key, p)
-            if prev is not p:
-                chi = prev.constraint | p.constraint
-                merged[key] = Promise(giver, receiver, p.type_tag, p.polarity, chi, p.condition)
-        self._adopt(agent_map, merged, calibration)
+            _merge(table, (giver, receiver, p.type_tag, p.polarity is accept, p.condition), p.constraint)
+        self._adopt(agent_map, table, calibration)
 
-    def _adopt(self, agents: dict, by_key: dict, calibration: Calibration) -> None:
-        """Keep agents ({id: Agent}) and by_key, a merge table over them as __init__ builds it; order its promises."""
+    @classmethod
+    def _from_table(cls, agents: dict, table: dict, calibration: Calibration) -> PromiseGraph:
+        """The graph of agents ({id: Agent}) and table, a merge table over them as __init__ builds it."""
+        graph = cls.__new__(cls)
+        graph._adopt(agents, table, calibration)
+        return graph
+
+    def _adopt(self, agents: dict, table: dict, calibration: Calibration) -> None:
+        """Keep agents ({id: Agent}) and table, a merge table over them as __init__ builds it, in graph order."""
         mapping = isinstance(calibration, Mapping)
         try:
             values = [_real(c, "calibration", "(-inf, inf)")
@@ -192,25 +202,27 @@ class PromiseGraph:
         except DomainError:
             raise DomainError(f"calibration values must be finite numbers, got {calibration!r}") from None
         self._agents = agents
-        # The merge table, the graph's one promise index: bindings, discharge and classification read it.
-        self._by_key = by_key
         # Graph order: (giver, receiver, type, polarity, sorted constraint, condition), '+' before '-'.
-        # Merge keys are distinct, so the C tuple sort never compares the Promise items.
+        # The first six items already differ between merge keys, so the C tuple sort never compares the last two.
         chis: dict[frozenset, tuple] = {}
         decorated = []
-        for (giver, receiver, type_tag, accepts, condition), p in by_key.items():
-            chi = chis.get(p.constraint)
+        for key, constraint in table.items():
+            giver, receiver, type_tag, accepts, condition = key
+            chi = chis.get(constraint)
             if chi is None:
                 try:
-                    chi = chis[p.constraint] = tuple(sorted(p.constraint))
+                    chi = chis[constraint] = tuple(sorted(constraint))
                     "".join(chi)  # checks that every entry is a string, as in Promise
                 except TypeError:
-                    raise DomainError(f"constraint entries must be strings, got {set(p.constraint)!r}") from None
-            decorated.append((giver, receiver, type_tag, accepts, chi, condition, p))
+                    raise DomainError(f"constraint entries must be strings, got {set(constraint)!r}") from None
+            decorated.append((giver, receiver, type_tag, accepts, chi, condition, key, constraint))
         decorated.sort()
-        self._promises = tuple([d[-1] for d in decorated])
+        # The merge table, the graph's one promise state: {(giver, receiver, type, is_accept, condition): constraint}.
+        self._table = {d[6]: d[7] for d in decorated}
         self._calibration = dict(zip(calibration, values)) if mapping else values[0]
-        self._bound: list | None = None  # the graph's bindings, once _kept_bindings has found them
+        self._bound: list | None = None  # the graph's binding triples, once _kept_bindings has found them
+        self._records: tuple | None = None  # the Promise records, once promises has built them
+        self._record_of: dict = {}  # {merge key: its record}, set just before _records
         self._reduced = False  # set by reduce_conditionals on the graph it returns
 
     @property
@@ -219,7 +231,21 @@ class PromiseGraph:
 
     @property
     def promises(self) -> tuple:
-        return self._promises
+        """The Promise records in graph order, built from the merge table on first use and then kept."""
+        self._record_map()
+        return self._records
+
+    def _record_map(self) -> dict:
+        """{merge key: its Promise record}, in graph order; built with promises on first use and then kept."""
+        if self._records is None:
+            offer, accept = Polarity.OFFER, Polarity.ACCEPT
+            record_of = {}
+            for key, chi in self._table.items():
+                giver, receiver, type_tag, accepts, condition = key
+                record_of[key] = Promise(giver, receiver, type_tag, accept if accepts else offer, chi, condition)
+            self._record_of = record_of
+            self._records = tuple(record_of.values())
+        return self._record_of
 
     @property
     def calibration(self) -> Calibration:
@@ -252,7 +278,7 @@ class PromiseGraph:
             return NotImplemented
         return (
             self._agents == other._agents
-            and self._promises == other._promises
+            and self._table == other._table
             and self._calibration == other._calibration
         )
 
@@ -264,16 +290,16 @@ def adjacency(graph: PromiseGraph, type_tag: str) -> np.ndarray:
     ids = graph.agent_ids()
     index = {a: i for i, a in enumerate(ids)}
     out = np.zeros((len(ids), len(ids)), dtype=np.int64)
-    for p in graph.promises:
-        if p.type_tag == type_tag:
-            out[index[p.giver], index[p.receiver]] = 1
+    for giver, receiver, tag, _, _ in graph._table:
+        if tag == type_tag:
+            out[index[giver], index[receiver]] = 1
     return out
 
 
 def degree(graph: PromiseGraph, agent_id: str) -> int:
     """Number of distinct (receiver, type) pairs this agent promises toward."""
     graph.agent(agent_id)
-    return len({(p.receiver, p.type_tag) for p in graph.promises if p.giver == agent_id})
+    return len({(receiver, tag) for giver, receiver, tag, _, _ in graph._table if giver == agent_id})
 
 
 def find_bindings(graph: PromiseGraph) -> list[Binding]:
@@ -282,33 +308,52 @@ def find_bindings(graph: PromiseGraph) -> list[Binding]:
     A binding pairs an unconditional offer S -> R with an unconditional
     accept R -> S of the same type whose constraint sets intersect;
     the intersection is the binding's effective constraint. Conditional
-    promises never bind (reduce them first).
+    promises never bind (reduce them first). Each binding's offer and
+    accept are items of graph.promises; the Binding records are built
+    anew on each call.
     """
-    return list(_kept_bindings(graph))
+    record_of = graph._record_map()
+    return [Binding(record_of[offer], record_of[accept], effective)
+            for offer, accept, effective in _kept_bindings(graph)]
 
 
-def _kept_bindings(graph: PromiseGraph) -> list[Binding]:
+def binding_values(graph: PromiseGraph) -> list[tuple]:
+    """(giver, receiver, type, effective constraint, value) of each binding, in find_bindings order.
+
+    The value is the binding's valuation, c_S * alpha_giver * alpha_receiver.
+    No Binding or Promise record is built.
+    """
+    agents = graph._agents
+    calibration_for = graph.calibration_for
+    return [(giver, receiver, type_tag, effective,
+             calibration_for(type_tag) * agents[giver].assessment * agents[receiver].assessment)
+            for (giver, receiver, type_tag, _, _), _, effective in _kept_bindings(graph)]
+
+
+def _kept_bindings(graph: PromiseGraph) -> list[tuple]:
     # The graph's own list, computed on first use: callers must not change it.
     if graph._bound is None:
         graph._bound = _bindings(graph)
     return graph._bound
 
 
-def _bindings(graph: PromiseGraph) -> list[Binding]:
-    # The bindings of the graph's unconditional offers, in graph order; each accept back is one merge-table lookup.
-    by_key = graph._by_key
-    offer = Polarity.OFFER
+def _bindings(graph: PromiseGraph) -> list[tuple]:
+    # (offer key, accept key, effective constraint) for the graph's unconditional offers, in graph order; each
+    # accept back is one merge-table lookup.
+    table = graph._table
     out = []
-    for p in graph.promises:
-        if p.polarity is offer and not p.condition:
-            acc = by_key.get((p.receiver, p.giver, p.type_tag, True, ()))
-            if acc is not None and (effective := p.constraint & acc.constraint):
-                out.append(Binding(p, acc, effective))
+    for offer, chi in table.items():
+        giver, receiver, type_tag, accepts, condition = offer
+        if not accepts and not condition:
+            accept = (receiver, giver, type_tag, True, ())
+            back = table.get(accept)
+            if back is not None and (effective := chi & back):
+                out.append((offer, accept, effective))
     return out
 
 
 def _discharge(graph: PromiseGraph, inside=None) -> tuple[dict, list]:
-    """Least fixed point of supply: {(g, d): witness offer} for every supplied pair, and the fired offers.
+    """Least fixed point of supply: {(g, d): witness offer key} for every supplied pair, and the fired offers.
 
     g is supplied with d when it unconditionally accepts d from some k whose
     offer of d to g is unconditional or has fired; a conditional offer fires
@@ -318,40 +363,47 @@ def _discharge(graph: PromiseGraph, inside=None) -> tuple[dict, list]:
     Offers are taken in rounds (unconditional ones, then those the previous
     round fired), each in graph order, and the first to supply a pair is its
     witness, so following witnesses always ends at unconditional offers.
-    The fired offers are returned as their positions in graph.promises.
+    The fired offers are returned as their merge keys, in the order they fired.
     """
-    by_key = graph._by_key
-    promises = graph.promises
-    offer = Polarity.OFFER
+    table = graph._table
+    keys = list(table)
     round_: list = []
     waiting: dict[tuple, list] = {}
     unmet: dict[int, int] = {}
-    for i, o in enumerate(promises):
-        if o.polarity is not offer or (inside is not None and (o.giver not in inside or o.receiver not in inside)):
+    for i, (giver, receiver, _, accepts, condition) in enumerate(keys):
+        if accepts or (inside is not None and (giver not in inside or receiver not in inside)):
             continue
-        if not o.condition:
+        if not condition:
             round_.append(i)
             continue
-        unmet[i] = len(o.condition)
-        for d in o.condition:
-            waiting.setdefault((o.giver, d), []).append(i)
-    supplied: dict[tuple, Promise] = {}
+        unmet[i] = len(condition)
+        for d in condition:
+            waiting.setdefault((giver, d), []).append(i)
+    supplied: dict[tuple, tuple] = {}
     fired: list = []
     while round_:
         start = len(fired)
         for i in round_:
-            o = promises[i]
-            pair = (o.receiver, o.type_tag)
-            if pair in supplied or (o.receiver, o.giver, o.type_tag, True, ()) not in by_key:
+            offer = keys[i]
+            giver, receiver, type_tag, _, _ = offer
+            pair = (receiver, type_tag)
+            if pair in supplied or (receiver, giver, type_tag, True, ()) not in table:
                 continue
-            supplied[pair] = o
+            supplied[pair] = offer
             for w in waiting.get(pair, ()):
                 unmet[w] -= 1
                 if not unmet[w]:
                     fired.append(w)
         # Positions follow graph order, so sorting them puts the round in graph order.
         round_ = sorted(fired[start:])
-    return supplied, fired
+    return supplied, [keys[i] for i in fired]
+
+
+def _merge(table: dict, key: tuple, chi: frozenset) -> None:
+    # Adds a promise to a merge table: a key already there gets the union of both constraint sets.
+    prev = table.setdefault(key, chi)
+    if prev is not chi:
+        table[key] = prev | chi
 
 
 def reduce_conditionals(graph: PromiseGraph) -> PromiseGraph:
@@ -369,11 +421,10 @@ def reduce_conditionals(graph: PromiseGraph) -> PromiseGraph:
         return graph
     fired = _discharge(graph)[1]
     if fired:
-        promises = list(graph.promises)
-        for i in fired:
-            p = promises[i]
-            promises[i] = Promise(p.giver, p.receiver, p.type_tag, p.polarity, p.constraint)
-        graph = PromiseGraph(graph.agents, promises, graph.calibration)
+        table = dict(graph._table)
+        for key in fired:
+            _merge(table, key[:4] + ((),), table.pop(key))
+        graph = PromiseGraph._from_table(graph._agents, table, graph.calibration)
     # Discharge reaches a fixed point, so the result is its own reduction.
     graph._reduced = True
     return graph
@@ -397,8 +448,7 @@ def total_value(graph: PromiseGraph) -> float:
     the result is independent of binding order. A sum outside the finite
     float range raises DomainError.
     """
-    reduced = reduce_conditionals(graph)
-    values = [valuation(reduced, b) for b in _kept_bindings(reduced)]
+    values = [row[4] for row in binding_values(reduce_conditionals(graph))]
     try:
         return math.fsum(values)
     except OverflowError:
@@ -440,8 +490,8 @@ def largest_binding_component(graph: PromiseGraph) -> int:
             a = parent[a]
         return a
 
-    for b in _kept_bindings(graph):
-        ra, rb = find(b.offer.giver), find(b.offer.receiver)
+    for (giver, receiver, _, _, _), _, _ in _kept_bindings(graph):
+        ra, rb = find(giver), find(receiver)
         if ra != rb:
             parent[ra] = rb
     sizes: dict[str, int] = {}
@@ -454,7 +504,7 @@ def largest_binding_component(graph: PromiseGraph) -> int:
 def reputation(graph: PromiseGraph, agent_id: str) -> int:
     """Count of distinct agents that promise acceptance toward this agent."""
     graph.agent(agent_id)
-    return len({p.giver for p in graph.promises if p.polarity is Polarity.ACCEPT and p.receiver == agent_id})
+    return len({giver for giver, receiver, _, accepts, _ in graph._table if accepts and receiver == agent_id})
 
 
 def aggregate(graph: PromiseGraph, members: Iterable[str], super_id: str) -> PromiseGraph:
@@ -484,30 +534,29 @@ def aggregate(graph: PromiseGraph, members: Iterable[str], super_id: str) -> Pro
 
     supplied, _ = _discharge(graph, member_set)
     todo = []
-    new_promises = []
-    for p in graph.promises:
-        giver_in = p.giver in member_set
-        receiver_in = p.receiver in member_set
+    table: dict[tuple, frozenset] = {}
+    for key, chi in graph._table.items():
+        giver, receiver, type_tag, accepts, condition = key
+        giver_in = giver in member_set
+        receiver_in = receiver in member_set
         if giver_in and receiver_in:
             continue
-        if not giver_in and not receiver_in:
-            new_promises.append(p)
-            continue
         if giver_in:
-            todo += [(p.giver, d) for d in p.condition if (p.giver, d) in supplied]
-            residual = tuple(d for d in p.condition if (p.giver, d) not in supplied)
-            new_promises.append(Promise(super_id, p.receiver, p.type_tag, p.polarity, p.constraint, residual))
-        else:
-            new_promises.append(Promise(p.giver, super_id, p.type_tag, p.polarity, p.constraint, p.condition))
+            todo += [(giver, d) for d in condition if (giver, d) in supplied]
+            residual = tuple(d for d in condition if (giver, d) not in supplied)
+            key = (super_id, receiver, type_tag, accepts, residual)
+        elif receiver_in:
+            key = (giver, super_id, type_tag, accepts, condition)
+        _merge(table, key, chi)
 
-    # The interior chains: each discharged condition's giver and its witnesses.
+    # The interior chains: each discharged condition's giver and the givers of its witness offers.
     chain_agents: set = set()
     seen = set(todo)
     while todo:
         g, d = todo.pop()
-        witness = supplied[(g, d)]
-        chain_agents |= {g, witness.giver}
-        fresh = {(witness.giver, e) for e in witness.condition} - seen
+        witness_giver, _, _, _, witness_condition = supplied[(g, d)]
+        chain_agents |= {g, witness_giver}
+        fresh = {(witness_giver, e) for e in witness_condition} - seen
         seen |= fresh
         todo += fresh
 
@@ -515,9 +564,9 @@ def aggregate(graph: PromiseGraph, members: Iterable[str], super_id: str) -> Pro
         alpha = math.prod(graph.agent(a).assessment for a in sorted(chain_agents))
     else:
         alpha = math.fsum(graph.agent(m).assessment for m in member_set) / len(member_set)
-    agents = [a for a in graph.agents if a.id not in member_set]
-    agents.append(Agent(super_id, alpha))
-    return PromiseGraph(agents, new_promises, graph.calibration)
+    agents = {a: agent for a, agent in graph._agents.items() if a not in member_set}
+    agents[super_id] = Agent(super_id, alpha)
+    return PromiseGraph._from_table(agents, table, graph.calibration)
 
 
 def community_members(graph: PromiseGraph, authority: str, membership_type: str = "member") -> set:
@@ -535,9 +584,9 @@ def community_members(graph: PromiseGraph, authority: str, membership_type: str 
 def _communities(graph: PromiseGraph, membership_type: str) -> dict:
     """{authority: the givers bound to it by a membership_type offer it accepts back}."""
     communities: dict[str, set] = {}
-    for b in _kept_bindings(graph):
-        if b.offer.type_tag == membership_type:
-            communities.setdefault(b.offer.receiver, set()).add(b.offer.giver)
+    for (giver, receiver, type_tag, _, _), _, _ in _kept_bindings(graph):
+        if type_tag == membership_type:
+            communities.setdefault(receiver, set()).add(giver)
     return communities
 
 
@@ -574,16 +623,16 @@ def classify_pattern(
     if output_promise.polarity is not Polarity.OFFER:
         raise DomainError("only offers can be classified")
     scarcity_threshold = _real(scarcity_threshold, "scarcity_threshold", "[-inf, inf]")
-    by_key = graph._by_key
-    stored = by_key.get(output_promise._key())
-    if stored is None:
+    table = graph._table
+    key = output_promise._key()
+    if key not in table:
         raise DomainError("output promise not found in graph")
 
-    giver = stored.giver
-    if stored.condition:
+    giver, _, type_tag, _, condition = key
+    if condition:
         needed = {giver}
-        for d in stored.condition:
-            ks = {k for k in graph._agents if (giver, k, d, True, ()) in by_key and (k, giver, d, False, ()) in by_key}
+        for d in condition:
+            ks = {k for k in graph._agents if (giver, k, d, True, ()) in table and (k, giver, d, False, ()) in table}
             if not ks:
                 break
             needed |= ks
@@ -595,8 +644,7 @@ def classify_pattern(
                 return ScalingClass.RECURSIVE_DEPENDENCY
             return ScalingClass.SCARCE_DEPENDENCY
 
-    consumers = {b.offer.receiver for b in _kept_bindings(graph)
-                 if b.offer.giver == giver and b.offer.type_tag == stored.type_tag}
+    consumers = {receiver for (g, receiver, t, _, _), _, _ in _kept_bindings(graph) if g == giver and t == type_tag}
     others = len(graph.agents) - 1
     fraction = len(consumers) / others if others > 0 else 0.0
     if fraction >= scarcity_threshold:

@@ -1,4 +1,5 @@
 import importlib.util
+import io
 import math
 import random
 import re
@@ -10,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_cli import mutated_graph_text
 
+from commscale import cli
 from commscale.errors import DomainError, GraphFormatError
 from commscale.graphio import emit_graph, parse_graph
-from commscale.promisegraph import Agent, Polarity, Promise, PromiseGraph
+from commscale.promisegraph import Agent, Binding, Polarity, Promise, PromiseGraph
 
 SAMPLE = """\
 # a three-party research arrangement
@@ -320,8 +322,8 @@ def assert_parses_like_seed(text, calibration=1.0):
         g = parse_graph(text, calibration)
         assert g == expected
         # The merge table the parser hands on is the one the public constructor builds from the same graph.
-        assert g._by_key == PromiseGraph(g.agents, g.promises, g.calibration)._by_key
-        assert all(g._by_key[p._key()] is p for p in g.promises)
+        assert list(g._table.items()) == list(PromiseGraph(g.agents, g.promises, g.calibration)._table.items())
+        assert [(p._key(), p.constraint) for p in g.promises] == list(g._table.items())
 
 
 def _bench_inputs():
@@ -362,3 +364,41 @@ class TestParseMatchesSeedParser:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_benchmark_org_graphs(self, seed):
         assert_parses_like_seed(BENCH_INPUTS.org_graph(seed, chain_depth=30, ladder_depth=4, community=8).text)
+
+
+class TestRecordsOnRequest:
+    """graph value, bindings and reduce read the merge table: they build no Promise and no Binding record."""
+
+    TEXTS = {
+        "thinned-mesh": BENCH_INPUTS.mesh(3, 24, 0.3, 0.3, 2.5).text,
+        "mesh-with-conditional": BENCH_INPUTS.mesh_with_conditional_offer(8),
+    }
+
+    @staticmethod
+    def count_inits(monkeypatch):
+        counts = {Promise: 0, Binding: 0}
+        for cls in counts:
+            def counted(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                counts[_cls] += 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        return counts
+
+    @pytest.mark.parametrize("text", TEXTS.values(), ids=TEXTS.keys())
+    @pytest.mark.parametrize("command", [["value", "--calibration", "2.5"], ["bindings", "--calibration", "2.5"],
+                                         ["reduce"]], ids=["value", "bindings", "reduce"])
+    def test_graph_commands_build_no_records(self, monkeypatch, capsys, text, command):
+        counts = self.count_inits(monkeypatch)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert cli.main(["graph", *command]) == 0
+        assert capsys.readouterr().out != "[]\n"
+        assert counts == {Promise: 0, Binding: 0}
+
+    @pytest.mark.parametrize("text", TEXTS.values(), ids=TEXTS.keys())
+    def test_parse_builds_the_records_on_the_first_read_of_promises(self, monkeypatch, text):
+        counts = self.count_inits(monkeypatch)
+        g = parse_graph(text)
+        assert counts == {Promise: 0, Binding: 0}
+        promises = g.promises
+        assert g.promises is promises
+        assert counts == {Promise: len(promises), Binding: 0} and len(promises) == len(g._table) > 0

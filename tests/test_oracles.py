@@ -61,6 +61,11 @@ def graph_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+# The --calibration of graph value and graph bindings: a finite float of either sign, small enough that no total of
+# graph_texts() leaves the float range.
+CALIBRATIONS = st.floats(-1e6, 1e6)
+
+
 class TestGraphsAgainstTheFixedPointOracle:
     @settings(max_examples=300, deadline=None)
     @given(graph_texts())
@@ -77,6 +82,22 @@ class TestGraphsAgainstTheFixedPointOracle:
         out = graphio.emit_graph(promisegraph.aggregate(graphio.parse_graph(text), members, "S"))
         # The superagent's assessment is the program's own; the oracle checks the promises around it.
         oracles.check_graph_aggregate(out, g, members, "S", None)
+
+    # The binding values and totals of graph value and graph bindings, through cli.main: the JSON writer's 12-digit
+    # rounding is part of the run.
+    @settings(max_examples=300, deadline=None)
+    @given(graph_texts(), CALIBRATIONS)
+    def test_value_passes_check_graph_value(self, text, calibration):
+        code, out = _main(["graph", "value", f"--calibration={calibration!r}"], text)
+        assert code == 0
+        oracles.check_graph_value(out, oracles.Graph.parse(text), calibration)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_texts(), CALIBRATIONS)
+    def test_bindings_pass_check_graph_bindings(self, text, calibration):
+        code, out = _main(["graph", "bindings", f"--calibration={calibration!r}"], text)
+        assert code == 0
+        oracles.check_graph_bindings(out, oracles.Graph.parse(text), calibration)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 30), st.sampled_from([1.0, 2.5, 1e-7, 3e20, 0.1]))

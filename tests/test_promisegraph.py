@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_oracles import graph_texts
 
 from commscale import promisegraph as pg
 from commscale.errors import DomainError, UnknownAgentError
+from commscale.graphio import emit_graph, parse_graph
 from commscale.meanfield import ScalingClass
 from commscale.promisegraph import Agent, Binding, Polarity, Promise, PromiseGraph
 
@@ -299,13 +301,33 @@ class TestKeptBindings:
             g = PromiseGraph([Agent("a"), Agent("b"), Agent("c")],
                              [offer("a", "b", "svc", cond=("fuel",)), accept("b", "a", "svc")] + pair("c", "a", "fuel"))
             reduced = pg.reduce_conditionals(g)
-            for graph in (g, reduced):
+            # A parsed graph keeps its records, their key map and its binding triples once these have run.
+            parsed = parse_graph(emit_graph(g))
+            for graph in (g, reduced, parsed):
                 pg.find_bindings(graph), pg.total_value(graph), pg.largest_binding_component(graph)
-            refs = [weakref.ref(g), weakref.ref(reduced)]
-            del g, reduced, graph
-            assert [r() for r in refs] == [None, None]
+                pg.binding_values(graph)
+                out = next(p for p in graph.promises if p.polarity is Polarity.OFFER and p.giver == "a")
+                pg.classify_pattern(graph, out)
+            assert parsed._records is not None and parsed._bound
+            refs = [weakref.ref(g), weakref.ref(reduced), weakref.ref(parsed)]
+            del g, reduced, parsed, graph
+            assert [r() for r in refs] == [None, None, None]
         finally:
             gc.enable()
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_texts(), st.sampled_from([1.0, 2.5, 0.1, -3.0, {"s": 0.5, "t": 3.0}]))
+    def test_binding_values_are_the_valued_find_bindings(self, text, calibration):
+        g = parse_graph(text, calibration)
+        for graph in (g, pg.reduce_conditionals(g)):
+            values = pg.binding_values(graph)
+            bindings = pg.find_bindings(graph)
+            assert values == [(b.offer.giver, b.offer.receiver, b.offer.type_tag, b.effective_constraint,
+                               pg.valuation(graph, b)) for b in bindings]
+            promises = graph.promises
+            assert graph.promises is promises
+            ids = {id(p) for p in promises}
+            assert all(id(b.offer) in ids and id(b.accept) in ids for b in bindings)
 
     @pytest.mark.parametrize(
         "clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
@@ -1170,9 +1192,7 @@ class TestMergeKey:
         # __init__ builds the key inline; Promise._key must lay it out the same way.
         g = random_lookup_graph(rows, links, repeats)
         for graph in (g, pg.reduce_conditionals(g), pg.aggregate(g, ["a", "b"], "S")):
-            assert len(graph._by_key) == len(graph.promises)
-            for key, p in graph._by_key.items():
-                assert key == p._key()
+            assert [(p._key(), p.constraint) for p in graph.promises] == list(graph._table.items())
 
 
 class TestLookupsMatchPairScans:
