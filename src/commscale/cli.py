@@ -15,12 +15,21 @@ JSON with every float rounded and checked, a number as one line.
 At start this module loads only errors, tabular and meanfield (whose
 ScalingClass gives the --class choices); each handler imports the
 library modules it runs, so a command loads no module it does not use.
+
+main pauses Python's cyclic garbage collector for its one command and
+restores the caller's setting on every exit. Everything a command builds
+is acyclic, so reference counting frees it, and the collections a large
+graph would otherwise set off (every few hundred allocations) find
+nothing to free. The pause is here and not in the library because the
+collector's state is process-wide and library calls may run
+concurrently.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import sys
@@ -197,21 +206,12 @@ def _cmd_graph_aggregate(args) -> str:
     return graphio.emit_graph(promisegraph.aggregate(graphio.parse_graph(_read_input(args)), members, args.super_id))
 
 
-def _find_offer(graph, giver: str, receiver: str, type_tag: str):
-    """The first offer (a Promise) giver -> receiver of type_tag in graph's order, whatever its condition."""
-    from .promisegraph import Polarity
-    for p in graph.promises:
-        if p.giver == giver and p.receiver == receiver and p.type_tag == type_tag and p.polarity is Polarity.OFFER:
-            return p
-    raise DomainError(f"no offer of type {type_tag!r} from {giver!r} to {receiver!r} in the graph")
-
-
 def _cmd_graph_classify(args) -> dict:
     if (args.D is None) != (args.H is None):
         args.usage_error("--D and --H must be given together")
     from . import graphio, meanfield, promisegraph
     graph = graphio.parse_graph(_read_input(args))
-    offer = _find_offer(graph, args.giver, args.receiver, args.type)
+    offer = promisegraph.find_offer(graph, args.giver, args.receiver, args.type)
     cls = promisegraph.classify_pattern(
         graph, offer, scarcity_threshold=args.threshold, membership_type=args.membership_type
     )
@@ -316,19 +316,26 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    # argparse before Python 3.12 takes --flag=-- as [], neither converted nor checked.
-    if [] in vars(args).values():
-        parser.error("'--' is not a flag value")
+    # The cyclic collector is paused for the command (see the module docstring) and its state restored on every exit.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        result = args.handler(args)
-        if isinstance(result, (dict, list)):
-            result = json.dumps(_rounded(result), indent=2, allow_nan=False) + "\n"
-        elif not isinstance(result, str):
-            result = _fmt(result) + "\n"
-        sys.stdout.write(result)
-        return 0
-    except (DomainError, OSError, UnicodeDecodeError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        parser = _parser()
+        args = parser.parse_args(argv)
+        # argparse before Python 3.12 takes --flag=-- as [], neither converted nor checked.
+        if [] in vars(args).values():
+            parser.error("'--' is not a flag value")
+        try:
+            result = args.handler(args)
+            if isinstance(result, (dict, list)):
+                result = json.dumps(_rounded(result), indent=2, allow_nan=False) + "\n"
+            elif not isinstance(result, str):
+                result = _fmt(result) + "\n"
+            sys.stdout.write(result)
+            return 0
+        except (DomainError, OSError, UnicodeDecodeError, ArithmeticError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    finally:
+        if enabled:
+            gc.enable()

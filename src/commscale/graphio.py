@@ -33,6 +33,7 @@ matter.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
 from .errors import DomainError, GraphFormatError
 from .promisegraph import Agent, Calibration, PromiseGraph
@@ -69,6 +70,32 @@ def _joined(entries, what: str, passed: dict, memo: dict) -> str:
     return text
 
 
+def _promise_key(fields: list, passed: dict, constraints: dict, conditions: dict, lineno: int) -> tuple:
+    """(merge key, constraint set) of a promise row whose tokens, polarity or csv fields are not all known yet.
+
+    Checks condition, giver, receiver, type, polarity and constraint in that order, so the first bad field names
+    the error; each field that passes is kept for the lines after it.
+    """
+    if len(fields) == 6:
+        condition = ()
+    else:
+        condition = conditions.get(fields[7])
+        if condition is None:
+            parts = _split_csv(fields[7], "condition", passed, lineno)
+            condition = conditions[fields[7]] = tuple(sorted(set(parts)))
+    giver = _check_token(fields[1], "agent id", passed, lineno)
+    receiver = _check_token(fields[2], "agent id", passed, lineno)
+    type_tag = _check_token(fields[3], "promise type", passed, lineno)
+    accepts = _ACCEPTS.get(fields[4])
+    if accepts is None:
+        raise GraphFormatError(f"line {lineno}: polarity must be '+' or '-', got {fields[4]!r}")
+    chi = fields[5]
+    constraint = constraints.get(chi)
+    if constraint is None:
+        constraint = constraints[chi] = frozenset(_split_csv(chi, "constraint", passed, lineno))
+    return (giver, receiver, type_tag, accepts, condition), constraint
+
+
 def parse_graph(text: str, calibration: Calibration = 1.0) -> PromiseGraph:
     """Parse the text format into a PromiseGraph.
 
@@ -78,51 +105,38 @@ def parse_graph(text: str, calibration: Calibration = 1.0) -> PromiseGraph:
     agents: dict[str, Agent] = {}
     agent_lines: dict[str, int] = {}
     # The merge table as it is read: (giver, receiver, type, is_accept, condition) -> the union of the
-    # constraint sets of its records, and the line of each key's first record, in key order.
+    # constraint sets of its records.
     table: dict[tuple, frozenset] = {}
-    key_lines: list[int] = []
     # Each distinct token is checked once and kept as one string object, and each distinct csv field is
-    # parsed once into one shared value.
+    # parsed once into one shared value. A 6-field row reads the condition of None, its absent field.
     passed: dict[str, str] = {}
     constraints: dict[str, frozenset] = {}
-    conditions: dict[str, tuple] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        fields = (line.split("#", 1)[0] if "#" in line else line).split()
+    conditions: dict[str | None, tuple] = {None: ()}
+    lines = text.splitlines()
+    # Text without comments is split into rows in C.
+    rows = (line.split("#", 1)[0].split() for line in lines) if "#" in text else map(str.split, lines)
+    for lineno, fields in enumerate(rows, 1):
         if not fields:
             continue
         kind = fields[0]
         if kind == "promise":
             if len(fields) == 6:
-                condition = ()
+                _, giver, receiver, type_tag, sign, chi = fields
+                cond = None
             elif len(fields) == 8 and fields[6] == "|":
-                condition = conditions.get(fields[7])
-                if condition is None:
-                    parts = _split_csv(fields[7], "condition", passed, lineno)
-                    condition = conditions[fields[7]] = tuple(sorted(set(parts)))
+                _, giver, receiver, type_tag, sign, chi, _, cond = fields
             else:
                 raise GraphFormatError(
                     f"line {lineno}: promise records take 5 fields plus an optional '| <cond-csv>', "
-                    f"got {line.split('#', 1)[0].strip()!r}"
+                    f"got {lines[lineno - 1].split('#', 1)[0].strip()!r}"
                 )
-            giver, receiver, type_tag, sign, chi = fields[1:6]
             try:
-                giver, receiver, type_tag = passed[giver], passed[receiver], passed[type_tag]
+                key = (passed[giver], passed[receiver], passed[type_tag], _ACCEPTS[sign], conditions[cond])
+                constraint = constraints[chi]
             except KeyError:
-                giver = _check_token(giver, "agent id", passed, lineno)
-                receiver = _check_token(receiver, "agent id", passed, lineno)
-                type_tag = _check_token(type_tag, "promise type", passed, lineno)
-            accepts = _ACCEPTS.get(sign)
-            if accepts is None:
-                raise GraphFormatError(f"line {lineno}: polarity must be '+' or '-', got {sign!r}")
-            constraint = constraints.get(chi)
-            if constraint is None:
-                constraint = constraints[chi] = frozenset(_split_csv(chi, "constraint", passed, lineno))
-            key = (giver, receiver, type_tag, accepts, condition)
-            merged = table.get(key)
-            if merged is None:
-                table[key] = constraint
-                key_lines.append(lineno)
-            elif not constraint <= merged:
+                key, constraint = _promise_key(fields, passed, constraints, conditions, lineno)
+            merged = table.setdefault(key, constraint)
+            if merged is not constraint and not constraint <= merged:
                 table[key] = merged | constraint
         elif kind == "agent":
             if len(fields) != 3:
@@ -144,13 +158,19 @@ def parse_graph(text: str, calibration: Calibration = 1.0) -> PromiseGraph:
         else:
             raise GraphFormatError(f"line {lineno}: unknown record {kind!r} (expected 'agent' or 'promise')")
 
-    # Every record of a key names the same agents, so the first record to name an undeclared one is the first
-    # of its key.
-    for lineno, (giver, receiver, _, _, _) in zip(key_lines, table):
-        if giver not in agents or receiver not in agents:
-            endpoint = receiver if giver in agents else giver
-            raise GraphFormatError(f"line {lineno}: promise references undeclared agent {endpoint!r}")
+    # Endpoints are checked once per key, in C; only an error walks the lines again, to name the first bad one.
+    if set(map(itemgetter(0), table)).union(map(itemgetter(1), table)).difference(agents):
+        raise _undeclared(lines, agents)
     return PromiseGraph._from_table(agents, table, calibration)
+
+
+def _undeclared(lines: list, agents: dict) -> GraphFormatError:
+    """The error of the first promise line that names an agent missing from agents; every line parses."""
+    for lineno, line in enumerate(lines, 1):
+        fields = line.split("#", 1)[0].split()
+        if fields[:1] == ["promise"] and not (fields[1] in agents and fields[2] in agents):
+            endpoint = fields[2] if fields[1] in agents else fields[1]
+            return GraphFormatError(f"line {lineno}: promise references undeclared agent {endpoint!r}")
 
 
 def emit_graph(graph: PromiseGraph) -> str:

@@ -21,10 +21,12 @@ condition) to the promise's constraint set, in graph order; parsing,
 binding, valuing, reducing, aggregating and emitting read it and build
 no records. What a graph keeps once computed holds as well: its
 bindings as (offer key, accept key, effective constraint) triples,
-found at most once, on first use; its Promise records with the map from
-merge key to record, built on the first read of promises; and the mark
-that it is its own reduction. find_bindings builds its Binding records
-from the kept triples on each call and hands out a new list. The
+found at most once, on first use; the value rows of binding_values,
+built once from them; its Promise records with the map from merge key
+to record, built on the first read of promises; and the mark that it is
+its own reduction. find_bindings builds its Binding records from the
+kept triples on each call, and it and binding_values hand out a new
+list. find_offer builds the one record it returns. The
 records (Agent, Promise, Binding) are plain slotted classes that
 compare, hash and pickle by value and refuse assignment.
 """
@@ -53,6 +55,7 @@ __all__ = [
     "degree",
     "find_bindings",
     "binding_values",
+    "find_offer",
     "reduce_conditionals",
     "valuation",
     "total_value",
@@ -221,6 +224,7 @@ class PromiseGraph:
         self._table = {d[6]: d[7] for d in decorated}
         self._calibration = dict(zip(calibration, values)) if mapping else values[0]
         self._bound: list | None = None  # the graph's binding triples, once _kept_bindings has found them
+        self._valued: list | None = None  # the graph's binding value rows, once _kept_values has built them
         self._records: tuple | None = None  # the Promise records, once promises has built them
         self._record_of: dict = {}  # {merge key: its record}, set just before _records
         self._reduced = False  # set by reduce_conditionals on the graph it returns
@@ -321,13 +325,10 @@ def binding_values(graph: PromiseGraph) -> list[tuple]:
     """(giver, receiver, type, effective constraint, value) of each binding, in find_bindings order.
 
     The value is the binding's valuation, c_S * alpha_giver * alpha_receiver.
-    No Binding or Promise record is built.
+    No Binding or Promise record is built. The rows are built once per
+    graph and kept; each call hands out a new list.
     """
-    agents = graph._agents
-    calibration_for = graph.calibration_for
-    return [(giver, receiver, type_tag, effective,
-             calibration_for(type_tag) * agents[giver].assessment * agents[receiver].assessment)
-            for (giver, receiver, type_tag, _, _), _, effective in _kept_bindings(graph)]
+    return list(_kept_values(graph))
 
 
 def _kept_bindings(graph: PromiseGraph) -> list[tuple]:
@@ -335,6 +336,30 @@ def _kept_bindings(graph: PromiseGraph) -> list[tuple]:
     if graph._bound is None:
         graph._bound = _bindings(graph)
     return graph._bound
+
+
+def _kept_values(graph: PromiseGraph) -> list[tuple]:
+    # The graph's own binding_values rows, built on first use: callers must not change them. A missing per-type
+    # calibration raises here, on each call, and keeps nothing.
+    if graph._valued is None:
+        agents = graph._agents
+        calibration_for = graph.calibration_for
+        graph._valued = [(giver, receiver, type_tag, effective,
+                          calibration_for(type_tag) * agents[giver].assessment * agents[receiver].assessment)
+                         for (giver, receiver, type_tag, _, _), _, effective in _kept_bindings(graph)]
+    return graph._valued
+
+
+def find_offer(graph: PromiseGraph, giver: str, receiver: str, type_tag: str) -> Promise:
+    """The first offer giver -> receiver of type_tag in graph order, whatever its condition, as a Promise.
+
+    Only that one record is built. No such offer raises DomainError.
+    """
+    for key, chi in graph._table.items():
+        g, r, t, accepts, condition = key
+        if g == giver and r == receiver and t == type_tag and not accepts:
+            return Promise(g, r, t, Polarity.OFFER, chi, condition)
+    raise DomainError(f"no offer of type {type_tag!r} from {giver!r} to {receiver!r} in the graph")
 
 
 def _bindings(graph: PromiseGraph) -> list[tuple]:
@@ -448,7 +473,7 @@ def total_value(graph: PromiseGraph) -> float:
     the result is independent of binding order. A sum outside the finite
     float range raises DomainError.
     """
-    values = [row[4] for row in binding_values(reduce_conditionals(graph))]
+    values = [row[4] for row in _kept_values(reduce_conditionals(graph))]
     try:
         return math.fsum(values)
     except OverflowError:

@@ -2,6 +2,7 @@ import argparse
 import ast
 import builtins
 import contextlib
+import gc
 import io
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commscale import cli, ensemble, errors, meanfield, promisegraph, tabular, uslkit
-from commscale.cli import _find_offer, main
+from commscale.cli import main
 from commscale.errors import CsvFormatError, DomainError
 from commscale.graphio import emit_graph, parse_graph
 from commscale.meanfield import ScalingClass, ScalingParams
@@ -1263,9 +1264,10 @@ class TestFindOffer:
              Promise("a", "b", "svc", Polarity.OFFER, frozenset("y"), ("fuel",)),
              Promise("a", "b", "svc", Polarity.ACCEPT, frozenset("a"))],
         )
-        assert _find_offer(g, "a", "b", "svc").condition == ("fuel",)
+        offer = promisegraph.find_offer(g, "a", "b", "svc")
+        assert offer.condition == ("fuel",) and offer == g.promises[0]
         with pytest.raises(DomainError, match="no offer of type 'svc' from 'b' to 'a' in the graph"):
-            _find_offer(g, "b", "a", "svc")
+            promisegraph.find_offer(g, "b", "a", "svc")
 
 
 class TestUsageErrors:
@@ -1324,6 +1326,45 @@ class TestUsageErrors:
         # argparse before Python 3.12 passes --flag=-- on as [], neither converted nor checked.
         code, out, err = _run_isolated(argv)
         assert code in (1, 2) and out == "" and "error: " in err
+
+
+class TestCollectorPause:
+    """main runs its command with the cyclic collector off and leaves the caller's setting as it found it."""
+
+    EXITS = {
+        "exit-0": (["queue", "--lambda", "1", "--mu", "2"], 0),
+        "exit-1": (["queue", "--lambda", "2", "--mu", "1"], 1),
+        "argparse-2": (["queue", "--lambda", "1"], 2),
+        "usage-error-2": (["usl-eval", "--contention", "0.1"], 2),
+    }
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def caller_state(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("argv, code", EXITS.values(), ids=EXITS.keys())
+    def test_every_exit_restores_the_callers_state(self, caller_state, argv, code):
+        assert _run_isolated(argv)[0] == code
+        assert gc.isenabled() is caller_state
+
+    def test_an_uncaught_exception_restores_the_callers_state(self, caller_state, monkeypatch):
+        def fail(x):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(cli, "_fmt", fail)
+        with pytest.raises(RuntimeError, match="unexpected"):
+            _run_isolated(["queue", "--lambda", "1", "--mu", "2"])
+        assert gc.isenabled() is caller_state
+
+    def test_the_command_runs_with_the_collector_off(self, caller_state, monkeypatch):
+        seen = []
+        fmt = cli._fmt
+        monkeypatch.setattr(cli, "_fmt", lambda x: seen.append(gc.isenabled()) or fmt(x))
+        assert _run_isolated(["queue", "--lambda", "1", "--mu", "2"]) == (0, "1\n", "")
+        assert seen == [False] and gc.isenabled() is caller_state
 
 
 class TestModuleEntryPoint:

@@ -1,5 +1,7 @@
+import gc
 import importlib.util
 import io
+import json
 import math
 import random
 import re
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_cli import mutated_graph_text
+from test_cli import _run_isolated, mutated_graph_text
 
 from commscale import cli
 from commscale.errors import DomainError, GraphFormatError
@@ -348,6 +350,28 @@ class TestParseMatchesSeedParser:
     @example("agent x 1.0\npromise x y svc + *\npromise z x svc - *\n")
     @example("promise x y svc + *\nbogus\n")
     @example("agent a 1.0\npromise a a svc + x,y|z\tq\n")
+    # The same records split in C (no '#' in the text) and line by line (a '#' anywhere).
+    @example("agent a 1.0\nagent b 0.5\npromise a b svc + x,y | c\npromise b a svc - y\npromise a b svc + z | c\n")
+    @example("agent a 1.0\nagent b 0.5\npromise a b svc + x,y | c\npromise b a svc - y\npromise a b svc + z | c\n#\n")
+    # Every line break str.splitlines knows, on both split paths.
+    @example("agent a 1.0\r\npromise a a svc + *\rpromise a a svc - x\x0cagent b 1.0\x1cpromise b a svc + x"
+             "\u2028promise a b svc - x\n")
+    @example("agent a 1.0\r\npromise a a svc + *\rpromise a a svc - x#\x0cagent b 1.0\x1cpromise b a svc + x"
+             "\u2028promise a b svc - x # b\u2028bogus\n")
+    # An 8-field promise followed by a comment.
+    @example("agent a 1.0\npromise a a svc + x | c # note\npromise a a svc - x | c#note\n")
+    # Bad or unknown fields on a line whose other tokens were all seen before take the slow path's checks.
+    @example("agent a 1.0\npromise a a svc + x | c\npromise a a svc ? x | c\n")
+    @example("agent a 1.0\npromise a a svc + x | c\npromise a a svc - x | c\npromise a a svc + x | a|c\n")
+    @example("agent a 1.0\npromise a a svc + x | c\npromise a a svc + x,a | c\npromise a a svc + x | svc\n")
+    @example("agent a 1.0\npromise a a svc + x\npromise a svc a + x\npromise a b svc ? x\n")
+    @example("agent a 1.0\npromise a a svc + x\npromise a a svc - x,\n")
+    # Several bad fields on one line: the first in the order condition, giver, receiver, type, polarity, constraint
+    # names the error.
+    @example("agent a 1.0\npromise a a svc + x | c\npromise a|b a svc ? x,, | c|d\n")
+    @example("agent a 1.0\npromise a a svc + x\npromise a a|b s|v ? x,\n")
+    @example("agent a 1.0\npromise a a svc + x\npromise a a s|v ? x,\n")
+    @example("agent a 1.0\npromise a a svc + x\npromise a a svc ? x,\n")
     def test_mutated_text(self, text):
         assert_parses_like_seed(text)
 
@@ -367,7 +391,8 @@ class TestParseMatchesSeedParser:
 
 
 class TestRecordsOnRequest:
-    """graph value, bindings and reduce read the merge table: they build no Promise and no Binding record."""
+    """graph value, bindings and reduce read the merge table: they build no Promise and no Binding record, and
+    graph classify builds only the record of the offer it classifies."""
 
     TEXTS = {
         "thinned-mesh": BENCH_INPUTS.mesh(3, 24, 0.3, 0.3, 2.5).text,
@@ -395,6 +420,25 @@ class TestRecordsOnRequest:
         assert counts == {Promise: 0, Binding: 0}
 
     @pytest.mark.parametrize("text", TEXTS.values(), ids=TEXTS.keys())
+    def test_graph_classify_builds_one_record(self, monkeypatch, capsys, text):
+        giver, receiver, type_tag, _, _ = next(key for key in reversed(parse_graph(text)._table) if not key[3])
+        counts = self.count_inits(monkeypatch)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert cli.main(["graph", "classify", "--giver", giver, "--receiver", receiver, "--type", type_tag]) == 0
+        assert json.loads(capsys.readouterr().out)["class"]
+        assert counts == {Promise: 1, Binding: 0}
+
+    @pytest.mark.parametrize("text", TEXTS.values(), ids=TEXTS.keys())
+    def test_graph_value_values_each_binding_once(self, monkeypatch, capsys, text):
+        calls = []
+        calibration_for = PromiseGraph.calibration_for
+        monkeypatch.setattr(PromiseGraph, "calibration_for", lambda g, t: calls.append(t) or calibration_for(g, t))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert cli.main(["graph", "value", "--calibration", "2.5"]) == 0
+        bindings = json.loads(capsys.readouterr().out)["bindings"]
+        assert len(calls) == bindings > 0
+
+    @pytest.mark.parametrize("text", TEXTS.values(), ids=TEXTS.keys())
     def test_parse_builds_the_records_on_the_first_read_of_promises(self, monkeypatch, text):
         counts = self.count_inits(monkeypatch)
         g = parse_graph(text)
@@ -402,3 +446,47 @@ class TestRecordsOnRequest:
         promises = g.promises
         assert g.promises is promises
         assert counts == {Promise: len(promises), Binding: 0} and len(promises) == len(g._table) > 0
+
+
+class TestCommandsLeaveNoCycles:
+    """What a command builds is freed by reference counting, which is why cli.main may pause the cyclic collector:
+    with the collector off, the cycles a command leaves do not grow with its input (json's indented encoder leaves
+    a fixed few; a usage error's exception leaves a few more)."""
+
+    @staticmethod
+    def commands(n_agents):
+        mesh = BENCH_INPUTS.mesh(n_agents, n_agents, 1.0, 0.1, 2.0).text
+        org = BENCH_INPUTS.org_graph(n_agents, chain_depth=n_agents, ladder_depth=4, community=n_agents // 2)
+        giver, receiver, type_tag, threshold, _ = org.classify[0]
+        members, super_id, _ = org.aggregates[0]
+        ensemble = ["ensemble", "--class", "interaction", "--D", "2", "--H", "1", "--n", str(25 * n_agents)]
+        usl = BENCH_INPUTS.usl_curve(random.Random(n_agents), True, n_agents)[0]
+        return {
+            "value": (["graph", "value", "--calibration", "2"], mesh),
+            "bindings": (["graph", "bindings"], mesh),
+            "reduce": (["graph", "reduce"], org.text),
+            "classify": (["graph", "classify", "--giver", giver, "--receiver", receiver, "--type", type_tag,
+                          "--threshold", repr(threshold)], org.text),
+            "aggregate": (["graph", "aggregate", "--members", ",".join(members), "--super-id", super_id], org.text),
+            "community": (["graph", "community", "--authority", org.community[0]], org.text),
+            "ensemble": (ensemble, ""),
+            "fit": (["fit"], _run_isolated(ensemble)[1]),
+            "usl-fit": (["usl-fit"], usl),
+            "usage-error": (["usl-eval", "--contention", "0.1"], ""),
+        }
+
+    def test_cycles_left_do_not_grow_with_the_input(self):
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            left = {}
+            for n_agents in (10, 40):
+                for name, (argv, stdin_text) in self.commands(n_agents).items():
+                    gc.collect()
+                    code = _run_isolated(argv, stdin_text)[0]
+                    left.setdefault(name, []).append((code, gc.collect()))
+        finally:
+            if was:
+                gc.enable()
+        assert all(small == large for small, large in left.values()), left
+        assert all(code == (2 if name == "usage-error" else 0) for name, ((code, _), _) in left.items())
