@@ -177,6 +177,8 @@ def _cmd_graph_value(args) -> dict:
 
 
 # A row of json.dumps(rows, indent=2), written directly: with indent=2 json runs its pure-Python encoder.
+# All rows are written by one '%' format over their columns, and each distinct token, constraint set and value is
+# formatted once.
 _BINDING_ROW = (
     '  {\n    "giver": %s,\n    "receiver": %s,\n    "type": %s,\n'
     '    "constraint": [\n      %s\n    ],\n    "value": %r\n  }'
@@ -186,13 +188,20 @@ _BINDING_ROW = (
 def _cmd_graph_bindings(args) -> str:
     from . import graphio, promisegraph
     graph = graphio.parse_graph(_read_input(args), args.calibration)
+    rows = promisegraph.binding_values(graph)
+    if not rows:
+        return "[]\n"
+    givers, receivers, types, constraints, values = zip(*rows)
     quote = json.encoder.encode_basestring_ascii
-    rows = [
-        _BINDING_ROW % (quote(giver), quote(receiver), quote(type_tag), ",\n      ".join(map(quote, sorted(effective))),
-                        _jnum(value))
-        for giver, receiver, type_tag, effective, value in promisegraph.binding_values(graph)
-    ]
-    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
+    quoted = {token: quote(token) for token in {*givers, *receivers, *types}}.__getitem__
+    # _jnum meets the values in row order, so a value it refuses is the first a row-by-row writer would refuse.
+    rounded = {value: _jnum(value) for value in dict.fromkeys(values)}
+    cells = [None] * (5 * len(rows))
+    cells[0::5], cells[1::5], cells[2::5] = map(quoted, givers), map(quoted, receivers), map(quoted, types)
+    cells[3::5] = map({c: ",\n      ".join(map(quote, sorted(c))) for c in set(constraints)}.__getitem__, constraints)
+    # 0.0 and -0.0 are one key of rounded, so a table holding a zero rounds every value again, keeping its sign.
+    cells[4::5] = map(_jnum if 0.0 in rounded else rounded.__getitem__, values)
+    return "[\n" + ",\n".join([_BINDING_ROW] * len(rows)) % tuple(cells) + "\n]\n"
 
 
 def _cmd_graph_reduce(args) -> str:

@@ -21,9 +21,9 @@ canonical text, byte for byte.
 Duplicate promise records, equal in all but their constraint sets,
 merge while the text is read, into one promise whose constraint set is
 their union, as PromiseGraph merges them. parse_graph hands the graph
-the merge table it reads and builds no Promise records, and emit_graph
-writes from that table; records are built only when graph.promises is
-read.
+the merge table it reads, in the order it was read, and builds no
+Promise records; records are built only when graph.promises is read.
+Order is made at output: emit_graph puts the table in canonical order.
 
 Calibration is not part of the wire format; pass it to parse_graph (or
 the --calibration flag of graph value and graph bindings) when values
@@ -179,15 +179,21 @@ def emit_graph(graph: PromiseGraph) -> str:
     lines = []
     for agent_id in graph.agent_ids():
         _check_token(agent_id, "agent id", passed)
-        lines.append(f"agent {agent_id} {graph.agent(agent_id).assessment!r}")
-    # Every promise endpoint is a graph agent, checked above.
+        lines.append(f"agent {agent_id} {graph.agent(agent_id).assessment!r}\n")
+    # Every promise endpoint is a graph agent, checked above. The rest of a line is checked and written once per
+    # (type, polarity, condition, constraint), where it first occurs, so a bad token is named on the line where a
+    # writer that checks every line would name it.
     constraints: dict[frozenset, str] = {}
     conditions: dict[tuple, str] = {}
-    for (giver, receiver, type_tag, accepts, condition), constraint in graph._table.items():
-        _check_token(type_tag, "promise type", passed)
-        chi = _joined(constraint, "constraint entry", passed, constraints)
-        record = f"promise {giver} {receiver} {type_tag} {'-' if accepts else '+'} {chi}"
-        if condition:
-            record += " | " + _joined(condition, "condition entry", passed, conditions)
-        lines.append(record)
-    return "\n".join(lines) + "\n" if lines else ""
+    rests: dict[tuple, str] = {}
+    for (giver, receiver, type_tag, accepts, condition), constraint in graph._ordered().items():
+        part = (type_tag, accepts, condition, constraint)
+        rest = rests.get(part)
+        if rest is None:
+            _check_token(type_tag, "promise type", passed)
+            rest = f"{type_tag} {'-' if accepts else '+'} {_joined(constraint, 'constraint entry', passed, constraints)}"
+            if condition:
+                rest += " | " + _joined(condition, "condition entry", passed, conditions)
+            rest = rests[part] = rest + "\n"
+        lines.append(f"promise {giver} {receiver} {rest}")
+    return "".join(lines)

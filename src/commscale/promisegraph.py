@@ -17,9 +17,12 @@ of the meanfield dependency classes.
 Graphs are immutable after construction; every operation returns new
 values and is safe to call concurrently. A graph's one promise state is
 its merge table, which maps (giver, receiver, type, is_accept,
-condition) to the promise's constraint set, in graph order; parsing,
-binding, valuing, reducing, aggregating and emitting read it and build
-no records. What a graph keeps once computed holds as well: its
+condition) to the promise's constraint set, in the order the promises
+were read; parsing, binding, valuing, reducing and aggregating read it
+in that order and build no records. Order is made at output: emit_graph
+and promises put the table in graph order, once per graph, and
+find_bindings and binding_values sort only the bindings. What a graph
+keeps once computed holds as well: its table in graph order; its
 bindings as (offer key, accept key, effective constraint) triples,
 found at most once, on first use; the value rows of binding_values,
 built once from them; its Promise records with the map from merge key
@@ -36,6 +39,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterable, Mapping
+from operator import itemgetter
 from typing import TYPE_CHECKING, Union
 
 from ._record import Record
@@ -188,6 +192,12 @@ class PromiseGraph:
                 raise UnknownAgentError(f"promise references unknown agent {missing!r}")
             _merge(table, (giver, receiver, p.type_tag, p.polarity is accept, p.condition), p.constraint)
         self._adopt(agent_map, table, calibration)
+        # Parsed text holds only string tokens, so only promises built in code can carry other entries.
+        for constraint in dict.fromkeys(table.values()):
+            try:
+                "".join(sorted(constraint))  # str.join takes only strings, as in Promise
+            except TypeError:
+                raise DomainError(f"constraint entries must be strings, got {set(constraint)!r}") from None
 
     @classmethod
     def _from_table(cls, agents: dict, table: dict, calibration: Calibration) -> PromiseGraph:
@@ -197,7 +207,7 @@ class PromiseGraph:
         return graph
 
     def _adopt(self, agents: dict, table: dict, calibration: Calibration) -> None:
-        """Keep agents ({id: Agent}) and table, a merge table over them as __init__ builds it, in graph order."""
+        """Keep agents ({id: Agent}) and table, a merge table over them as __init__ builds it, in the order given."""
         mapping = isinstance(calibration, Mapping)
         try:
             values = [_real(c, "calibration", "(-inf, inf)")
@@ -205,23 +215,9 @@ class PromiseGraph:
         except DomainError:
             raise DomainError(f"calibration values must be finite numbers, got {calibration!r}") from None
         self._agents = agents
-        # Graph order: (giver, receiver, type, polarity, sorted constraint, condition), '+' before '-'.
-        # The first six items already differ between merge keys, so the C tuple sort never compares the last two.
-        chis: dict[frozenset, tuple] = {}
-        decorated = []
-        for key, constraint in table.items():
-            giver, receiver, type_tag, accepts, condition = key
-            chi = chis.get(constraint)
-            if chi is None:
-                try:
-                    chi = chis[constraint] = tuple(sorted(constraint))
-                    "".join(chi)  # checks that every entry is a string, as in Promise
-                except TypeError:
-                    raise DomainError(f"constraint entries must be strings, got {set(constraint)!r}") from None
-            decorated.append((giver, receiver, type_tag, accepts, chi, condition, key, constraint))
-        decorated.sort()
         # The merge table, the graph's one promise state: {(giver, receiver, type, is_accept, condition): constraint}.
-        self._table = {d[6]: d[7] for d in decorated}
+        self._table = table
+        self._in_order = False  # set once _ordered has put the table in graph order
         self._calibration = dict(zip(calibration, values)) if mapping else values[0]
         self._bound: list | None = None  # the graph's binding triples, once _kept_bindings has found them
         self._valued: list | None = None  # the graph's binding value rows, once _kept_values has built them
@@ -232,6 +228,13 @@ class PromiseGraph:
     @property
     def agents(self) -> tuple:
         return tuple(self._agents.values())
+
+    def _ordered(self) -> dict:
+        """The merge table in graph order: put in that order on first use and then kept as the table."""
+        if not self._in_order:
+            self._table = _graph_order(self._table)
+            self._in_order = True
+        return self._table
 
     @property
     def promises(self) -> tuple:
@@ -244,7 +247,7 @@ class PromiseGraph:
         if self._records is None:
             offer, accept = Polarity.OFFER, Polarity.ACCEPT
             record_of = {}
-            for key, chi in self._table.items():
+            for key, chi in self._ordered().items():
                 giver, receiver, type_tag, accepts, condition = key
                 record_of[key] = Promise(giver, receiver, type_tag, accept if accepts else offer, chi, condition)
             self._record_of = record_of
@@ -287,6 +290,28 @@ class PromiseGraph:
         )
 
 
+def _graph_order(table: dict) -> dict:
+    """table rebuilt in graph order: (giver, receiver, type, polarity, sorted constraint, condition), '+' before '-'."""
+    # The first six items already differ between merge keys, so the C tuple sort never compares the last two.
+    chis: dict[frozenset, tuple] = {}
+    decorated = []
+    for key, constraint in table.items():
+        giver, receiver, type_tag, accepts, condition = key
+        chi = chis.get(constraint)
+        if chi is None:
+            chi = chis[constraint] = tuple(sorted(constraint))
+        decorated.append((giver, receiver, type_tag, accepts, chi, condition, key, constraint))
+    decorated.sort()
+    return {d[6]: d[7] for d in decorated}
+
+
+def _precedes(table: dict, key: tuple, other: tuple) -> bool:
+    # Whether merge key comes before other in graph order, without putting the table in that order.
+    if key[:4] != other[:4]:
+        return key < other
+    return (sorted(table[key]), key[4]) < (sorted(table[other]), other[4])
+
+
 def adjacency(graph: PromiseGraph, type_tag: str) -> np.ndarray:
     """0/1 matrix over sorted agent ids: entry (i, j) = 1 iff any promise of
     this type runs from agent i to agent j. Unknown types give the zero matrix."""
@@ -317,8 +342,9 @@ def find_bindings(graph: PromiseGraph) -> list[Binding]:
     anew on each call.
     """
     record_of = graph._record_map()
+    # Unconditional offer keys differ in (giver, receiver, type), so the sort never compares the rest.
     return [Binding(record_of[offer], record_of[accept], effective)
-            for offer, accept, effective in _kept_bindings(graph)]
+            for offer, accept, effective in sorted(_kept_bindings(graph), key=itemgetter(0))]
 
 
 def binding_values(graph: PromiseGraph) -> list[tuple]:
@@ -326,13 +352,14 @@ def binding_values(graph: PromiseGraph) -> list[tuple]:
 
     The value is the binding's valuation, c_S * alpha_giver * alpha_receiver.
     No Binding or Promise record is built. The rows are built once per
-    graph and kept; each call hands out a new list.
+    graph and kept; each call sorts them into a new list.
     """
-    return list(_kept_values(graph))
+    # Rows differ in (giver, receiver, type), so the sort never compares constraints or values.
+    return sorted(_kept_values(graph))
 
 
 def _kept_bindings(graph: PromiseGraph) -> list[tuple]:
-    # The graph's own list, computed on first use: callers must not change it.
+    # The graph's own list, in merge-table order, computed on first use: callers must not change it.
     if graph._bound is None:
         graph._bound = _bindings(graph)
     return graph._bound
@@ -353,18 +380,26 @@ def _kept_values(graph: PromiseGraph) -> list[tuple]:
 def find_offer(graph: PromiseGraph, giver: str, receiver: str, type_tag: str) -> Promise:
     """The first offer giver -> receiver of type_tag in graph order, whatever its condition, as a Promise.
 
-    Only that one record is built. No such offer raises DomainError.
+    Such offers differ only in constraint and condition, so the first is
+    the least by (sorted constraint, condition); the graph is not put in
+    order. Only that one record is built. No such offer raises
+    DomainError.
     """
-    for key, chi in graph._table.items():
-        g, r, t, accepts, condition = key
-        if g == giver and r == receiver and t == type_tag and not accepts:
-            return Promise(g, r, t, Polarity.OFFER, chi, condition)
-    raise DomainError(f"no offer of type {type_tag!r} from {giver!r} to {receiver!r} in the graph")
+    table = graph._table
+    want = (giver, receiver, type_tag, False)
+    first = None
+    for key in table:
+        if key[:4] == want and (first is None or _precedes(table, key, first)):
+            first = key
+    if first is None:
+        raise DomainError(f"no offer of type {type_tag!r} from {giver!r} to {receiver!r} in the graph")
+    g, r, t, _, condition = first
+    return Promise(g, r, t, Polarity.OFFER, table[first], condition)
 
 
 def _bindings(graph: PromiseGraph) -> list[tuple]:
-    # (offer key, accept key, effective constraint) for the graph's unconditional offers, in graph order; each
-    # accept back is one merge-table lookup.
+    # (offer key, accept key, effective constraint) for the graph's unconditional offers, in merge-table order;
+    # each accept back is one merge-table lookup.
     table = graph._table
     out = []
     for offer, chi in table.items():
@@ -386,42 +421,49 @@ def _discharge(graph: PromiseGraph, inside=None) -> tuple[dict, list]:
     per offer makes this linear in promises plus conditions (Dowling &
     Gallier, 1984). With inside given, only offers among those agents count.
     Offers are taken in rounds (unconditional ones, then those the previous
-    round fired), each in graph order, and the first to supply a pair is its
-    witness, so following witnesses always ends at unconditional offers.
-    The fired offers are returned as their merge keys, in the order they fired.
+    round fired); of a round's offers that supply a pair not supplied
+    before, the first in graph order is its witness, so following witnesses
+    always ends at unconditional offers. The fired offers are returned as
+    their merge keys, round by round. A graph without conditions returns
+    ({}, []) at once.
     """
     table = graph._table
-    keys = list(table)
+    if not any(map(itemgetter(4), table)):
+        return {}, []
     round_: list = []
     waiting: dict[tuple, list] = {}
-    unmet: dict[int, int] = {}
-    for i, (giver, receiver, _, accepts, condition) in enumerate(keys):
+    unmet: dict[tuple, int] = {}
+    for key in table:
+        giver, receiver, _, accepts, condition = key
         if accepts or (inside is not None and (giver not in inside or receiver not in inside)):
             continue
         if not condition:
-            round_.append(i)
+            round_.append(key)
             continue
-        unmet[i] = len(condition)
+        unmet[key] = len(condition)
         for d in condition:
-            waiting.setdefault((giver, d), []).append(i)
+            waiting.setdefault((giver, d), []).append(key)
     supplied: dict[tuple, tuple] = {}
     fired: list = []
     while round_:
-        start = len(fired)
-        for i in round_:
-            offer = keys[i]
+        witnesses: dict[tuple, tuple] = {}
+        for offer in round_:
             giver, receiver, type_tag, _, _ = offer
             pair = (receiver, type_tag)
             if pair in supplied or (receiver, giver, type_tag, True, ()) not in table:
                 continue
-            supplied[pair] = offer
+            first = witnesses.get(pair)
+            if first is None or _precedes(table, offer, first):
+                witnesses[pair] = offer
+        supplied.update(witnesses)
+        round_ = []
+        for pair in witnesses:
             for w in waiting.get(pair, ()):
                 unmet[w] -= 1
                 if not unmet[w]:
-                    fired.append(w)
-        # Positions follow graph order, so sorting them puts the round in graph order.
-        round_ = sorted(fired[start:])
-    return supplied, [keys[i] for i in fired]
+                    round_.append(w)
+        fired += round_
+    return supplied, fired
 
 
 def _merge(table: dict, key: tuple, chi: frozenset) -> None:

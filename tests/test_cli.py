@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -329,6 +330,20 @@ class TestGraphCommands:
             monkeypatch.setattr(promisegraph, name, counted)
         assert run(["graph", "value"], stdin_text=text)[0] == 0
         assert calls == {"_discharge": 1, "_bindings": 1}
+
+    def test_bindings_name_the_first_refused_value_in_row_order(self, run, monkeypatch):
+        # c's bindings (0.25) are read first, but a's (0.5) are listed first, so 0.5 is named.
+        jnum = cli._jnum
+
+        def refusing(x):
+            if x in (0.25, 0.5):
+                raise DomainError(f"refused {x!r}")
+            return jnum(x)
+
+        monkeypatch.setattr(cli, "_jnum", refusing)
+        text = ("agent c 0.25\npromise c b svc + *\npromise b c svc - *\nagent a 0.5\nagent b 1.0\n"
+                "promise a b svc + *\npromise b a svc - *\n")
+        assert run(["graph", "bindings"], stdin_text=text) == (1, "", "error: refused 0.5\n")
 
     def test_bindings_listing(self, run):
         code, out, _ = run(["graph", "bindings"], stdin_text=LAB)
@@ -895,9 +910,9 @@ class TestHostileInputFuzz:
         path = tmp_path / "input.bin"
         path.write_bytes(data)
         argv = INPUT_COMMANDS[name][0]
-        strict = {"PYTHONPATH": str(SRC), "PYTHONIOENCODING": "utf-8:strict"}
+        strict = _child_env(PYTHONPATH=str(SRC), PYTHONIOENCODING="utf-8:strict")
         # The C locale without PYTHONIOENCODING decodes stdin with surrogateescape, which lets the bad byte through.
-        posix = {"PYTHONPATH": str(SRC), "LC_ALL": "C"}
+        posix = _child_env(PYTHONPATH=str(SRC), LC_ALL="C")
         for env, extra, stdin in ((strict, [], data), (strict, ["--input", str(path)], b""),
                                   (posix, [], NON_UTF8_INPUTS[name])):
             proc = subprocess.run([sys.executable, "-m", "commscale", *argv, *extra], input=stdin,
@@ -1102,6 +1117,20 @@ class TestHelpText:
 
 
 SRC = Path(uslkit.__file__).resolve().parents[1]
+
+
+def _child_env(**env):
+    """env for a child interpreter, plus the caller's PYTHONDONTWRITEBYTECODE when it is set, so that a run asked
+    to write no bytecode cache writes none through its children either."""
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
+
+
+# An isolated child interpreter; -I ignores PYTHONDONTWRITEBYTECODE, so -B passes the caller's choice on.
+ISOLATED = [sys.executable, "-I", *(["-B"] if sys.dont_write_bytecode else [])]
+
+
 # The modules whose loading the start probe reports: numpy, scipy (which no run may load), the
 # Philox draws, dataclasses with the inspect, ast and dis that it would pull in, the library
 # modules that cli does not import at start, and fractions, which pulls in decimal.
@@ -1121,7 +1150,7 @@ NUMPY_LOADS = {"inspect", "ast", "dis"}
 def _fresh_main(argv, stdin_text=""):
     """(exit code, the PROBED modules loaded) of main(argv) in a fresh `python -I` interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", START_PROBE, str(SRC), *argv],
+        [*ISOLATED, "-c", START_PROBE, str(SRC), *argv],
         input=stdin_text, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
@@ -1137,7 +1166,7 @@ def _fresh_module_main(argv, stdin_text=""):
     """
     proc = subprocess.run(
         [sys.executable, "-s", "-X", "importtime", "-m", "commscale", *argv],
-        input=stdin_text, capture_output=True, text=True, env={"PYTHONPATH": str(SRC)},
+        input=stdin_text, capture_output=True, text=True, env=_child_env(PYTHONPATH=str(SRC)),
     )
     imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
     return proc.returncode, imported & set(PROBED)
@@ -1197,7 +1226,7 @@ class TestStartImports:
             "print(type(a).__module__, type(a).__name__, a.dtype, a.tolist())\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-I", "-c", code, str(SRC)], input=MESH3, capture_output=True, text=True
+            [*ISOLATED, "-c", code, str(SRC)], input=MESH3, capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "numpy ndarray int64 [[0, 1, 1], [1, 0, 1], [1, 1, 0]]\n"
@@ -1373,7 +1402,7 @@ class TestModuleEntryPoint:
             [sys.executable, "-m", "commscale", "exponents", "--D", "2", "--H", "1"],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": str(SRC)},
+            env=_child_env(PYTHONPATH=str(SRC)),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["interaction"] == 1.16666666667

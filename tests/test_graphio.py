@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_cli import _run_isolated, mutated_graph_text
 
-from commscale import cli
+from commscale import cli, promisegraph
 from commscale.errors import DomainError, GraphFormatError
 from commscale.graphio import emit_graph, parse_graph
 from commscale.promisegraph import Agent, Binding, Polarity, Promise, PromiseGraph
@@ -323,9 +323,63 @@ def assert_parses_like_seed(text, calibration=1.0):
     else:
         g = parse_graph(text, calibration)
         assert g == expected
-        # The merge table the parser hands on is the one the public constructor builds from the same graph.
-        assert list(g._table.items()) == list(PromiseGraph(g.agents, g.promises, g.calibration)._table.items())
-        assert [(p._key(), p.constraint) for p in g.promises] == list(g._table.items())
+        # The merge table the parser hands on, in graph order, is the one the public constructor builds from the same
+        # graph.
+        ordered = list(g._ordered().items())
+        assert ordered == list(PromiseGraph(g.agents, g.promises, g.calibration)._ordered().items())
+        assert [(p._key(), p.constraint) for p in g.promises] == ordered
+
+
+def seed_emit_graph(graph):
+    """Reference writer: one line per item of graph.promises, each token checked as the line is written."""
+
+    def token(t, what):
+        if not SEED_TOKEN.match(t):
+            raise GraphFormatError(f"invalid {what} {t!r} (whitespace, ',', '|' and '#' are reserved)")
+        return t
+
+    lines = [f"agent {token(a, 'agent id')} {graph.agent(a).assessment!r}" for a in graph.agent_ids()]
+    for p in graph.promises:
+        line = (f"promise {p.giver} {p.receiver} {token(p.type_tag, 'promise type')} {p.polarity.value} "
+                + ",".join(token(t, "constraint entry") for t in sorted(p.constraint)))
+        if p.condition:
+            line += " | " + ",".join(token(t, "condition entry") for t in p.condition)
+        lines.append(line)
+    return "".join(line + "\n" for line in lines)
+
+
+# Tokens and types of which some hold a character the grammar reserves.
+_RESERVED_TOKENS = st.sampled_from(["*", "x", "y", "a b", "c,d", "p|q", "h#"])
+
+
+@st.composite
+def graphs_with_reserved_tokens(draw):
+    """(agents, promises) for the public constructor, with reserved characters in types, constraints and conditions."""
+    ids = _IDS[: draw(st.integers(1, 4))]
+    promise = st.builds(
+        Promise,
+        st.sampled_from(ids),
+        st.sampled_from(ids),
+        st.sampled_from(["s", "t", "t|u", "v w"]),
+        st.sampled_from(list(Polarity)),
+        st.frozensets(_RESERVED_TOKENS, min_size=1, max_size=3),
+        st.lists(_RESERVED_TOKENS, max_size=2).map(tuple),
+    )
+    return [Agent(i) for i in ids], draw(st.lists(promise, max_size=12))
+
+
+class TestEmitMatchesSeedWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_reserved_tokens())
+    def test_text_or_first_bad_token_in_graph_order(self, agents_and_promises):
+        # Each writer gets a graph of its own, so emit_graph starts from a table not yet in graph order.
+        def written(write):
+            try:
+                return write(PromiseGraph(*agents_and_promises))
+            except GraphFormatError as exc:
+                return str(exc)
+
+        assert written(emit_graph) == written(seed_emit_graph)
 
 
 def _bench_inputs():
@@ -446,6 +500,28 @@ class TestRecordsOnRequest:
         promises = g.promises
         assert g.promises is promises
         assert counts == {Promise: len(promises), Binding: 0} and len(promises) == len(g._table) > 0
+
+
+class TestOrderOnOutput:
+    """A merge table is put in graph order only to be written: graph value, bindings and classify order none, and
+    graph reduce orders one, the table it emits."""
+
+    @pytest.mark.parametrize("text", TestRecordsOnRequest.TEXTS.values(), ids=TestRecordsOnRequest.TEXTS.keys())
+    @pytest.mark.parametrize("command,orderings", [(["value", "--calibration", "2.5"], 0),
+                                                   (["bindings", "--calibration", "2.5"], 0), (["classify"], 0),
+                                                   (["reduce"], 1)], ids=["value", "bindings", "classify", "reduce"])
+    def test_full_table_orderings(self, monkeypatch, capsys, text, command, orderings):
+        if command == ["classify"]:
+            # The last offer read: on the mesh with a conditional offer, that offer.
+            giver, receiver, type_tag, _, _ = next(key for key in reversed(parse_graph(text)._table) if not key[3])
+            command = [*command, "--giver", giver, "--receiver", receiver, "--type", type_tag]
+        sizes = []
+        graph_order = promisegraph._graph_order
+        monkeypatch.setattr(promisegraph, "_graph_order", lambda table: sizes.append(len(table)) or graph_order(table))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert cli.main(["graph", *command]) == 0
+        assert capsys.readouterr().out not in ("", "[]\n")
+        assert len(sizes) == orderings
 
 
 class TestCommandsLeaveNoCycles:

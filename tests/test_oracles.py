@@ -17,6 +17,7 @@ from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cli import _run_isolated
 
 from commscale import cli, ensemble, graphio, promisegraph
 from commscale.ensemble import EnsembleSpec
@@ -107,6 +108,31 @@ class TestGraphsAgainstTheFixedPointOracle:
             f"promise {a} {b} svc + *\npromise {b} {a} svc - *\n" for a in ids for b in ids if a != b)
         assert len(oracles.Graph.parse(text).reduced().bindings()) == n * (n - 1)
         assert promisegraph.total_value(graphio.parse_graph(text, calibration)) == n * (n - 1) * calibration
+
+
+class TestLineOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_graph_commands_do_not_depend_on_line_order(self, data):
+        text = data.draw(graph_texts())
+        lines = text.splitlines()
+        shuffled = "\n".join(data.draw(st.permutations(lines))) + "\n"
+        agents = [line.split()[1] for line in lines if line.startswith("agent ")]
+        offers = [line.split()[1:4] for line in lines if line.split()[4:5] == ["+"]]
+        giver, receiver, type_tag = data.draw(st.sampled_from(offers)) if offers else (agents[0], agents[0], "s")
+        members = data.draw(st.lists(st.sampled_from(agents), min_size=1, unique=True))
+        calibration = f"--calibration={data.draw(CALIBRATIONS)!r}"
+        commands = [
+            ["graph", "value", calibration],
+            ["graph", "bindings", calibration],
+            ["graph", "reduce"],
+            ["graph", "classify", "--giver", giver, "--receiver", receiver, "--type", type_tag],
+            ["graph", "classify", "--giver", agents[0], "--receiver", agents[-1], "--type", "missing"],
+            ["graph", "aggregate", "--members", ",".join(members), "--super-id", "S"],
+            ["graph", "community", "--authority", data.draw(st.sampled_from(agents))],
+        ]
+        for argv in commands:
+            assert _run_isolated(argv, text) == _run_isolated(argv, shuffled), argv
 
 
 class TestEnsemblesAgainstTheDrawOracle:

@@ -39,8 +39,10 @@ def test_star_import_binds_every_public_name():
 
 def _fresh(code: str) -> str:
     """stdout of code run in a fresh `python -I` interpreter that imports commscale from this checkout."""
-    proc = subprocess.run([sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, sys.argv[1])\n{code}",
-                           str(SRC.parent)], capture_output=True, text=True)
+    # -I ignores PYTHONDONTWRITEBYTECODE, so -B passes the caller's choice on.
+    isolated = [sys.executable, "-I", *(["-B"] if sys.dont_write_bytecode else [])]
+    proc = subprocess.run([*isolated, "-c", f"import sys; sys.path.insert(0, sys.argv[1])\n{code}", str(SRC.parent)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

@@ -397,6 +397,18 @@ class TestPromiseGraph:
         with pytest.raises(DomainError, match="constraint entries must be strings"):
             PromiseGraph([Agent("a"), Agent("b")], [Promise("a", "b", "svc", Polarity.OFFER, frozenset({1, "x"}))])
 
+    def test_non_string_constraint_entries_are_named_in_the_order_given(self):
+        # b -> a is given first and named, though a -> b comes first in graph order.
+        promises = [Promise("b", "a", "svc", Polarity.OFFER, frozenset({1})),
+                    Promise("a", "b", "svc", Polarity.OFFER, frozenset({2}))]
+        with pytest.raises(DomainError, match=r"constraint entries must be strings, got \{1\}$"):
+            PromiseGraph([Agent("a"), Agent("b")], promises)
+
+    def test_calibration_is_checked_before_constraint_entries(self):
+        promise = Promise("a", "a", "svc", Polarity.OFFER, frozenset({1}))
+        with pytest.raises(DomainError, match="calibration values must be finite numbers"):
+            PromiseGraph([Agent("a")], [promise], calibration="x")
+
     @pytest.mark.parametrize("bad", ["x", "2", None, {"s": None}, {"s": "1"}], ids=repr)
     def test_non_numeric_calibration_is_domain_error(self, bad):
         with pytest.raises(DomainError, match="calibration values must be finite numbers"):
@@ -804,6 +816,27 @@ class TestAggregate:
         assert svc.condition == ()
         assert g.agent("S").assessment == pytest.approx(0.9 * 0.5, rel=1e-15)
 
+    def test_witness_is_the_first_supplier_in_graph_order(self):
+        # k2 is given first, but k1's offer comes first in graph order and witnesses g's fuel, so S has g's and k1's
+        # assessment.
+        base = PromiseGraph(
+            [Agent("g"), Agent("k1", 0.5), Agent("k2", 0.25), Agent("c")],
+            [offer("k2", "g", "fuel"), accept("g", "k2", "fuel"), offer("k1", "g", "fuel"), accept("g", "k1", "fuel"),
+             offer("g", "c", "svc", cond=("fuel",))],
+        )
+        assert pg.aggregate(base, ["g", "k1", "k2"], "S").agent("S").assessment == 0.5
+
+    def test_witness_among_offers_fired_in_one_round_is_the_first_in_graph_order(self):
+        # k's fuel offers on condition of power and of oil fire in the same round; the one on oil comes first in
+        # graph order, so its chain (k, o) witnesses g's fuel, and not the chain (k, p).
+        base = PromiseGraph(
+            [Agent("g"), Agent("k"), Agent("o", 0.5), Agent("p", 0.25), Agent("c")],
+            [offer("k", "g", "fuel", cond=("power",)), offer("k", "g", "fuel", cond=("oil",)), accept("g", "k", "fuel"),
+             offer("p", "k", "power"), accept("k", "p", "power"), offer("o", "k", "oil"), accept("k", "o", "oil"),
+             offer("g", "c", "svc", cond=("fuel",))],
+        )
+        assert pg.aggregate(base, ["g", "k", "o", "p"], "S").agent("S").assessment == 0.5
+
     def test_recursive_interior_chain(self):
         base = PromiseGraph(
             [Agent("a", 0.9), Agent("b", 0.5), Agent("m", 0.8), Agent("c")],
@@ -1192,7 +1225,7 @@ class TestMergeKey:
         # __init__ builds the key inline; Promise._key must lay it out the same way.
         g = random_lookup_graph(rows, links, repeats)
         for graph in (g, pg.reduce_conditionals(g), pg.aggregate(g, ["a", "b"], "S")):
-            assert [(p._key(), p.constraint) for p in graph.promises] == list(graph._table.items())
+            assert [(p._key(), p.constraint) for p in graph.promises] == list(graph._ordered().items())
 
 
 class TestLookupsMatchPairScans:
