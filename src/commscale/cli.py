@@ -8,13 +8,17 @@ success, 1 on domain errors (message on stderr, nothing on stdout),
 
 _COMMANDS is the command table: each command's handler, help line and
 flags in help order ("graph value" is value in the group graph, a row
-without handler). The parser is built once per process. Handlers return
-results and main alone writes stdout: a str as it is, a dict or list as
-JSON with every float rounded and checked, a number as one line.
+without handler). main builds one parser per command, once: that of the
+row its argv names, with the root and the row's group; any other argv
+gets every row's, so a message that lists the commands lists them all.
+Handlers return results and main alone writes stdout: a str as it is, a
+dict or list as JSON with every float rounded and checked, a number as
+one line.
 
-At start this module loads only errors, tabular and meanfield (whose
-ScalingClass gives the --class choices); each handler imports the
-library modules it runs, so a command loads no module it does not use.
+At start this module loads only errors and tabular. meanfield loads only
+for --class (ScalingClass gives its choices), a class law or an exponent;
+each handler imports the library modules it runs, so a command loads no
+module it does not use.
 
 main pauses Python's cyclic garbage collector for its one command and
 restores the caller's setting on every exit. Everything a command builds
@@ -35,7 +39,6 @@ import math
 import sys
 
 from .errors import DomainError
-from .meanfield import ScalingClass
 from .tabular import finite_float
 
 __all__ = ["main"]
@@ -83,7 +86,7 @@ def _cmd_exponents(args) -> dict:
     from . import meanfield
     params = meanfield.ScalingParams(D=args.D, H=args.H)
     table = {}
-    for cls in ScalingClass:
+    for cls in meanfield.ScalingClass:
         try:
             table[cls.value] = meanfield.predicted_exponent(cls, params)
         except DomainError:
@@ -100,7 +103,7 @@ def _cmd_yield(args) -> float:
 def _cmd_ensemble(args) -> str:
     from . import ensemble, meanfield
     spec = ensemble.EnsembleSpec(
-        scaling_class=ScalingClass(args.scaling_class),
+        scaling_class=meanfield.ScalingClass(args.scaling_class),
         params=meanfield.ScalingParams(D=args.D, H=args.H),
         n_samples=args.n,
         N_min=args.nmin,
@@ -126,7 +129,7 @@ def _cmd_compare(args) -> dict:
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError, RecursionError):
         raise DomainError("input must be fit JSON with at least a 'beta' field, all numeric fields finite") from None
     params = meanfield.ScalingParams(D=args.D, H=args.H)
-    report = ensemble.compare(fit, ScalingClass(args.scaling_class), params, k=args.k)
+    report = ensemble.compare(fit, meanfield.ScalingClass(args.scaling_class), params, k=args.k)
     return _fields(report)
 
 
@@ -237,7 +240,7 @@ def _cmd_graph_community(args) -> list:
 
 
 _INPUT = [("--input", {"help": "read from this file instead of stdin"})]
-_CLASS = [("--class", {"dest": "scaling_class", "choices": [c.value for c in ScalingClass], "required": True})]
+_CLASS = [("--class", {"dest": "scaling_class", "required": True})]
 _DH = [("--D", {"type": int, "required": True, "help": "embedding dimension (integer >= 1)"}),
        ("--H", {"type": finite_float, "required": True, "help": "trajectory dimension (0 <= H <= D)"})]
 _INACTIVE = [("--inactive", {"type": finite_float, "default": 0.0, "help": "inactive fraction N_0/N (default 0)"})]
@@ -305,17 +308,24 @@ _COMMANDS = {
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of every row of _COMMANDS, built on first use and then reused."""
+def _parser(row: str | None = None) -> argparse.ArgumentParser:
+    """The parser of row of _COMMANDS and its group, or of every row when row is None; built once and reused."""
     parser = argparse.ArgumentParser(
         prog="commscale",
         description="Community scaling toolkit: mean-field exponents, promise graphs, USL, synthetic ensembles.",
     )
-    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    # Under one row the root's usage, which its errors print, still names every command.
+    every = {} if row is None else {"metavar": "{%s}" % ",".join(name for name in _COMMANDS if " " not in name)}
+    groups = {"": parser.add_subparsers(dest="command", required=True, **every)}
     for name, (handler, help_text, flags) in _COMMANDS.items():
+        if row is not None and not f"{row} ".startswith(f"{name} "):
+            continue
         group, _, leaf = name.rpartition(" ")
         p = groups[group].add_parser(leaf, help=help_text)
         for flag, kwargs in flags:
+            if flag == "--class":
+                from .meanfield import ScalingClass
+                kwargs = {**kwargs, "choices": [c.value for c in ScalingClass]}
             p.add_argument(flag, **kwargs)
         if handler is None:
             groups[name] = p.add_subparsers(dest=f"{name}_command", required=True)
@@ -329,7 +339,9 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        parser = _parser()
+        argv = list(sys.argv[1:] if argv is None else argv)
+        parser = _parser(next((name for name, (handler, *_) in _COMMANDS.items()
+                               if handler and name.split(" ") == argv[:name.count(" ") + 1]), None))
         args = parser.parse_args(argv)
         # argparse before Python 3.12 takes --flag=-- as [], neither converted nor checked.
         if [] in vars(args).values():

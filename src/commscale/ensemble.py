@@ -30,7 +30,8 @@ generate() returns them, samples_to_csv() renders them, parse_csv() and
 ingest_csv() read them back, and fit_power_law() fits them.
 
 numpy (with the _philox module) is imported inside the functions that
-draw or fit, so that the commands which do neither start without it.
+draw or fit, and meanfield inside those that run a class law or an
+exponent, so that the commands which do neither start without them.
 """
 
 from __future__ import annotations
@@ -38,11 +39,14 @@ from __future__ import annotations
 import math
 from array import array
 from itertools import count
+from typing import TYPE_CHECKING
 
 from ._record import Record
 from .errors import CsvFormatError, DomainError, _boolean, _finite, _integer, _real
-from .meanfield import ScalingClass, ScalingParams, _law, predicted_exponent
 from .tabular import format_pairs, parse_pairs
+
+if TYPE_CHECKING:
+    from .meanfield import ScalingClass, ScalingParams
 
 __all__ = [
     "EnsembleSpec",
@@ -118,6 +122,7 @@ def model_value(scaling_class: ScalingClass, N: float, inactive_fraction: float,
     N must be finite and positive and inactive_fraction in [0, 1]; a
     value that leaves the float range is a DomainError.
     """
+    from .meanfield import _law
     N = _real(N, "N", "(0, inf)")
     n0 = _real(inactive_fraction, "inactive_fraction", "[0, 1]") * N
     return _law(scaling_class, params).kernel(params)(N - n0, n0)
@@ -129,6 +134,7 @@ def generate(spec: EnsembleSpec) -> tuple[list, list]:
     Raises DomainError when a sample is not finite and positive, for
     instance when the noise overflows the output.
     """
+    from .meanfield import _law
     law = _law(spec.scaling_class, spec.params)
     from . import _philox
 
@@ -223,6 +229,7 @@ class CompareReport(Record):
 
 def compare(fit: PowerLawFit, scaling_class: ScalingClass, params: ScalingParams, k: float = 2.0) -> CompareReport:
     """Absolute gap between fit and theory, flagged against k standard errors (0 <= k < inf)."""
+    from .meanfield import predicted_exponent
     k = _real(k, "k", "[0, inf)")
     theory = predicted_exponent(scaling_class, params)
     gap = abs(fit.beta - theory)

@@ -44,11 +44,11 @@ from typing import TYPE_CHECKING, Union
 
 from ._record import Record
 from .errors import DomainError, UnknownAgentError, _finite, _real
-from .meanfield import ScalingClass
 
 if TYPE_CHECKING:
     import numpy as np
 
+    from .meanfield import ScalingClass
 __all__ = [
     "Agent",
     "Polarity",
@@ -687,6 +687,7 @@ def classify_pattern(
     stored in graph (same giver, receiver, type and condition); it is
     looked up in the graph's merge table, which every rule reads.
     """
+    from .meanfield import ScalingClass
     if output_promise.polarity is not Polarity.OFFER:
         raise DomainError("only offers can be classified")
     scarcity_threshold = _real(scarcity_threshold, "scarcity_threshold", "[-inf, inf]")

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1135,27 +1136,37 @@ ISOLATED = [sys.executable, "-I", *(["-B"] if sys.dont_write_bytecode else [])]
 # Philox draws, dataclasses with the inspect, ast and dis that it would pull in, the library
 # modules that cli does not import at start, and fractions, which pulls in decimal.
 PROBED = ("numpy", "scipy", "commscale._philox", "dataclasses", "inspect", "ast", "dis", "commscale.ensemble",
-          "commscale.graphio", "commscale.promisegraph", "commscale.uslkit", "fractions")
-# Runs cli.main(argv) in a fresh interpreter, or only imports commscale.cli when argv
-# is empty, then reports the exit code and the PROBED modules loaded as the last line of stderr.
+          "commscale.graphio", "commscale.meanfield", "commscale.promisegraph", "commscale.uslkit", "fractions")
+# Runs cli.main(argv) in a fresh interpreter, or only imports commscale.cli when argv is empty, then
+# reports the exit code, the number of argparse parsers built and the PROBED modules loaded as the
+# last line of stderr.
 START_PROBE = (
-    "import sys; sys.path.insert(0, sys.argv[1]); from commscale.cli import main\n"
+    "import argparse, sys; sys.path.insert(0, sys.argv[1])\n"
+    "built, init = [], argparse.ArgumentParser.__init__\n"
+    "argparse.ArgumentParser.__init__ = lambda self, *args, **kwargs: built.append(init(self, *args, **kwargs))\n"
+    "from commscale.cli import main\n"
     "try:\n    code = main(sys.argv[2:]) if sys.argv[2:] else 0\nexcept SystemExit as exc:\n    code = exc.code\n"
-    f"print(code, *[m for m in {PROBED!r} if m in sys.modules], file=sys.stderr)\n"
+    f"print(code, len(built), *[m for m in {PROBED!r} if m in sys.modules], file=sys.stderr)\n"
 )
 # numpy imports these itself, so only a run without numpy is held to their absence.
 NUMPY_LOADS = {"inspect", "ast", "dis"}
 
 
-def _fresh_main(argv, stdin_text=""):
-    """(exit code, the PROBED modules loaded) of main(argv) in a fresh `python -I` interpreter."""
+def _fresh_probe(argv, stdin_text=""):
+    """(exit code, parsers built, the PROBED modules loaded) of main(argv) in a fresh `python -I` interpreter."""
     proc = subprocess.run(
         [*ISOLATED, "-c", START_PROBE, str(SRC), *argv],
         input=stdin_text, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    code, *loaded = proc.stderr.splitlines()[-1].split()
-    return int(code), set(loaded)
+    code, built, *loaded = proc.stderr.splitlines()[-1].split()
+    return int(code), int(built), set(loaded)
+
+
+def _fresh_main(argv, stdin_text=""):
+    """(exit code, the PROBED modules loaded) of main(argv) in a fresh `python -I` interpreter."""
+    code, _, loaded = _fresh_probe(argv, stdin_text)
+    return code, loaded
 
 
 def _fresh_module_main(argv, stdin_text=""):
@@ -1173,7 +1184,9 @@ def _fresh_module_main(argv, stdin_text=""):
 
 
 LEAN = frozenset()
-EXACT = frozenset({"fractions"})
+# A class law (meanfield), and an exact exponent.
+LAW = frozenset({"commscale.meanfield"})
+EXACT = LAW | {"fractions"}
 USL = frozenset({"commscale.uslkit"})
 GRAPH = frozenset({"commscale.graphio", "commscale.promisegraph"})
 # One row per probed run: argv, stdin, exit code, the PROBED modules it loads (numpy's own aside)
@@ -1181,7 +1194,7 @@ GRAPH = frozenset({"commscale.graphio", "commscale.promisegraph"})
 START_RUNS = [
     pytest.param([], "", 0, LEAN, _fresh_main, id="import"),
     pytest.param(["exponents", "--D", "2", "--H", "1"], "", 0, EXACT, _fresh_main, id="exponents"),
-    pytest.param(["yield", "--D", "2", "--H", "1", "--n", "1000"], "", 0, LEAN, _fresh_main, id="yield"),
+    pytest.param(["yield", "--D", "2", "--H", "1", "--n", "1000"], "", 0, LAW, _fresh_main, id="yield"),
     pytest.param(["compare", "--class", "interaction", "--D", "2", "--H", "1"], FIT_JSON, 0,
                  EXACT | {"commscale.ensemble"}, _fresh_main, id="compare"),
     pytest.param(["usl-eval", "--contention", "0.1", "--coherency", "0.01", "--n", "8"], "", 0, USL, _fresh_main,
@@ -1193,14 +1206,17 @@ START_RUNS = [
                  id="serial-exponent"),
     pytest.param(["queue", "--lambda", "1", "--mu", "2"], "", 0, USL, _fresh_main, id="queue"),
     pytest.param(["queue", "--lambda", "1", "--mu", "2"], "", 0, USL, _fresh_module_main, id="python-m-queue"),
-    # Only classify's --D/--H asks for an exponent.
+    # Only classify's --D/--H asks for an exponent; classify names a class even without them.
     *[pytest.param(["graph", command, *flags], MESH3 + COMMUNITY, 0, GRAPH | (EXACT if "--D" in flags else LEAN),
                    _fresh_main, id=f"graph-{command}")
       for command, flags in GRAPH_COMMANDS.items()],
-    pytest.param(["--help"], "", 0, LEAN, _fresh_main, id="help"),
+    pytest.param(["graph", "classify", *GRAPH_COMMANDS["classify"][:6]], MESH3, 0, GRAPH | LAW, _fresh_main,
+                 id="graph-classify-class"),
+    # The full tree gives --class its choices.
+    pytest.param(["--help"], "", 0, LAW, _fresh_main, id="help"),
     pytest.param(["yield", "--D", "2", "--H", "1"], "", 2, LEAN, _fresh_main, id="usage-error"),
     pytest.param(["ensemble", "--class", "interaction", "--D", "2", "--H", "1", "--n", "20"], "", 0,
-                 frozenset({"numpy", "commscale._philox", "commscale.ensemble"}), _fresh_main, id="ensemble"),
+                 LAW | {"numpy", "commscale._philox", "commscale.ensemble"}, _fresh_main, id="ensemble"),
     pytest.param(["fit"], "N,Y\n10,1\n20,2.2\n40,4.9\n", 0, frozenset({"numpy", "commscale.ensemble"}), _fresh_main,
                  id="fit"),
     pytest.param(["usl-fit"], SPEEDUPS, 0, USL, _fresh_main, id="usl-fit"),
@@ -1209,7 +1225,8 @@ START_RUNS = [
 
 class TestStartImports:
     """Each run loads only the library modules its handler runs; only drawing, `fit` and adjacency import numpy,
-    only drawing imports _philox, only an exponent imports fractions, no run imports dataclasses or scipy."""
+    only drawing imports _philox, only an exponent imports fractions, only --class, a class law or an exponent
+    imports meanfield, no run imports dataclasses or scipy."""
 
     @pytest.mark.parametrize("argv, stdin_text, want_code, want_loaded, probe", START_RUNS)
     def test_start_loads_only_what_the_run_needs(self, argv, stdin_text, want_code, want_loaded, probe):
@@ -1217,6 +1234,18 @@ class TestStartImports:
         if "numpy" in loaded:
             loaded -= NUMPY_LOADS
         assert (code, loaded) == (want_code, want_loaded)
+
+    # Each run of START_RUNS, the help of the graph group and an unknown command, with the parsers it builds: a root
+    # and a leaf, and the graph group between them for a graph command; 17, the root and every row of the command
+    # table, where argv names no command.
+    @pytest.mark.parametrize("argv, stdin_text, want_built", [
+        *[pytest.param(argv, stdin_text, 0 if not argv else 17 if argv[0].startswith("-") else
+                       3 if argv[0] == "graph" else 2, id=p.id)
+          for p in START_RUNS for argv, stdin_text, *_ in [p.values]],
+        pytest.param(["graph", "--help"], "", 17, id="graph-help"), pytest.param(["nope"], "", 17, id="unknown"),
+    ])
+    def test_start_builds_only_the_named_parser(self, argv, stdin_text, want_built):
+        assert _fresh_probe(argv, stdin_text)[1] == want_built
 
     def test_package_import_and_adjacency(self):
         code = (
@@ -1241,7 +1270,7 @@ def _leaf_commands(parser, prefix=()):
 
 
 class TestParserReuse:
-    """main builds its parser once; no flag or default of one call carries into the next."""
+    """main builds the parser of each command once; no flag or default of one call carries into the next."""
 
     CLASSIFY = ["graph", "classify", "--giver", "a", "--receiver", "b", "--type", "svc"]
     ENSEMBLE = ["ensemble", "--class", "interaction", "--D", "2", "--H", "1"]
@@ -1258,7 +1287,8 @@ class TestParserReuse:
         defaults = _run_isolated(self.ENSEMBLE)
         assert _run_isolated(["yield", "--D", "2", "--H", "1"])[0] == 2
         assert _run_isolated(["queue", "--lambda", "1", "--mu", "2"]) == (0, "1\n", "")
-        assert cli._parser.cache_info().misses == 1
+        # Six calls of four commands: graph classify, ensemble, yield and queue.
+        assert cli._parser.cache_info()[:2] == (2, 4)
         cli._parser.cache_clear()
         assert defaults == _run_isolated(self.ENSEMBLE)
         assert defaults[0] == 0 and defaults[1].count("\n") == 501
@@ -1269,6 +1299,82 @@ class TestParserReuse:
         assert commands == {" ".join(spec.argv) for spec in ARGV_FUZZ.values()}
         assert commands == {" ".join(argv[:2] if argv[0] == "graph" else argv[:1])
                             for argv, *_ in (p.values for p in START_RUNS) if argv and argv[0] != "--help"}
+
+
+@st.composite
+def abbreviated_argv(draw, spec):
+    """fuzzed_argv(spec) with some of its --flag=value words cut to a prefix of the flag, which argparse takes for the
+    one flag it starts and refuses as ambiguous where it starts more."""
+    argv = draw(fuzzed_argv(spec))
+    for i, word in enumerate(argv):
+        flag, eq, value = word.partition("=")
+        if eq and flag.startswith("--") and len(flag) > 3 and draw(st.booleans()):
+            argv[i] = f"{flag[:draw(st.integers(3, len(flag) - 1))]}={value}"
+    return argv
+
+
+def _parsed(parser, argv):
+    """(namespace less the bound usage_error, or the exit code; stdout; stderr) of parser.parse_args(argv)."""
+    with _isolated("") as (out, err):
+        try:
+            result = vars(parser.parse_args(argv))
+            del result["usage_error"]
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _main_passing(argv, passed, full_tree=False):
+    """(exit code, stdout, stderr) of main given argv as a list, a tuple or sys.argv, and the rows it asked _parser
+    for; with full_tree, _parser hands it the parser of every row whatever the row."""
+    build, rows = cli._parser, []
+
+    def parser(row=None):
+        rows.append(row)
+        return build(None if full_tree else row)
+
+    with mock.patch.object(cli, "_parser", parser), mock.patch.object(sys, "argv", ["commscale", *argv]):
+        run = _run_isolated({"list": argv, "tuple": tuple(argv), "sys.argv": None}[passed])
+    return run, rows
+
+
+PASSED = ["list", "tuple", "sys.argv"]
+
+
+class TestParserPerCommand:
+    """main parses with the parser of the one row its argv names, and that parser makes of argv what the full tree
+    makes of it: the same namespace, or the same exit with the same message."""
+
+    @staticmethod
+    def check(argv, row, passed):
+        assert _parsed(cli._parser(row), argv) == _parsed(cli._parser(), argv)
+        run, rows = _main_passing(argv, passed)
+        assert rows == [row]
+        assert run == _main_passing(argv, passed, full_tree=True)[0]
+
+    @pytest.mark.parametrize("name", sorted(ARGV_FUZZ))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_every_fuzzed_argv(self, name, data):
+        spec = ARGV_FUZZ[name]
+        argv = data.draw(abbreviated_argv(spec), label="argv")
+        # A stray word among the first ones leaves argv naming no row.
+        self.check(argv, " ".join(spec.argv) if argv[:len(spec.argv)] == spec.argv else None,
+                   data.draw(st.sampled_from(PASSED), label="passed"))
+
+    @pytest.mark.parametrize("passed", PASSED)
+    @pytest.mark.parametrize("argv, row", [
+        (["queue", "--lam=1", "--m", "2"], "queue"),
+        (["ensemble", "--cl=interaction", "--D=2", "--H=1", "--n=3", "--nm=10"], "ensemble"),
+        (["queue", "--lambda=--", "--mu=2"], "queue"),
+        (["graph", "value", "--cal=--"], "graph value"),
+        (["queue", "--lambda", "1", "--mu", "2", "extra"], "queue"),
+        (["graph", "community", "--help"], "graph community"),
+        (["graph value"], None), (["graph", "--", "value"], None), (["--", "queue"], None), (["-h"], None),
+        (["graph"], None), ([], None),
+    ])
+    def test_edges(self, argv, row, passed):
+        self.check(argv, row, passed)
 
 
 class TestCliUsesPublicEnsembleApi:

@@ -11,6 +11,7 @@ ensembles and the speedup curves of bench/inputs.py.
 import contextlib
 import importlib.util
 import io
+import json
 import random
 import sys
 from pathlib import Path
@@ -41,8 +42,8 @@ TYPES = ["s", "t"]
 
 
 @st.composite
-def graph_texts(draw):
-    """Graph text of 1-6 agents, each giving up to 5 promises, about 35% of them conditional.
+def graph_texts(draw, types=TYPES):
+    """Graph text of 1-6 agents, each giving up to 5 promises of types, about 35% of them conditional on types.
 
     Half the offers come with the receiver's unconditional accept, so that
     bindings and supply chains form often.
@@ -51,11 +52,11 @@ def graph_texts(draw):
     lines = [f"agent {a} {draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]))!r}" for a in ids]
     for giver in ids:
         for _ in range(draw(st.integers(0, 5))):
-            receiver, tag, sign = draw(st.sampled_from(ids)), draw(st.sampled_from(TYPES)), draw(st.sampled_from("+-"))
+            receiver, tag, sign = draw(st.sampled_from(ids)), draw(st.sampled_from(types)), draw(st.sampled_from("+-"))
             chi = ",".join(draw(st.lists(st.sampled_from("*x"), min_size=1, unique=True)))
             line = f"promise {giver} {receiver} {tag} {sign} {chi}"
             if draw(st.integers(0, 19)) < 7:
-                line += " | " + ",".join(draw(st.lists(st.sampled_from(TYPES), min_size=1, unique=True)))
+                line += " | " + ",".join(draw(st.lists(st.sampled_from(types), min_size=1, unique=True)))
             lines.append(line)
             if sign == "+" and draw(st.booleans()):
                 lines.append(f"promise {receiver} {giver} {tag} - {chi}")
@@ -99,6 +100,18 @@ class TestGraphsAgainstTheFixedPointOracle:
         code, out = _main(["graph", "bindings", f"--calibration={calibration!r}"], text)
         assert code == 0
         oracles.check_graph_bindings(out, oracles.Graph.parse(text), calibration)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_community_passes_check_graph_community(self, data):
+        text = data.draw(graph_texts(["member", "t"]))
+        g = oracles.Graph.parse(text)
+        authority = data.draw(st.sampled_from(sorted(g.agents)))
+        # The members the oracle's own bindings give; check_graph_community holds the program's JSON to them.
+        expected = sorted(b[0] for b in g.bindings() if b[2] == "member" and b[1] == authority)
+        code, out = _main(["graph", "community", "--authority", authority], text)
+        assert code == 0
+        oracles.check_graph_community(out, g, authority, expected)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 30), st.sampled_from([1.0, 2.5, 1e-7, 3e20, 0.1]))
@@ -146,6 +159,63 @@ class TestEnsemblesAgainstTheDrawOracle:
         assert ensemble.generate(spec(n)) == (ns[:n], ys[:n])
         # Every row is the oracle's fresh Philox draw keyed by (seed, row).
         oracles.check_ensemble(ensemble.samples_to_csv(ns, ys), "interaction", 2, 1.0, seed, n + extra, 0.1)
+
+    # An ensemble written by the ensemble command and read back by the fit command, both through cli.main.
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_ensemble_then_fit_pass_check_fit(self, data):
+        cls = data.draw(st.sampled_from(CLASSES), label="class")
+        D, H = data.draw(dimensions(cls), label="D, H")
+        seed, n = data.draw(st.integers(0, 2**64 - 1), label="seed"), data.draw(st.integers(2, 2000), label="n")
+        noise = data.draw(st.one_of(st.just(0.0), st.floats(0, 2)), label="noise")
+        code, csv = _main(["ensemble", f"--class={cls}", f"--D={D}", f"--H={H!r}", f"--n={n}", f"--noise={noise!r}",
+                           f"--seed={seed}"], "")
+        assert code == 0
+        oracles.check_csv_roundtrip(csv)
+        code, out = _main(["fit"], csv)
+        assert code == 0
+        oracles.check_fit(out, csv)
+
+
+CLASSES = [c.value for c in ScalingClass]
+
+
+@st.composite
+def dimensions(draw, cls=None):
+    """D in 1-50 and H in [0, D]; H = 1 for recursive_dependency, whose law holds there alone."""
+    D = draw(st.integers(1, 50))
+    return D, 1.0 if cls == "recursive_dependency" else draw(st.one_of(st.just(1.0), st.floats(0, D)))
+
+
+class TestExponentsAgainstTheRationalOracle:
+    """exponents and compare through cli.main, against the exact rationals of the oracle; the JSON writer's 12-digit
+    rounding is part of the run."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dimensions())
+    def test_exponents_pass_check_exponents(self, dims):
+        D, H = dims
+        code, out = _main(["exponents", f"--D={D}", f"--H={H!r}"], "")
+        assert code == 0
+        oracles.check_exponents(out, D, H)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_compare_passes_check_compare(self, data):
+        cls = data.draw(st.sampled_from(CLASSES), label="class")
+        D, H = data.draw(dimensions(), label="D, H")
+        # k as the JSON writer prints it, since check_compare asks for it exactly.
+        k = data.draw(st.floats(0, 100).map(lambda x: float(f"{x:.12g}")), label="k")
+        fit_json = json.dumps(data.draw(st.fixed_dictionaries({
+            "beta": st.floats(-5, 5), "log_intercept": st.floats(-50, 50), "r_squared": st.floats(0, 1),
+            "stderr_beta": st.floats(0, 1), "n": st.integers(0, 10**6)}), label="fit"))
+        code, out = _main(["compare", f"--class={cls}", f"--D={D}", f"--H={H!r}", f"--k={k!r}"], fit_json)
+        if oracles.exponent(cls, D, H) is None:
+            # recursive_dependency away from H = 1.
+            assert code == 1
+        else:
+            assert code == 0
+            oracles.check_compare(out, fit_json, cls, D, H, k)
 
 
 def _main(argv, stdin_text):
