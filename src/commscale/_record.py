@@ -2,9 +2,9 @@
 
 A record names its fields, in order, as its __slots__; a subclass adds
 its own after those of its base. Its own __init__ keeps the keyword
-names and defaults, validates, and stores the fields with _freeze, or
-one by one through the class's slot setters, _setters, where records
-are built in bulk. Record then gives it value semantics:
+names and defaults, validates, and stores the fields with _freeze,
+which sets them through the class's slot setters, _setters. Record
+then gives it value semantics:
 
 - == between records of one class with equal fields, and a hash that
   agrees with it;

@@ -23,7 +23,8 @@ merge while the text is read, into one promise whose constraint set is
 their union, as PromiseGraph merges them. parse_graph hands the graph
 the merge table it reads, in the order it was read, and builds no
 Promise records; records are built only when graph.promises is read.
-Order is made at output: emit_graph puts the table in canonical order.
+Order is made at output: emit_graph writes a sorted copy of the table
+and leaves the graph's own table in the order it was read.
 
 Calibration is not part of the wire format; pass it to parse_graph (or
 the --calibration flag of graph value and graph bindings) when values
@@ -35,6 +36,7 @@ from __future__ import annotations
 import re
 from operator import itemgetter
 
+from . import promisegraph
 from .errors import DomainError, GraphFormatError
 from .promisegraph import Agent, Calibration, PromiseGraph
 
@@ -186,12 +188,12 @@ def emit_graph(graph: PromiseGraph) -> str:
     constraints: dict[frozenset, str] = {}
     conditions: dict[tuple, str] = {}
     rests: dict[tuple, str] = {}
-    for (giver, receiver, type_tag, accepts, condition), constraint in graph._ordered().items():
-        part = (type_tag, accepts, condition, constraint)
+    for (giver, receiver, type_tag, accepts, condition), chi in promisegraph._graph_order(graph._table).items():
+        part = (type_tag, accepts, condition, chi)
         rest = rests.get(part)
         if rest is None:
             _check_token(type_tag, "promise type", passed)
-            rest = f"{type_tag} {'-' if accepts else '+'} {_joined(constraint, 'constraint entry', passed, constraints)}"
+            rest = f"{type_tag} {'-' if accepts else '+'} {_joined(chi, 'constraint entry', passed, constraints)}"
             if condition:
                 rest += " | " + _joined(condition, "condition entry", passed, conditions)
             rest = rests[part] = rest + "\n"

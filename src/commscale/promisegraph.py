@@ -18,20 +18,20 @@ Graphs are immutable after construction; every operation returns new
 values and is safe to call concurrently. A graph's one promise state is
 its merge table, which maps (giver, receiver, type, is_accept,
 condition) to the promise's constraint set, in the order the promises
-were read; parsing, binding, valuing, reducing and aggregating read it
-in that order and build no records. Order is made at output: emit_graph
-and promises put the table in graph order, once per graph, and
-find_bindings and binding_values sort only the bindings. What a graph
-keeps once computed holds as well: its table in graph order; its
-bindings as (offer key, accept key, effective constraint) triples,
-found at most once, on first use; the value rows of binding_values,
-built once from them; its Promise records with the map from merge key
-to record, built on the first read of promises; and the mark that it is
-its own reduction. find_bindings builds its Binding records from the
-kept triples on each call, and it and binding_values hand out a new
-list. find_offer builds the one record it returns. The
-records (Agent, Promise, Binding) are plain slotted classes that
-compare, hash and pickle by value and refuse assignment.
+were read, and no read reorders it; parsing, binding, valuing, reducing
+and aggregating read it in that order and build no records. Order is
+made at output: emit_graph and the first read of promises each sort a
+copy of the table, and find_bindings and binding_values sort only the
+bindings. What a graph keeps once computed: its bindings as (giver,
+receiver, type, effective constraint) rows, found at most once, on
+first use; the value rows of binding_values, those rows with the value
+added, built once; its Promise records in graph order, built on the
+first read of promises; and the mark that it is its own reduction.
+find_bindings builds its Binding records, and their Promise records,
+from the kept rows on each call, and it and binding_values hand out a
+new list. find_offer builds the one record it returns. The records
+(Agent, Promise, Binding) are plain slotted classes that compare, hash
+and pickle by value and refuse assignment.
 """
 
 from __future__ import annotations
@@ -131,23 +131,22 @@ class Promise(Record):
             raise DomainError("constraint set must be non-empty")
         if not isinstance(polarity, Polarity):
             raise DomainError(f"polarity must be a Polarity, got {polarity!r}")
-        # Field by field rather than through _freeze's loop: a parse builds one Promise per merged record.
-        set_giver, set_receiver, set_type_tag, set_polarity, set_constraint, set_condition = self._setters
-        set_giver(self, giver)
-        set_receiver(self, receiver)
-        set_type_tag(self, type_tag)
-        set_polarity(self, polarity)
-        set_constraint(self, constraint)
-        set_condition(self, condition)
+        self._freeze(giver, receiver, type_tag, polarity, constraint, condition)
 
     @property
     def conditional(self) -> bool:
         return bool(self.condition)
 
     def _key(self):
-        # This promise's key in a graph's merge table, laid out as PromiseGraph.__init__ and graphio.parse_graph
-        # build it inline; all three must stay the same.
+        # This promise's key in a graph's merge table, laid out as graphio.parse_graph builds it inline; the two
+        # must stay the same, and _from_key must undo it.
         return (self.giver, self.receiver, self.type_tag, self.polarity is Polarity.ACCEPT, self.condition)
+
+    @classmethod
+    def _from_key(cls, key: tuple, constraint: frozenset) -> Promise:
+        # The record of a merge-table item, key -> constraint: the inverse of _key.
+        giver, receiver, type_tag, accepts, condition = key
+        return cls(giver, receiver, type_tag, Polarity.ACCEPT if accepts else Polarity.OFFER, constraint, condition)
 
 
 class Binding(Record):
@@ -156,11 +155,7 @@ class Binding(Record):
     __slots__ = ("offer", "accept", "effective_constraint")
 
     def __init__(self, offer: Promise, accept: Promise, effective_constraint: frozenset) -> None:
-        # Field by field, as in Promise: a bind builds one Binding per matched pair.
-        set_offer, set_accept, set_effective_constraint = self._setters
-        set_offer(self, offer)
-        set_accept(self, accept)
-        set_effective_constraint(self, effective_constraint)
+        self._freeze(offer, accept, effective_constraint)
 
 
 Calibration = Union[float, Mapping[str, float]]
@@ -183,21 +178,21 @@ class PromiseGraph:
             if a.id in agent_map:
                 raise DomainError(f"duplicate agent id {a.id!r}")
             agent_map[a.id] = a
-        accept = Polarity.ACCEPT
         table: dict[tuple, frozenset] = {}
         for p in promises:
-            giver, receiver = p.giver, p.receiver
-            if giver not in agent_map or receiver not in agent_map:
-                missing = receiver if giver in agent_map else giver
+            if p.giver not in agent_map or p.receiver not in agent_map:
+                missing = p.receiver if p.giver in agent_map else p.giver
                 raise UnknownAgentError(f"promise references unknown agent {missing!r}")
-            _merge(table, (giver, receiver, p.type_tag, p.polarity is accept, p.condition), p.constraint)
+            _merge(table, p._key(), p.constraint)
         self._adopt(agent_map, table, calibration)
         # Parsed text holds only string tokens, so only promises built in code can carry other entries.
         for constraint in dict.fromkeys(table.values()):
             try:
                 "".join(sorted(constraint))  # str.join takes only strings, as in Promise
             except TypeError:
-                raise DomainError(f"constraint entries must be strings, got {set(constraint)!r}") from None
+                # The entries by their reprs, so that the message does not follow string hashing.
+                entries = ", ".join(sorted(map(repr, constraint)))
+                raise DomainError(f"constraint entries must be strings, got {{{entries}}}") from None
 
     @classmethod
     def _from_table(cls, agents: dict, table: dict, calibration: Calibration) -> PromiseGraph:
@@ -217,42 +212,22 @@ class PromiseGraph:
         self._agents = agents
         # The merge table, the graph's one promise state: {(giver, receiver, type, is_accept, condition): constraint}.
         self._table = table
-        self._in_order = False  # set once _ordered has put the table in graph order
         self._calibration = dict(zip(calibration, values)) if mapping else values[0]
-        self._bound: list | None = None  # the graph's binding triples, once _kept_bindings has found them
+        self._bound: list | None = None  # the graph's binding rows, once _kept_bindings has found them
         self._valued: list | None = None  # the graph's binding value rows, once _kept_values has built them
         self._records: tuple | None = None  # the Promise records, once promises has built them
-        self._record_of: dict = {}  # {merge key: its record}, set just before _records
         self._reduced = False  # set by reduce_conditionals on the graph it returns
 
     @property
     def agents(self) -> tuple:
         return tuple(self._agents.values())
 
-    def _ordered(self) -> dict:
-        """The merge table in graph order: put in that order on first use and then kept as the table."""
-        if not self._in_order:
-            self._table = _graph_order(self._table)
-            self._in_order = True
-        return self._table
-
     @property
     def promises(self) -> tuple:
         """The Promise records in graph order, built from the merge table on first use and then kept."""
-        self._record_map()
-        return self._records
-
-    def _record_map(self) -> dict:
-        """{merge key: its Promise record}, in graph order; built with promises on first use and then kept."""
         if self._records is None:
-            offer, accept = Polarity.OFFER, Polarity.ACCEPT
-            record_of = {}
-            for key, chi in self._ordered().items():
-                giver, receiver, type_tag, accepts, condition = key
-                record_of[key] = Promise(giver, receiver, type_tag, accept if accepts else offer, chi, condition)
-            self._record_of = record_of
-            self._records = tuple(record_of.values())
-        return self._record_of
+            self._records = tuple(Promise._from_key(key, chi) for key, chi in _graph_order(self._table).items())
+        return self._records
 
     @property
     def calibration(self) -> Calibration:
@@ -338,13 +313,17 @@ def find_bindings(graph: PromiseGraph) -> list[Binding]:
     accept R -> S of the same type whose constraint sets intersect;
     the intersection is the binding's effective constraint. Conditional
     promises never bind (reduce them first). Each binding's offer and
-    accept are items of graph.promises; the Binding records are built
-    anew on each call.
+    accept are equal to items of graph.promises; the Binding records
+    and their Promise records are built anew on each call.
     """
-    record_of = graph._record_map()
-    # Unconditional offer keys differ in (giver, receiver, type), so the sort never compares the rest.
-    return [Binding(record_of[offer], record_of[accept], effective)
-            for offer, accept, effective in sorted(_kept_bindings(graph), key=itemgetter(0))]
+    table = graph._table
+    bindings = []
+    # Rows differ in (giver, receiver, type), so the sort never compares effective constraints.
+    for giver, receiver, type_tag, effective in sorted(_kept_bindings(graph)):
+        offer, accept = (giver, receiver, type_tag, False, ()), (receiver, giver, type_tag, True, ())
+        bindings.append(Binding(Promise._from_key(offer, table[offer]), Promise._from_key(accept, table[accept]),
+                                effective))
+    return bindings
 
 
 def binding_values(graph: PromiseGraph) -> list[tuple]:
@@ -373,7 +352,7 @@ def _kept_values(graph: PromiseGraph) -> list[tuple]:
         calibration_for = graph.calibration_for
         graph._valued = [(giver, receiver, type_tag, effective,
                           calibration_for(type_tag) * agents[giver].assessment * agents[receiver].assessment)
-                         for (giver, receiver, type_tag, _, _), _, effective in _kept_bindings(graph)]
+                         for giver, receiver, type_tag, effective in _kept_bindings(graph)]
     return graph._valued
 
 
@@ -393,22 +372,19 @@ def find_offer(graph: PromiseGraph, giver: str, receiver: str, type_tag: str) ->
             first = key
     if first is None:
         raise DomainError(f"no offer of type {type_tag!r} from {giver!r} to {receiver!r} in the graph")
-    g, r, t, _, condition = first
-    return Promise(g, r, t, Polarity.OFFER, table[first], condition)
+    return Promise._from_key(first, table[first])
 
 
 def _bindings(graph: PromiseGraph) -> list[tuple]:
-    # (offer key, accept key, effective constraint) for the graph's unconditional offers, in merge-table order;
-    # each accept back is one merge-table lookup.
+    # (giver, receiver, type, effective constraint) of each binding, in merge-table order; each accept back is one
+    # merge-table lookup. Only unconditional promises bind, so a row's first three fields name both its keys.
     table = graph._table
     out = []
-    for offer, chi in table.items():
-        giver, receiver, type_tag, accepts, condition = offer
+    for (giver, receiver, type_tag, accepts, condition), chi in table.items():
         if not accepts and not condition:
-            accept = (receiver, giver, type_tag, True, ())
-            back = table.get(accept)
+            back = table.get((receiver, giver, type_tag, True, ()))
             if back is not None and (effective := chi & back):
-                out.append((offer, accept, effective))
+                out.append((giver, receiver, type_tag, effective))
     return out
 
 
@@ -557,7 +533,7 @@ def largest_binding_component(graph: PromiseGraph) -> int:
             a = parent[a]
         return a
 
-    for (giver, receiver, _, _, _), _, _ in _kept_bindings(graph):
+    for giver, receiver, _, _ in _kept_bindings(graph):
         ra, rb = find(giver), find(receiver)
         if ra != rb:
             parent[ra] = rb
@@ -591,7 +567,8 @@ def aggregate(graph: PromiseGraph, members: Iterable[str], super_id: str) -> Pro
     """
     if isinstance(members, str):
         raise DomainError(f"members must be a collection of agent ids, got the string {members!r}")
-    member_set = set(members)
+    # In the order given, so that of several unknown members the first is the one named.
+    member_set = dict.fromkeys(members)
     if not member_set:
         raise DomainError("member set must be non-empty")
     for m in member_set:
@@ -651,7 +628,7 @@ def community_members(graph: PromiseGraph, authority: str, membership_type: str 
 def _communities(graph: PromiseGraph, membership_type: str) -> dict:
     """{authority: the givers bound to it by a membership_type offer it accepts back}."""
     communities: dict[str, set] = {}
-    for (giver, receiver, type_tag, _, _), _, _ in _kept_bindings(graph):
+    for giver, receiver, type_tag, _ in _kept_bindings(graph):
         if type_tag == membership_type:
             communities.setdefault(receiver, set()).add(giver)
     return communities
@@ -712,7 +689,7 @@ def classify_pattern(
                 return ScalingClass.RECURSIVE_DEPENDENCY
             return ScalingClass.SCARCE_DEPENDENCY
 
-    consumers = {receiver for (g, receiver, t, _, _), _, _ in _kept_bindings(graph) if g == giver and t == type_tag}
+    consumers = {receiver for g, receiver, t, _ in _kept_bindings(graph) if g == giver and t == type_tag}
     others = len(graph.agents) - 1
     fraction = len(consumers) / others if others > 0 else 0.0
     if fraction >= scarcity_threshold:

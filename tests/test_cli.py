@@ -1514,6 +1514,33 @@ class TestModuleEntryPoint:
         assert json.loads(proc.stdout)["interaction"] == 1.16666666667
 
 
+# Errors that name entries of a collection, each run with empty stdin: the first of several unknown members of
+# graph aggregate, and the entries of a constraint set that are not all strings.
+HASH_SEED_CASES = {
+    "aggregate": (["-m", "commscale", "graph", "aggregate", "--members=a,b,c", "--super-id=S"],
+                  b"error: unknown agent 'a'\n"),
+    "constraint-entries": (["-c", "import sys\n"
+                                  "from commscale.errors import DomainError\n"
+                                  "from commscale.promisegraph import Agent, Polarity, Promise, PromiseGraph\n"
+                                  "try:\n"
+                                  "    promise = Promise('a', 'a', 't', Polarity.OFFER, {'x', 1, 'y'})\n"
+                                  "    PromiseGraph([Agent('a')], [promise])\n"
+                                  "except DomainError as exc:\n"
+                                  "    sys.exit(f'error: {exc}')\n"],
+                           b"error: constraint entries must be strings, got {'x', 'y', 1}\n"),
+}
+
+
+class TestHashSeeds:
+    @pytest.mark.parametrize("args,stderr", HASH_SEED_CASES.values(), ids=HASH_SEED_CASES.keys())
+    def test_error_text_does_not_follow_string_hashing(self, args, stderr):
+        runs = [subprocess.run([sys.executable, *args], input=b"", capture_output=True,
+                               env=_child_env(PYTHONPATH=str(SRC), PYTHONHASHSEED=seed)) for seed in ("1", "2")]
+        first, second = [(run.returncode, run.stdout, run.stderr) for run in runs]
+        assert first == second
+        assert first == (1, b"", stderr)
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

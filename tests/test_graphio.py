@@ -325,8 +325,9 @@ def assert_parses_like_seed(text, calibration=1.0):
         assert g == expected
         # The merge table the parser hands on, in graph order, is the one the public constructor builds from the same
         # graph.
-        ordered = list(g._ordered().items())
-        assert ordered == list(PromiseGraph(g.agents, g.promises, g.calibration)._ordered().items())
+        ordered = list(promisegraph._graph_order(g._table).items())
+        built = PromiseGraph(g.agents, g.promises, g.calibration)
+        assert ordered == list(promisegraph._graph_order(built._table).items())
         assert [(p._key(), p.constraint) for p in g.promises] == ordered
 
 
@@ -522,6 +523,21 @@ class TestOrderOnOutput:
         assert cli.main(["graph", *command]) == 0
         assert capsys.readouterr().out not in ("", "[]\n")
         assert len(sizes) == orderings
+
+
+class TestReadsKeepReadOrder:
+    def test_no_read_reorders_a_graph(self):
+        # Read order is not graph order: agents, givers, polarities and constraint sets all come out of order.
+        text = ("agent b 1.0\nagent a 0.5\npromise b a s + *\npromise a b s - x,*\npromise a b s + x\n"
+                "promise a b s + *\npromise b a s - *\npromise a b t + * | s\n")
+        g = parse_graph(text)
+        read_order = list(g._table)
+        assert read_order != list(promisegraph._graph_order(g._table))
+        reads = [lambda: g.promises, lambda: promisegraph.find_bindings(g),
+                 lambda: promisegraph.find_offer(g, "a", "b", "s"), lambda: emit_graph(g)]
+        for read in reads:
+            read()
+            assert list(g._table) == read_order
 
 
 class TestCommandsLeaveNoCycles:

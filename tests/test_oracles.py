@@ -12,6 +12,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -100,6 +101,20 @@ class TestGraphsAgainstTheFixedPointOracle:
         code, out = _main(["graph", "bindings", f"--calibration={calibration!r}"], text)
         assert code == 0
         oracles.check_graph_bindings(out, oracles.Graph.parse(text), calibration)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_texts(), st.fixed_dictionaries({t: CALIBRATIONS for t in TYPES}))
+    def test_per_type_calibration_values_each_binding_by_its_type(self, text, calibration):
+        # The CLI takes only a scalar calibration, so a mapping is held to the oracle through the library.
+        g = oracles.Graph.parse(text)
+        graph = graphio.parse_graph(text, calibration)
+        assert promisegraph.binding_values(graph) == [
+            (giver, receiver, t, effective, calibration[t] * g.agents[giver] * g.agents[receiver])
+            for giver, receiver, t, effective in g.bindings()]
+        reduced = g.reduced()
+        assert promisegraph.total_value(graph) == math.fsum(
+            calibration[t] * reduced.agents[giver] * reduced.agents[receiver]
+            for giver, receiver, t, _ in reduced.bindings())
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())

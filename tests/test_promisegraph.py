@@ -301,7 +301,7 @@ class TestKeptBindings:
             g = PromiseGraph([Agent("a"), Agent("b"), Agent("c")],
                              [offer("a", "b", "svc", cond=("fuel",)), accept("b", "a", "svc")] + pair("c", "a", "fuel"))
             reduced = pg.reduce_conditionals(g)
-            # A parsed graph keeps its records, their key map and its binding triples once these have run.
+            # A parsed graph keeps its records and its binding rows once these have run.
             parsed = parse_graph(emit_graph(g))
             for graph in (g, reduced, parsed):
                 pg.find_bindings(graph), pg.total_value(graph), pg.largest_binding_component(graph)
@@ -326,8 +326,8 @@ class TestKeptBindings:
                                pg.valuation(graph, b)) for b in bindings]
             promises = graph.promises
             assert graph.promises is promises
-            ids = {id(p) for p in promises}
-            assert all(id(b.offer) in ids and id(b.accept) in ids for b in bindings)
+            kept = set(promises)
+            assert all(b.offer in kept and b.accept in kept for b in bindings)
 
     @pytest.mark.parametrize(
         "clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
@@ -1222,10 +1222,10 @@ class TestMergeKey:
     @settings(max_examples=200, deadline=None)
     @given(PROMISE_ROWS, LINK_ROWS, st.integers(0, 6))
     def test_table_keys_are_promise_keys(self, rows, links, repeats):
-        # __init__ builds the key inline; Promise._key must lay it out the same way.
+        # promises builds each record from its merge-table item with Promise._from_key, which _key must undo.
         g = random_lookup_graph(rows, links, repeats)
         for graph in (g, pg.reduce_conditionals(g), pg.aggregate(g, ["a", "b"], "S")):
-            assert [(p._key(), p.constraint) for p in graph.promises] == list(graph._ordered().items())
+            assert [(p._key(), p.constraint) for p in graph.promises] == list(pg._graph_order(graph._table).items())
 
 
 class TestLookupsMatchPairScans:
