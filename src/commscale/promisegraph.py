@@ -15,23 +15,20 @@ via mutual membership promises, and classification of an offer into one
 of the meanfield dependency classes.
 
 Graphs are immutable after construction; every operation returns new
-values and is safe to call concurrently. A graph's one promise state is
-its merge table, which maps (giver, receiver, type, is_accept,
-condition) to the promise's constraint set, in the order the promises
-were read, and no read reorders it; parsing, binding, valuing, reducing
-and aggregating read it in that order and build no records. Order is
-made at output: emit_graph and the first read of promises each sort a
-copy of the table, and find_bindings and binding_values sort only the
-bindings. What a graph keeps once computed: its bindings as (giver,
-receiver, type, effective constraint) rows, found at most once, on
-first use; the value rows of binding_values, those rows with the value
-added, built once; its Promise records in graph order, built on the
-first read of promises; and the mark that it is its own reduction.
-find_bindings builds its Binding records, and their Promise records,
-from the kept rows on each call, and it and binding_values hand out a
-new list. find_offer builds the one record it returns. The records
-(Agent, Promise, Binding) are plain slotted classes that compare, hash
-and pickle by value and refuse assignment.
+values and is safe to call concurrently. A graph's fields are its
+inputs, and everything it keeps is a cached view computed at most once.
+The inputs are its agents, its calibration and its merge table, which
+maps (giver, receiver, type, is_accept, condition) to the constraint
+set, in read order; no read reorders it, and parsing, binding, valuing,
+reducing and aggregating build no records. Order is made at output:
+emit_graph and promises sort a copy of the table, find_bindings and
+binding_values only the bindings. The views are the binding rows
+(giver, receiver, type, effective constraint), those rows with their
+value added, the Promise records in graph order, and the conditional
+offers that discharge fires. find_bindings and find_offer build the
+records they return on each call. The records (Agent, Promise, Binding)
+are plain slotted classes that compare, hash and pickle by value and
+refuse assignment.
 """
 
 from __future__ import annotations
@@ -39,6 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterable, Mapping
+from functools import cached_property
 from operator import itemgetter
 from typing import TYPE_CHECKING, Union
 
@@ -213,10 +211,30 @@ class PromiseGraph:
         # The merge table, the graph's one promise state: {(giver, receiver, type, is_accept, condition): constraint}.
         self._table = table
         self._calibration = dict(zip(calibration, values)) if mapping else values[0]
-        self._bound: list | None = None  # the graph's binding rows, once _kept_bindings has found them
-        self._valued: list | None = None  # the graph's binding value rows, once _kept_values has built them
-        self._records: tuple | None = None  # the Promise records, once promises has built them
-        self._reduced = False  # set by reduce_conditionals on the graph it returns
+
+    # The cached views of the three fields above, each computed on first read; callers must not change them.
+    @cached_property
+    def _bound(self) -> list:
+        # (giver, receiver, type, effective constraint) of each binding, in merge-table order.
+        return _bindings(self)
+
+    @cached_property
+    def _valued(self) -> list:
+        # The binding_values rows, in merge-table order; a missing per-type calibration raises and keeps nothing.
+        agents = self._agents
+        calibration_for = self.calibration_for
+        return [(giver, receiver, type_tag, effective,
+                 calibration_for(type_tag) * agents[giver].assessment * agents[receiver].assessment)
+                for giver, receiver, type_tag, effective in self._bound]
+
+    @cached_property
+    def _records(self) -> tuple:
+        return tuple(Promise._from_key(key, chi) for key, chi in _graph_order(self._table).items())
+
+    @cached_property
+    def _fired(self) -> list:
+        # The merge keys of the conditional offers that discharge fires; [] when the graph is its own reduction.
+        return _discharge(self)[1]
 
     @property
     def agents(self) -> tuple:
@@ -225,8 +243,6 @@ class PromiseGraph:
     @property
     def promises(self) -> tuple:
         """The Promise records in graph order, built from the merge table on first use and then kept."""
-        if self._records is None:
-            self._records = tuple(Promise._from_key(key, chi) for key, chi in _graph_order(self._table).items())
         return self._records
 
     @property
@@ -312,14 +328,14 @@ def find_bindings(graph: PromiseGraph) -> list[Binding]:
     A binding pairs an unconditional offer S -> R with an unconditional
     accept R -> S of the same type whose constraint sets intersect;
     the intersection is the binding's effective constraint. Conditional
-    promises never bind (reduce them first). Each binding's offer and
-    accept are equal to items of graph.promises; the Binding records
-    and their Promise records are built anew on each call.
+    promises never bind (reduce them first). Each call builds the Binding
+    and Promise records anew from the binding rows the graph keeps; each
+    offer and accept is equal to an item of graph.promises.
     """
     table = graph._table
     bindings = []
     # Rows differ in (giver, receiver, type), so the sort never compares effective constraints.
-    for giver, receiver, type_tag, effective in sorted(_kept_bindings(graph)):
+    for giver, receiver, type_tag, effective in sorted(graph._bound):
         offer, accept = (giver, receiver, type_tag, False, ()), (receiver, giver, type_tag, True, ())
         bindings.append(Binding(Promise._from_key(offer, table[offer]), Promise._from_key(accept, table[accept]),
                                 effective))
@@ -330,30 +346,12 @@ def binding_values(graph: PromiseGraph) -> list[tuple]:
     """(giver, receiver, type, effective constraint, value) of each binding, in find_bindings order.
 
     The value is the binding's valuation, c_S * alpha_giver * alpha_receiver.
-    No Binding or Promise record is built. The rows are built once per
-    graph and kept; each call sorts them into a new list.
+    No Binding or Promise record is built. The graph keeps the rows, built
+    at most once, and each call sorts them into a new list; a per-type
+    calibration that lacks a bound type raises DomainError on each call.
     """
     # Rows differ in (giver, receiver, type), so the sort never compares constraints or values.
-    return sorted(_kept_values(graph))
-
-
-def _kept_bindings(graph: PromiseGraph) -> list[tuple]:
-    # The graph's own list, in merge-table order, computed on first use: callers must not change it.
-    if graph._bound is None:
-        graph._bound = _bindings(graph)
-    return graph._bound
-
-
-def _kept_values(graph: PromiseGraph) -> list[tuple]:
-    # The graph's own binding_values rows, built on first use: callers must not change them. A missing per-type
-    # calibration raises here, on each call, and keeps nothing.
-    if graph._valued is None:
-        agents = graph._agents
-        calibration_for = graph.calibration_for
-        graph._valued = [(giver, receiver, type_tag, effective,
-                          calibration_for(type_tag) * agents[giver].assessment * agents[receiver].assessment)
-                         for giver, receiver, type_tag, effective in _kept_bindings(graph)]
-    return graph._valued
+    return sorted(graph._valued)
 
 
 def find_offer(graph: PromiseGraph, giver: str, receiver: str, type_tag: str) -> Promise:
@@ -366,10 +364,7 @@ def find_offer(graph: PromiseGraph, giver: str, receiver: str, type_tag: str) ->
     """
     table = graph._table
     want = (giver, receiver, type_tag, False)
-    first = None
-    for key in table:
-        if key[:4] == want and (first is None or _precedes(table, key, first)):
-            first = key
+    first = min((key for key in table if key[:4] == want), key=lambda key: (sorted(table[key]), key[4]), default=None)
     if first is None:
         raise DomainError(f"no offer of type {type_tag!r} from {giver!r} to {receiver!r} in the graph")
     return Promise._from_key(first, table[first])
@@ -456,21 +451,19 @@ def reduce_conditionals(graph: PromiseGraph) -> PromiseGraph:
     for every named dependency d, the giver unconditionally accepts d
     from some agent that unconditionally offers d back. Iterates to a
     fixed point so chains of conditions resolve; unsatisfied
-    conditionals (and conditional accepts) are retained unchanged. When
-    no offer fires, the graph itself is returned. The result is marked
-    as reduced, so reducing it again returns it at once.
+    conditionals (and conditional accepts) are retained unchanged. The
+    graph keeps the offers that fire; when none does, it is returned
+    itself. None fires in the result, so reducing it returns it at once.
     """
-    if graph._reduced:
+    if not graph._fired:
         return graph
-    fired = _discharge(graph)[1]
-    if fired:
-        table = dict(graph._table)
-        for key in fired:
-            _merge(table, key[:4] + ((),), table.pop(key))
-        graph = PromiseGraph._from_table(graph._agents, table, graph.calibration)
-    # Discharge reaches a fixed point, so the result is its own reduction.
-    graph._reduced = True
-    return graph
+    table = dict(graph._table)
+    for key in graph._fired:
+        _merge(table, key[:4] + ((),), table.pop(key))
+    reduced = PromiseGraph._from_table(graph._agents, table, graph.calibration)
+    # Discharge reaches a fixed point, so nothing fires in the result.
+    reduced._fired = []
+    return reduced
 
 
 def valuation(graph: PromiseGraph, binding: Binding) -> float:
@@ -491,7 +484,7 @@ def total_value(graph: PromiseGraph) -> float:
     the result is independent of binding order. A sum outside the finite
     float range raises DomainError.
     """
-    values = [row[4] for row in _kept_values(reduce_conditionals(graph))]
+    values = [row[4] for row in reduce_conditionals(graph)._valued]
     try:
         return math.fsum(values)
     except OverflowError:
@@ -513,7 +506,7 @@ def mesh_density(graph: PromiseGraph) -> float:
     n = len(graph.agents)
     if n < 2:
         return 0.0
-    return len(_kept_bindings(graph)) / (n * (n - 1))
+    return len(graph._bound) / (n * (n - 1))
 
 
 def largest_binding_component(graph: PromiseGraph) -> int:
@@ -533,7 +526,7 @@ def largest_binding_component(graph: PromiseGraph) -> int:
             a = parent[a]
         return a
 
-    for giver, receiver, _, _ in _kept_bindings(graph):
+    for giver, receiver, _, _ in graph._bound:
         ra, rb = find(giver), find(receiver)
         if ra != rb:
             parent[ra] = rb
@@ -628,7 +621,7 @@ def community_members(graph: PromiseGraph, authority: str, membership_type: str 
 def _communities(graph: PromiseGraph, membership_type: str) -> dict:
     """{authority: the givers bound to it by a membership_type offer it accepts back}."""
     communities: dict[str, set] = {}
-    for giver, receiver, type_tag, _ in _kept_bindings(graph):
+    for giver, receiver, type_tag, _ in graph._bound:
         if type_tag == membership_type:
             communities.setdefault(receiver, set()).add(giver)
     return communities
@@ -689,7 +682,7 @@ def classify_pattern(
                 return ScalingClass.RECURSIVE_DEPENDENCY
             return ScalingClass.SCARCE_DEPENDENCY
 
-    consumers = {receiver for g, receiver, t, _ in _kept_bindings(graph) if g == giver and t == type_tag}
+    consumers = {receiver for g, receiver, t, _ in graph._bound if g == giver and t == type_tag}
     others = len(graph.agents) - 1
     fraction = len(consumers) / others if others > 0 else 0.0
     if fraction >= scarcity_threshold:

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from test_promisegraph import brute_force_bindings
 
 from commscale import ensemble as ens
 from commscale import promisegraph as pg
@@ -180,21 +181,6 @@ def _random_graph(rng, n_max=30):
     return PromiseGraph(agents, promises)
 
 
-def _oracle_bindings(graph):
-    found = set()
-    for o in graph.promises:
-        if o.polarity is not Polarity.OFFER or o.conditional:
-            continue
-        for a in graph.promises:
-            if a.polarity is not Polarity.ACCEPT or a.conditional:
-                continue
-            if (a.giver, a.receiver, a.type_tag) != (o.receiver, o.giver, o.type_tag):
-                continue
-            if o.constraint & a.constraint:
-                found.add((o._key(), a._key(), o.constraint & a.constraint))
-    return found
-
-
 def _induced_adjacency(graph, ids, tag):
     order = sorted(ids)
     index = {a: i for i, a in enumerate(graph.agent_ids())}
@@ -211,7 +197,7 @@ def test_criterion_7_promise_graph_laws():
             reduced = pg.reduce_conditionals(g)
             assert pg.reduce_conditionals(reduced) == reduced
             got = {(b.offer._key(), b.accept._key(), b.effective_constraint) for b in pg.find_bindings(g)}
-            assert got == _oracle_bindings(g)
+            assert got == brute_force_bindings(g)
 
         # Law 3: aggregation preserves the exterior structure.
         rng = random.Random(78)

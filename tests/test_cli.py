@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_golden import BENCH, STORED
 
 from commscale import cli, ensemble, errors, meanfield, promisegraph, tabular, uslkit
 from commscale.cli import main
@@ -1531,6 +1532,63 @@ HASH_SEED_CASES = {
 }
 
 
+# A valid stdin for each ARGV_FUZZ command that reads one.
+ORDINARY_STDIN = {"fit": CSV_BASE, "compare": FIT_JSON, "usl-fit": SPEEDUPS,
+                  **{f"graph-{command}": "\n".join(FUZZ_BASE) + "\n" for command in GRAPH_COMMANDS}}
+# A value that each ARGV_FUZZ command refuses, for one of its flags.
+REFUSED = {
+    "exponents": ("--D", "0"), "yield": ("--n", "nan"), "ensemble": ("--class", "nope"),
+    "fit": ("--input", "no-such-input.txt"), "compare": ("--k", "-1"), "usl-eval": ("--contention", "inf"),
+    "usl-fit": ("--input", "no-such-input.txt"), "serial": ("--sigma", "x"), "queue": ("--mu", "1e999"),
+    "graph-value": ("--calibration", "nan"), "graph-bindings": ("--calibration", "x"),
+    "graph-reduce": ("--input", "no-such-input.txt"), "graph-aggregate": ("--super-id", "a"),
+    "graph-classify": ("--type", "nope"), "graph-community": ("--authority", "nobody"),
+}
+# One graph text per GraphFormatError message of graphio.parse_graph.
+BAD_GRAPH_TEXTS = [
+    "agent a,b 1.0\n", "agent a 1.0\npromise a a s + x,,y\n", "agent a 1.0\npromise a a s * x\n",
+    "promise a a s +\n", "agent a\n", "agent a 1.0\nagent a 1.0\n", "agent a x\n", "agent a 2\n", "node a\n",
+    "agent a 1.0\npromise a b s + *\n",
+]
+BAD_CSV_ROWS = ["7", "7,8,9", "0,5", "5,-1", "-1,x", "1e999,3"]
+
+
+def _error_corpus():
+    """(name, argv, stdin) of runs that must fail: per ARGV_FUZZ command, its first required flag left out and a
+    refused value; a bad graph text per format error; aggregate over several unknown members; bad CSV rows."""
+    cases = []
+    for name, spec in ARGV_FUZZ.items():
+        flags = {flag: values[0] for flag, values in spec.required.items()}
+        flags.update({flag: spec.optional[flag][0] for flag in spec.one_of[:1]})
+        stdin = ORDINARY_STDIN.get(name, "")
+        if spec.required:
+            missing = {flag: value for flag, value in flags.items() if flag != next(iter(spec.required))}
+            cases.append((f"{name}/missing", spec.argv + [f"{f}={v}" for f, v in missing.items()], stdin))
+        flag, value = REFUSED[name]
+        refused = {**flags, flag: value}
+        cases.append((f"{name}/refused", spec.argv + [f"{f}={v}" for f, v in refused.items()], stdin))
+    cases += [(f"graph-text/{i}", ["graph", "value"], text) for i, text in enumerate(BAD_GRAPH_TEXTS)]
+    cases += [("aggregate/unknown", ["graph", "aggregate", "--members=a,b,c", "--super-id=S"], ""),
+              ("aggregate/unknown-among-known", ["graph", "aggregate", "--members=a,zz,b,yy,xx", "--super-id=S"],
+               ORDINARY_STDIN["graph-aggregate"])]
+    cases += [(f"fit/row/{row}", ["fit"], CSV_BASE + row + "\n") for row in BAD_CSV_ROWS]
+    cases += [(f"usl-fit/row/{row}", ["usl-fit"], SPEEDUPS + row + "\n") for row in BAD_CSV_ROWS]
+    return cases
+
+
+# Runs the bench/digest.py corpus through its digests(), then each (name, argv, stdin) of the JSON list on stdin
+# through cli.main, in this one interpreter, and writes {"digests": ..., "errors": {name: [code, out, err]}}.
+HASH_SEED_CHILD = (
+    "import json, sys; sys.path.insert(0, sys.argv[1])\n"
+    "import digest, worker\n"
+    "cases = json.load(sys.stdin)\n"
+    "digests = digest.digests()\n"
+    "from commscale import cli\n"
+    "errors = {name: worker.call(cli, argv, stdin) for name, argv, stdin in cases}\n"
+    "json.dump({'digests': digests, 'errors': errors}, sys.stdout, indent=0)\n"
+)
+
+
 class TestHashSeeds:
     @pytest.mark.parametrize("args,stderr", HASH_SEED_CASES.values(), ids=HASH_SEED_CASES.keys())
     def test_error_text_does_not_follow_string_hashing(self, args, stderr):
@@ -1539,6 +1597,22 @@ class TestHashSeeds:
         first, second = [(run.returncode, run.stdout, run.stderr) for run in runs]
         assert first == second
         assert first == (1, b"", stderr)
+
+    def test_digest_and_error_corpora_do_not_follow_string_hashing(self):
+        cases = _error_corpus()
+        children = [subprocess.Popen([sys.executable, "-c", HASH_SEED_CHILD, str(BENCH)], stdin=subprocess.PIPE,
+                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                     env=_child_env(PYTHONPATH=str(SRC), PYTHONHASHSEED=seed)) for seed in ("1", "2")]
+        corpus = json.dumps(cases).encode()
+        first, second = [(child.communicate(corpus), child.returncode) for child in children]
+        assert first == second
+        (stdout, stderr), returncode = first
+        assert (returncode, stderr) == (0, b"")
+        result = json.loads(stdout)
+        assert sorted(result["digests"]) == sorted(STORED)
+        # Every error case fails with a message and no output.
+        failed = [name for name, (code, out, err) in result["errors"].items() if code and not out and err]
+        assert failed == [name for name, _, _ in cases]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -340,6 +340,42 @@ class TestKeptBindings:
         assert pg.total_value(again) == pg.total_value(g) == 12.0
 
 
+class TestCachedViews:
+    """A graph's fields are its three inputs; everything else it keeps is a cached view, added on first read."""
+
+    INPUTS = {"_agents", "_table", "_calibration"}
+    VIEWS = {"_bound", "_valued", "_records", "_fired"}
+
+    @staticmethod
+    def conditional_graph():
+        return PromiseGraph([Agent("a"), Agent("b"), Agent("c")],
+                            [offer("a", "b", "svc", cond=("fuel",)), accept("b", "a", "svc")] + pair("c", "a", "fuel"))
+
+    def test_a_new_graph_holds_only_its_inputs(self):
+        g = self.conditional_graph()
+        reduced = pg.reduce_conditionals(g)
+        assert reduced != g
+        assert set(vars(reduced)) == self.INPUTS | {"_fired"} and reduced._fired == []
+        built = [self.conditional_graph(), parse_graph(emit_graph(g)), pg.aggregate(g, ["c"], "S")]
+        assert [set(vars(graph)) for graph in built] == [self.INPUTS] * 3
+
+    def test_measures_add_only_the_cached_views(self):
+        g = self.conditional_graph()
+        out = pg.find_offer(g, "c", "a", "fuel")
+        pg.adjacency(g, "svc"), pg.degree(g, "a"), pg.reputation(g, "a"), emit_graph(g)
+        pg.find_bindings(g), pg.binding_values(g), pg.total_value(g), pg.mesh_density(g)
+        pg.largest_binding_component(g), pg.reduce_conditionals(g), g.promises
+        pg.aggregate(g, ["c"], "S"), pg.community_members(g, "a"), pg.classify_pattern(g, out)
+        assert set(vars(g)) == self.INPUTS | self.VIEWS
+
+    def test_a_missing_calibration_raises_on_each_read_and_keeps_no_values(self):
+        g = mesh_graph(3, calibration={"other": 2.0})
+        for _ in range(2):
+            with pytest.raises(DomainError, match="no calibration for promise type 'svc'"):
+                pg.binding_values(g)
+        assert "_valued" not in vars(g) and "_bound" in vars(g)
+
+
 class TestPromiseGraph:
     def test_never_equals_a_non_graph(self):
         assert PromiseGraph([]) != 5 and not PromiseGraph([]) == 5
