@@ -4,9 +4,9 @@ A fresh numpy Generator(Philox(key=[seed, i])) draws from the block of
 Philox4x64-10 (Salmon et al., SC 2011) at counter (1, 0, 0, 0), since
 numpy bumps the counter before its first block. Philox is a keyed
 bijection of its counter built from 64-bit multiplies, xors and adds,
-so first_words() evaluates that block for every key (seed, i) with
-numpy uint64 array operations. random() is then word 0 shifted to 53
-bits.
+so first_words() evaluates that block for the keys (seed, i), start <=
+i < stop, in numpy uint64 arrays as long as that range, which a caller
+bounds by drawing blocks. random() is then word 0 shifted to 53 bits.
 
 standard_normal() is numpy's ziggurat on the next word: the low 8 bits
 pick a layer, bit 8 is the sign, the next 52 bits are rabs, and while
@@ -18,10 +18,10 @@ numpy's, and the fast path is kept 2 below it; layers 0 (the tail) and
 1 (where numpy's ki is 0) never take it.
 
 first_draws() draws every sample the fast path does not settle again,
-by re-keying one scalar generator to (seed, i) with its counter at zero
-and its output buffer empty. Philox is a keyed bijection of its
-counter, so that is exactly a fresh generator keyed (seed, i), and
-every draw is exact by construction.
+by re-keying one scalar generator to (seed, start + j) for the j-th
+key, with its counter at zero and its output buffer empty. Philox is a
+keyed bijection of its counter, so that is exactly a fresh generator
+keyed (seed, i), and every draw is exact by construction.
 
 Only code that draws imports this module, so numpy is imported here at
 module level.
@@ -50,9 +50,9 @@ def _mulhilo(m: int, b):
     return np.uint64(m) * b, m_hi * b_hi + (p1 >> _S32) + (p2 >> _S32) + (mid >> _S32)
 
 
-def first_draws(seed: int, n: int) -> tuple[list, list]:
-    """random() and then standard_normal() from Generator(Philox(key=[seed, i])), for i < n."""
-    w0, w1 = first_words(seed, n)
+def first_draws(seed: int, start: int, stop: int) -> tuple[list, list]:
+    """random() and then standard_normal() from Generator(Philox(key=[seed, i])), for start <= i < stop."""
+    w0, w1 = first_words(seed, start, stop)
     z, slow = normal_fast_path(w1)
     zs = z.tolist()
     if slow.any():
@@ -60,20 +60,20 @@ def first_draws(seed: int, n: int) -> tuple[list, list]:
         rng = np.random.Generator(bits)
         fresh = bits.state  # a copy: counter 0, empty buffer (buffer_pos 4), no cached uint32
         key = fresh["state"]["key"]
-        for i in np.flatnonzero(slow).tolist():
-            key[1] = i
+        for j in np.flatnonzero(slow).tolist():
+            key[1] = start + j
             bits.state = fresh
             rng.random()
-            zs[i] = rng.standard_normal()
+            zs[j] = rng.standard_normal()
     return ((w0 >> np.uint64(11)) * 2.0**-53).tolist(), zs
 
 
-def first_words(seed: int, n: int):
-    """Words 0 and 1 of the first block of numpy's Philox keyed (seed, i), for i < n, as uint64 arrays."""
-    c0 = np.ones(n, dtype=np.uint64)
-    c1 = c2 = c3 = np.zeros(n, dtype=np.uint64)
+def first_words(seed: int, start: int, stop: int):
+    """Words 0 and 1 of the first block of numpy's Philox keyed (seed, i), for start <= i < stop, as uint64 arrays."""
+    c0 = np.ones(stop - start, dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros(stop - start, dtype=np.uint64)
     k0 = seed  # the same for every sample, so a Python int bumped modulo 2**64
-    k1 = np.arange(n, dtype=np.uint64)
+    k1 = np.arange(start, stop, dtype=np.uint64)
     for r in range(10):
         if r:
             k0 = (k0 + _W[0]) % 2**64

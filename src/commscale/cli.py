@@ -38,7 +38,7 @@ import json
 import math
 import sys
 
-from .errors import DomainError
+from .errors import CsvFormatError, DomainError
 from .tabular import finite_float
 
 __all__ = ["main"]
@@ -101,7 +101,7 @@ def _cmd_yield(args) -> float:
 
 
 def _cmd_ensemble(args) -> str:
-    from . import ensemble, meanfield
+    from . import ensemble, meanfield, tabular
     spec = ensemble.EnsembleSpec(
         scaling_class=meanfield.ScalingClass(args.scaling_class),
         params=meanfield.ScalingParams(D=args.D, H=args.H),
@@ -112,12 +112,37 @@ def _cmd_ensemble(args) -> str:
         inactive_fraction=args.inactive,
         seed=args.seed,
     )
-    return ensemble.samples_to_csv(*ensemble.generate(spec))
+    # One block at a time; generate checks each cell, so format_pairs writes it unchecked. Later blocks drop "N,Y\n".
+    texts, start = [], 0
+    while start < spec.n_samples:
+        ns, ys = ensemble.generate(spec, _start=start)
+        texts.append(tabular.format_pairs(ns, ys, "N,Y")[4 if start else 0:])
+        start += len(ns)
+    return "".join(texts)
+
+
+_CHUNK = 1 << 17  # characters of CSV text, about 5,000 rows, that fit reads per parse_csv call
 
 
 def _cmd_fit(args) -> dict:
+    from array import array
+
     from . import ensemble
-    return _fields(ensemble.fit_power_law(*ensemble.parse_csv(_read_input(args))))
+    text = _read_input(args)
+    # parse_csv reads newline-ended chunks, each but the first under the text's header line, into array("d") columns,
+    # so no list grows with the text. A row parses or fails alone: a chunk fails only where the whole text does.
+    ns, ys, head, start = array("d"), array("d"), "", 0
+    try:
+        while not start or start < len(text):
+            stop = text.find("\n", start + _CHUNK) + 1 or len(text)
+            for column, cells in zip((ns, ys), ensemble.parse_csv(head + text[start:stop])):
+                column.extend(cells)
+            head, start = text[:text.find("\n") + 1], stop
+    except CsvFormatError:
+        ensemble.parse_csv(text)  # raises the error that one read of the whole text names
+        raise
+    del text  # the fit needs only the columns
+    return _fields(ensemble.fit_power_law(ns, ys))
 
 
 def _cmd_compare(args) -> dict:
@@ -147,7 +172,13 @@ def _cmd_usl_eval(args) -> float:
 
 def _cmd_usl_fit(args) -> dict:
     from . import tabular, uslkit
-    fit = uslkit.usl_fit(zip(*tabular.parse_pairs(_read_input(args), "N,value")))
+    ns, speedups = tabular.parse_pairs(_read_input(args), "N,value")
+    # usl_fit refuses these rows too, but names no row: the command names the first, as fit does.
+    for row, (n, s) in enumerate(zip(ns, speedups), 2):
+        if n < 1 or s <= 0:
+            raise CsvFormatError(f"row {row}: N must be >= 1, got {n:g}" if n < 1
+                                 else f"row {row}: speedup must be positive, got {s:g}")
+    fit = uslkit.usl_fit(zip(ns, speedups))
     return {**_fields(fit.params), "residual": fit.residual}
 
 

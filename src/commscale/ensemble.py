@@ -16,11 +16,11 @@ byte-identical CSV. Every sample's draws are exactly those of a fresh
 numpy Generator(Philox(key=[seed, i])): one random() for N, then one
 standard_normal() for the noise.
 
-generate() takes them for all samples at once from the _philox module,
+generate() takes them _BLOCK samples at a time from the _philox module,
 which evaluates Philox4x64-10 and numpy's ziggurat with numpy array
 operations where that is surely exact, and draws the rest, about 2% of
 the samples, from one scalar generator re-keyed to (seed, i). The class
-kernel is built once per ensemble, with the constants of the parameters
+kernel is built once per call, with the constants of the parameters
 hoisted; N, the kernel at (N_I, N_0) and the noise factor are then
 computed per sample with scalar `math`: numpy's vector exp and power can
 differ from math in the last bit, which would change 12-digit CSV cells.
@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 _HEADER = "N,Y"
+_BLOCK = 8192  # samples per block: its 64 KiB Philox temporaries fit a 2 MiB L2 cache (20k draws: 5.7 ms, not 6.6)
 
 
 class EnsembleSpec(Record):
@@ -70,8 +71,8 @@ class EnsembleSpec(Record):
     n_samples communities are drawn with N log-uniform on
     [N_min, N_max], a fixed inactive fraction N_0/N, and multiplicative
     log-normal noise exp(Normal(0, noise_sigma**2)) on the output.
-    n_samples is at most 10**7, about 3 GB: 3 * 10**5 samples peaked at
-    105 MB RSS through generate and CSV (2-core VM).
+    n_samples is at most 10**7: the ensemble and fit commands peaked at
+    96 and 81 MB RSS at 10**6 (2-core VM); generate()'s lists take 64 B a sample.
     """
 
     __slots__ = ("scaling_class", "params", "n_samples", "N_min", "N_max", "noise_sigma", "inactive_fraction", "seed")
@@ -128,9 +129,10 @@ def model_value(scaling_class: ScalingClass, N: float, inactive_fraction: float,
     return _law(scaling_class, params).kernel(params)(N - n0, n0)
 
 
-def generate(spec: EnsembleSpec) -> tuple[list, list]:
+def generate(spec: EnsembleSpec, _start: int | None = None) -> tuple[list, list]:
     """Draw the N and Y columns of the ensemble described by spec; deterministic given spec.seed.
 
+    Samples are drawn _BLOCK at a time; given _start, only the block from sample _start on.
     Raises DomainError when a sample is not finite and positive, for
     instance when the noise overflows the output.
     """
@@ -138,24 +140,24 @@ def generate(spec: EnsembleSpec) -> tuple[list, list]:
     law = _law(spec.scaling_class, spec.params)
     from . import _philox
 
-    us, zs = _philox.first_draws(spec.seed, spec.n_samples)
     ln_lo = math.log(spec.N_min)
     ln_hi = math.log(spec.N_max)
     fraction, sigma = spec.inactive_fraction, spec.noise_sigma
     ns, ys = [], []
     try:
         kernel = law.kernel(spec.params)
-        for u, z in zip(us, zs):
-            n = math.exp(ln_lo + u * (ln_hi - ln_lo))
-            # EnsembleSpec keeps n >= 1 and fraction <= 1 - 2**-53, so the
-            # rounded fraction * n is below n: no kernel sees n_i == 0 here.
-            n0 = fraction * n
-            y = kernel(n - n0, n0) * math.exp(sigma * z)
-            # False for nan as well as for inf and 0; n, an exp of a finite number >= 0, is finite and >= 1.
-            if not 0 < y < math.inf:
-                raise DomainError(f"samples must be finite and positive, got N={n}, Y={y}")
-            ns.append(n)
-            ys.append(y)
+        for start in range(0, spec.n_samples, _BLOCK) if _start is None else [_start]:
+            for u, z in zip(*_philox.first_draws(spec.seed, start, min(start + _BLOCK, spec.n_samples))):
+                n = math.exp(ln_lo + u * (ln_hi - ln_lo))
+                # EnsembleSpec keeps n >= 1 and fraction <= 1 - 2**-53, so the
+                # rounded fraction * n is below n: no kernel sees n_i == 0 here.
+                n0 = fraction * n
+                y = kernel(n - n0, n0) * math.exp(sigma * z)
+                # False for nan as well as for inf and 0; n, an exp of a finite number >= 0, is finite and >= 1.
+                if not 0 < y < math.inf:
+                    raise DomainError(f"samples must be finite and positive, got N={n}, Y={y}")
+                ns.append(n)
+                ys.append(y)
     except ArithmeticError:
         raise DomainError("samples must be finite and positive: the class law or the noise overflows") from None
     return ns, ys
@@ -187,16 +189,23 @@ def fit_power_law(ns, ys) -> PowerLawFit:
 
     The columns may be any iterables of numbers; they must have equal
     length, each cell's float must be finite and strictly positive, and
-    N needs at least two distinct values. stderr_beta follows the
-    standard slope formula with n-2 degrees of freedom (0.0 when there
-    are exactly two points); r_squared is 1.0 for an exact fit,
-    including the degenerate all-equal-Y case.
+    N needs at least two distinct values. array("d") columns skip the
+    copy: a cell <= 0 fails its log, a nan or inf one the sum of logs.
+    stderr_beta follows the standard slope formula with n-2 degrees of
+    freedom (0.0 when there are exactly two points); r_squared is 1.0
+    for an exact fit, including the degenerate all-equal-Y case.
     """
     import numpy as np
 
-    ns, ys = _columns(ns, ys)
-    x = np.array(list(map(math.log, ns)))
-    y = np.array(list(map(math.log, ys)))
+    if not (type(ns) is type(ys) is array and ns.typecode == ys.typecode == "d" and len(ns) == len(ys)):
+        ns, ys = _columns(ns, ys)
+    try:
+        x = np.fromiter(map(math.log, ns), float, len(ns))
+        y = np.fromiter(map(math.log, ys), float, len(ys))
+    except ValueError:
+        raise DomainError("samples must be finite and positive numbers") from None
+    if not math.isfinite(x.sum() + y.sum()):
+        raise DomainError("samples must be finite and positive numbers")
     if x.size == 0 or x.min() == x.max():
         raise DomainError("need at least 2 distinct N values to fit a slope")
     xbar = x.mean()

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -751,6 +752,104 @@ class TestFitCsvMatchesRowReader:
             assert str(err.value) == str(exc)
         else:
             assert tabular.parse_pairs(text, "N,Y") == ([n for _, n, _ in expected], [y for _, _, y in expected])
+
+
+def _chunked_rows(rows=10_000):
+    """N,Y text over more than two chunks of cli._CHUNK characters, and where its second chunk starts."""
+    text = "N,Y\n" + "".join(f"{1000 + i}.123456789,{3000 + 2 * i}.987654321\n" for i in range(rows))
+    assert len(text) > 2 * cli._CHUNK
+    return text, text.find("\n", cli._CHUNK) + 1
+
+
+class TestFitChunks:
+    """fit parses its text in newline-ended chunks of cli._CHUNK characters, with the result of one read."""
+
+    @staticmethod
+    def check(text):
+        expected = seed_fit_command(text)
+        assert _run_isolated(["fit"], text) == expected
+        return expected
+
+    def test_a_bad_cell_in_the_first_row_of_the_second_chunk(self):
+        text, second = _chunked_rows()
+        text = text[:second] + "x" + text[text.index(",", second):]
+        row = text[:second].count("\n") + 1
+        assert self.check(text)[2] == f"error: row {row}, column 1: 'x' is not a finite number\n"
+
+    def test_a_row_across_a_chunk_boundary_parses_whole(self):
+        text, _ = _chunked_rows()
+        assert text[cli._CHUNK - 1] != "\n" and self.check(text)[0] == 0
+
+    def test_a_cell_error_in_a_later_chunk_wins_over_a_nonpositive_row_before_it(self):
+        text, second = _chunked_rows()
+        text = "N,Y\n0,5\n" + text[4:second] + "1,y\n" + text[second:]
+        assert "row 2" not in self.check(text)[2]
+
+    @pytest.mark.parametrize("edit", ["crlf", "no-final-newline", "header-only", "header-without-newline"])
+    def test_line_endings_and_short_files(self, edit):
+        text, _ = _chunked_rows()
+        text = {"crlf": "N,Y\n" + text[4:].replace("\n", "\r\n"), "no-final-newline": text[:-1],
+                "header-only": "N,Y\n", "header-without-newline": "N,Y"}[edit]
+        self.check(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutated_csv_text(), st.sampled_from([1, 7, 24]))
+    def test_small_chunks_give_what_one_read_gives(self, text, chunk):
+        with mock.patch.object(cli, "_CHUNK", chunk):
+            self.check(text)
+
+    @pytest.mark.parametrize("second_cell", ["x", "1e999"])
+    def test_usl_fit_reads_the_same_files(self, second_cell):
+        text, second = _chunked_rows()
+        text = "N,value\n" + text[4:second] + f"1,{second_cell}\n" + text[second:]
+        _, _, err = _run_isolated(["fit"], "N,Y\n" + text[8:])
+        assert _run_isolated(["usl-fit"], text) == (1, "", err)
+
+
+class TestUslFitRows:
+    @pytest.mark.parametrize("row, message", [("0,5", "N must be >= 1, got 0"), ("0.5,-1", "N must be >= 1, got 0.5"),
+                                              ("5,-1", "speedup must be positive, got -1"),
+                                              ("5,0", "speedup must be positive, got 0")])
+    def test_a_refused_row_is_named(self, row, message):
+        text = SPEEDUPS + row + "\n" + "3,0\n"
+        assert _run_isolated(["usl-fit"], text) == (1, "", f"error: row 7: {message}\n")
+
+    def test_the_library_keeps_its_messages(self):
+        with pytest.raises(DomainError, match="^N values must be >= 1$"):
+            uslkit.usl_fit([(1, 1), (2, 1.9), (0, 5)])
+        with pytest.raises(DomainError, match="^speedup values must be positive$"):
+            uslkit.usl_fit([(1, 1), (2, 1.9), (5, -1)])
+
+
+class TestMemoryGrowth:
+    # Traced bytes per extra sample: the CSV text is ~26 B a sample and is held twice when the ensemble command
+    # joins its blocks. A command that held a list of floats per column, 64 B a sample, would not stay below.
+    BOUND = 96
+
+    @staticmethod
+    def peak(argv, out_path):
+        with open(out_path, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    def test_ensemble_and_fit_grow_by_less_than_the_bound_per_sample(self, tmp_path):
+        argv = ["ensemble", "--class", "interaction", "--D", "2", "--H", "1"]
+        self.peak([*argv, "--n", "100"], tmp_path / "warm.csv")  # first calls load modules and fill caches
+        self.peak(["fit", "--input", str(tmp_path / "warm.csv")], tmp_path / "fit.json")
+        peaks = {}
+        sizes = (24_576, 49_152)  # three and six blocks of 8192 samples
+        for n in sizes:
+            path = tmp_path / f"{n}.csv"
+            peaks["ensemble", n] = self.peak([*argv, "--n", str(n)], path)
+            # From a file: a StringIO stdin would add its own copy of the text.
+            peaks["fit", n] = self.peak(["fit", "--input", str(path)], tmp_path / "fit.json")
+        growth = {cmd: (peaks[cmd, sizes[1]] - peaks[cmd, sizes[0]]) / (sizes[1] - sizes[0])
+                  for cmd in ("ensemble", "fit")}
+        assert max(growth.values()) < self.BOUND, growth
 
 
 GRAPH_COMMANDS = {

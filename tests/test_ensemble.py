@@ -1,6 +1,8 @@
 import math
+import re
 import struct
 import warnings
+from array import array
 from decimal import Decimal
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_cli import _run_isolated
 
 from commscale import _philox
 from commscale import ensemble as ens
@@ -226,6 +229,51 @@ class TestGenerate:
             assert y == pytest.approx(ens.model_value(ScalingClass.INTERACTION, n, 0.0, D2H1), rel=1e-12)
 
 
+B = ens._BLOCK
+
+
+def run_ensemble(s):
+    """(exit code, stdout, stderr) of the ensemble command for spec s, in-process."""
+    return _run_isolated(["ensemble", "--class", s.scaling_class.value, "--D", str(s.params.D),
+                          "--H", repr(s.params.H), "--n", str(s.n_samples), "--nmin", repr(s.N_min),
+                          "--nmax", repr(s.N_max), "--noise", repr(s.noise_sigma),
+                          "--inactive", repr(s.inactive_fraction), "--seed", str(s.seed)])
+
+
+class TestBlocks:
+    """generate and the ensemble command draw _BLOCK samples at a time; the result is that of one whole draw."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
+    def test_csv_bytes_equal_one_whole_draw(self, monkeypatch, n, seed):
+        s = spec(n_samples=n, seed=seed, inactive_fraction=0.25)
+        code, text, _ = run_ensemble(s)
+        blocks = ens.samples_to_csv(*ens.generate(s))
+        monkeypatch.setattr(ens, "_BLOCK", n)
+        same = text == blocks == ens.samples_to_csv(*ens.generate(s))  # no diff of two 400 kB texts on failure
+        assert code == 0 and text.count("\n") == n + 1 and same
+
+    @pytest.mark.parametrize("seed, a, b, c", [(0, 0, B, B + 500), (7, 0, 1000, 2000), (2**64 - 1, 5, B - 3, B + 400)])
+    def test_draws_of_split_ranges_join_to_the_whole_range(self, seed, a, b, c):
+        # Samples that the fast path leaves to the re-keyed scalar generator fall in the second range too.
+        assert _philox.normal_fast_path(_philox.first_words(seed, b, c)[1])[1].any()
+        first, second = _philox.first_draws(seed, a, b), _philox.first_draws(seed, b, c)
+        assert (first[0] + second[0], first[1] + second[1]) == _philox.first_draws(seed, a, c)
+
+    def test_an_overflow_in_a_late_block_is_named_as_by_one_whole_draw(self, monkeypatch):
+        # Seed 3 draws no overflowing sample before the third block.
+        s = spec(n_samples=3 * B, N_min=1e140, N_max=1e150, noise_sigma=80.0, seed=3)
+        message = "samples must be finite and positive, got N=1.2923473909680912e+149, Y=inf"
+        for start in (0, B):
+            ens.generate(s, _start=start)
+        assert run_ensemble(s) == (1, "", f"error: {message}\n")
+        with pytest.raises(DomainError, match=re.escape(message)):
+            ens.generate(s)
+        monkeypatch.setattr(ens, "_BLOCK", 3 * B)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            ens.generate(s)
+
+
 def reference_generate(spec):
     """The per-sample construction generate() must match: a fresh Philox
     generator keyed (seed, i) and a model_value call for every sample."""
@@ -305,7 +353,7 @@ def numpy_ki(layer):
 class TestVectorisedDraws:
     @pytest.mark.parametrize("seed", [0, 31, 2**63, 2**64 - 1])
     def test_philox_words_match_numpy(self, seed):
-        w0, w1 = _philox.first_words(seed, 300)
+        w0, w1 = _philox.first_words(seed, 0, 300)
         for i in (0, 1, 2, 157, 299):
             raw = np.random.Philox(key=np.array([seed, i], dtype=np.uint64)).random_raw(2)
             assert (int(w0[i]), int(w1[i])) == (int(raw[0]), int(raw[1]))
@@ -337,7 +385,7 @@ class TestVectorisedDraws:
         # 2,000 samples at seed 7 send layer-0 and layer-1 samples, and others
         # that fail the fast path, through the re-keyed scalar generator.
         s = spec(n_samples=2000, seed=7, inactive_fraction=0.1)
-        _, w1 = _philox.first_words(s.seed, s.n_samples)
+        _, w1 = _philox.first_words(s.seed, 0, s.n_samples)
         _, slow = _philox.normal_fast_path(w1)
         layers = set((w1[slow] & np.uint64(0xFF)).tolist())
         assert {0, 1} <= layers and len(layers) > 2
@@ -374,6 +422,19 @@ class TestFitPowerLaw:
     def test_non_numbers_are_domain_errors(self):
         with pytest.raises(DomainError, match="finite and positive numbers"):
             ens.fit_power_law(["a", "b"], [1.0, 2.0])
+
+    def test_float_array_columns_fit_as_lists(self):
+        ns, ys = [10.0, 100.0, 1000.0], [3.0, 40.0, 700.0]
+        assert ens.fit_power_law(array("d", ns), array("d", ys)) == ens.fit_power_law(ns, ys)
+
+    @pytest.mark.parametrize("cell", [0.0, -0.0, -2.0, math.nan, math.inf], ids=["zero", "minus-zero", "negative",
+                                                                                 "nan", "inf"])
+    def test_float_array_columns_refuse_what_list_columns_refuse(self, cell):
+        for ns, ys in ([10.0, cell], [1.0, 2.0]), ([10.0, 20.0], [cell, 2.0]):
+            with pytest.raises(DomainError, match="^samples must be finite and positive numbers$"):
+                ens.fit_power_law(array("d", ns), array("d", ys))
+        with pytest.raises(DomainError, match="^N and Y columns differ in length: 2 and 3$"):
+            ens.fit_power_law(array("d", [10.0, 20.0]), array("d", [1.0, 2.0, 3.0]))
 
     def test_iterator_columns_fit_as_lists(self):
         ns, ys = [10, 100, 1000], [3.0, 40.0, 700.0]
