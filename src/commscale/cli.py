@@ -199,14 +199,13 @@ def _cmd_graph_value(args) -> dict:
     from . import graphio, promisegraph
     graph = graphio.parse_graph(_read_input(args), args.calibration)
     reduced = promisegraph.reduce_conditionals(graph)
-    # This binds the reduced graph, once: the measures below read the bindings it keeps.
-    bindings = promisegraph.binding_values(reduced)
+    # total_value binds and values the reduced graph, once; the measures after it read the bindings it keeps.
     return {
         "total_value": promisegraph.total_value(reduced),
         "rho": promisegraph.mesh_density(reduced),
         "largest_component": promisegraph.largest_binding_component(reduced),
-        "agents": len(graph.agents),
-        "bindings": len(bindings),
+        "agents": len(graph._agents),
+        "bindings": len(reduced._bound),
     }
 
 

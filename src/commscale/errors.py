@@ -89,7 +89,7 @@ def _real(value, name: str, interval: str | None) -> float:
     An interval of None takes every float, nan included: usl_fit's pairs, which it then checks itself.
     """
     try:
-        if not (isinstance(value, (str, bytes, bytearray)) or _boolean(type(value))):
+        if type(value) is float or not (isinstance(value, (str, bytes, bytearray)) or _boolean(type(value))):
             x = float(value)
             if interval is None:
                 return x

@@ -21,8 +21,9 @@ canonical text, byte for byte.
 Duplicate promise records, equal in all but their constraint sets,
 merge while the text is read, into one promise whose constraint set is
 their union, as PromiseGraph merges them. parse_graph hands the graph
-the merge table it reads, in the order it was read, and builds no
-Promise records; records are built only when graph.promises is read.
+the merge table it reads, in the order it was read, and each agent's
+assessment; it builds no Agent or Promise record. Records are built
+only when graph.agents or graph.promises is read.
 Order is made at output: emit_graph writes a sorted copy of the table
 and leaves the graph's own table in the order it was read.
 
@@ -38,7 +39,7 @@ from operator import itemgetter
 
 from . import promisegraph
 from .errors import DomainError, GraphFormatError
-from .promisegraph import Agent, Calibration, PromiseGraph
+from .promisegraph import Calibration, PromiseGraph, _assessment
 
 __all__ = ["parse_graph", "emit_graph"]
 
@@ -104,7 +105,7 @@ def parse_graph(text: str, calibration: Calibration = 1.0) -> PromiseGraph:
     Agents and promises may appear in any order; every error names the
     offending line.
     """
-    agents: dict[str, Agent] = {}
+    agents: dict[str, float] = {}
     agent_lines: dict[str, int] = {}
     # The merge table as it is read: (giver, receiver, type, is_accept, condition) -> the union of the
     # constraint sets of its records.
@@ -153,7 +154,7 @@ def parse_graph(text: str, calibration: Calibration = 1.0) -> PromiseGraph:
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: assessment {fields[2]!r} is not a number") from None
             try:
-                agents[agent_id] = Agent(agent_id, alpha)
+                agents[agent_id] = _assessment(alpha)
             except DomainError as exc:
                 raise GraphFormatError(f"line {lineno}: {exc}") from None
             agent_lines[agent_id] = lineno
@@ -179,9 +180,9 @@ def emit_graph(graph: PromiseGraph) -> str:
     """Emit the canonical text form of a graph."""
     passed: dict[str, str] = {}
     lines = []
-    for agent_id in graph.agent_ids():
+    for agent_id, alpha in sorted(graph._agents.items()):
         _check_token(agent_id, "agent id", passed)
-        lines.append(f"agent {agent_id} {graph.agent(agent_id).assessment!r}\n")
+        lines.append(f"agent {agent_id} {alpha!r}\n")
     # Every promise endpoint is a graph agent, checked above. The rest of a line is checked and written once per
     # (type, polarity, condition, constraint), where it first occurs, so a bad token is named on the line where a
     # writer that checks every line would name it.

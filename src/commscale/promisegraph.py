@@ -17,18 +17,19 @@ of the meanfield dependency classes.
 Graphs are immutable after construction; every operation returns new
 values and is safe to call concurrently. A graph's fields are its
 inputs, and everything it keeps is a cached view computed at most once.
-The inputs are its agents, its calibration and its merge table, which
-maps (giver, receiver, type, is_accept, condition) to the constraint
-set, in read order; no read reorders it, and parsing, binding, valuing,
-reducing and aggregating build no records. Order is made at output:
-emit_graph and promises sort a copy of the table, find_bindings and
-binding_values only the bindings. The views are the binding rows
-(giver, receiver, type, effective constraint), those rows with their
-value added, the Promise records in graph order, and the conditional
-offers that discharge fires. find_bindings and find_offer build the
-records they return on each call. The records (Agent, Promise, Binding)
-are plain slotted classes that compare, hash and pickle by value and
-refuse assignment.
+The inputs are its agents, kept as id -> assessment in read order, its
+calibration and its merge table, which maps (giver, receiver, type,
+is_accept, condition) to the constraint set, in read order; no read
+reorders it, and parsing, binding, valuing, reducing and aggregating
+build no records. Order is made at output: emit_graph and promises sort
+a copy of the table, find_bindings and binding_values only the
+bindings. The views are the binding rows (giver, receiver, type,
+effective constraint), those rows with their value added, the Agent
+records in read order, the Promise records in graph order, and the
+conditional offers that discharge fires. agent, find_bindings and
+find_offer build the records they return on each call. The records
+(Agent, Promise, Binding) are plain slotted classes that compare, hash
+and pickle by value and refuse assignment.
 """
 
 from __future__ import annotations
@@ -74,16 +75,24 @@ __all__ = [
 ANY_BODY = "*"
 
 
+def _agent_id(id) -> str:
+    if not isinstance(id, str) or not id:
+        raise DomainError(f"agent id must be a non-empty string, got {id!r}")
+    return id
+
+
+def _assessment(x) -> float:
+    # + 0.0 turns -0.0 into 0.0, so equal agents emit the same text; it keeps every other value.
+    return _real(x, "assessment", "[0, 1]") + 0.0
+
+
 class Agent(Record):
     """An autonomous agent with an impartial promise-keeping assessment in [0, 1]."""
 
     __slots__ = ("id", "assessment")
 
     def __init__(self, id: str, assessment: float = 1.0) -> None:
-        if not isinstance(id, str) or not id:
-            raise DomainError(f"agent id must be a non-empty string, got {id!r}")
-        # + 0.0 turns -0.0 into 0.0, so equal agents emit the same text; it keeps every other value.
-        self._freeze(id, _real(assessment, "assessment", "[0, 1]") + 0.0)
+        self._freeze(_agent_id(id), _assessment(assessment))
 
 
 class Polarity(enum.Enum):
@@ -171,11 +180,11 @@ class PromiseGraph:
     """
 
     def __init__(self, agents: Iterable[Agent], promises: Iterable[Promise] = (), calibration: Calibration = 1.0):
-        agent_map: dict[str, Agent] = {}
+        agent_map: dict[str, float] = {}
         for a in agents:
             if a.id in agent_map:
                 raise DomainError(f"duplicate agent id {a.id!r}")
-            agent_map[a.id] = a
+            agent_map[a.id] = a.assessment
         table: dict[tuple, frozenset] = {}
         for p in promises:
             if p.giver not in agent_map or p.receiver not in agent_map:
@@ -194,13 +203,13 @@ class PromiseGraph:
 
     @classmethod
     def _from_table(cls, agents: dict, table: dict, calibration: Calibration) -> PromiseGraph:
-        """The graph of agents ({id: Agent}) and table, a merge table over them as __init__ builds it."""
+        """The graph of agents ({id: assessment}) and table, a merge table over them as __init__ builds it."""
         graph = cls.__new__(cls)
         graph._adopt(agents, table, calibration)
         return graph
 
     def _adopt(self, agents: dict, table: dict, calibration: Calibration) -> None:
-        """Keep agents ({id: Agent}) and table, a merge table over them as __init__ builds it, in the order given."""
+        """Keep agents ({id: assessment}) and table, a merge table over them as __init__ builds it, in given order."""
         mapping = isinstance(calibration, Mapping)
         try:
             values = [_real(c, "calibration", "(-inf, inf)")
@@ -224,7 +233,7 @@ class PromiseGraph:
         agents = self._agents
         calibration_for = self.calibration_for
         return [(giver, receiver, type_tag, effective,
-                 calibration_for(type_tag) * agents[giver].assessment * agents[receiver].assessment)
+                 calibration_for(type_tag) * agents[giver] * agents[receiver])
                 for giver, receiver, type_tag, effective in self._bound]
 
     @cached_property
@@ -236,9 +245,10 @@ class PromiseGraph:
         # The merge keys of the conditional offers that discharge fires; [] when the graph is its own reduction.
         return _discharge(self)[1]
 
-    @property
+    @cached_property
     def agents(self) -> tuple:
-        return tuple(self._agents.values())
+        """The Agent records in read order, built from the assessments on first use and then kept."""
+        return tuple(map(Agent, self._agents, self._agents.values()))
 
     @property
     def promises(self) -> tuple:
@@ -254,6 +264,11 @@ class PromiseGraph:
         return sorted(self._agents)
 
     def agent(self, agent_id: str) -> Agent:
+        """The Agent record of agent_id, built on each call."""
+        return Agent(agent_id, self._alpha(agent_id))
+
+    def _alpha(self, agent_id: str) -> float:
+        # The assessment of agent_id; UnknownAgentError if the graph has no such agent.
         try:
             return self._agents[agent_id]
         except KeyError:
@@ -318,7 +333,7 @@ def adjacency(graph: PromiseGraph, type_tag: str) -> np.ndarray:
 
 def degree(graph: PromiseGraph, agent_id: str) -> int:
     """Number of distinct (receiver, type) pairs this agent promises toward."""
-    graph.agent(agent_id)
+    graph._alpha(agent_id)
     return len({(receiver, tag) for giver, receiver, tag, _, _ in graph._table if giver == agent_id})
 
 
@@ -469,9 +484,7 @@ def reduce_conditionals(graph: PromiseGraph) -> PromiseGraph:
 def valuation(graph: PromiseGraph, binding: Binding) -> float:
     """Currency value of one binding: c_S * alpha_giver * alpha_receiver."""
     c = graph.calibration_for(binding.offer.type_tag)
-    giver = graph.agent(binding.offer.giver)
-    receiver = graph.agent(binding.offer.receiver)
-    return c * giver.assessment * receiver.assessment
+    return c * graph._alpha(binding.offer.giver) * graph._alpha(binding.offer.receiver)
 
 
 @_finite
@@ -503,7 +516,7 @@ def mesh_density(graph: PromiseGraph) -> float:
     (reduce first if conditional promises should count). Zero for graphs
     with fewer than two agents.
     """
-    n = len(graph.agents)
+    n = len(graph._agents)
     if n < 2:
         return 0.0
     return len(graph._bound) / (n * (n - 1))
@@ -513,12 +526,12 @@ def largest_binding_component(graph: PromiseGraph) -> int:
     """Size of the largest set of agents connected through bindings.
 
     Bindings are treated as undirected edges; an agent with no bindings
-    forms a component of size 1. Empty graph gives 0.
+    forms a component of size 1. Empty graph gives 0. Components are
+    joined by size, and the bindings are read only until one component
+    holds every agent.
     """
-    ids = graph.agent_ids()
-    if not ids:
-        return 0
-    parent = {a: a for a in ids}
+    parent = {a: a for a in graph._agents}
+    size = dict.fromkeys(parent, 1)
 
     def find(a):
         while parent[a] != a:
@@ -529,17 +542,19 @@ def largest_binding_component(graph: PromiseGraph) -> int:
     for giver, receiver, _, _ in graph._bound:
         ra, rb = find(giver), find(receiver)
         if ra != rb:
+            if size[ra] > size[rb]:
+                ra, rb = rb, ra
             parent[ra] = rb
-    sizes: dict[str, int] = {}
-    for a in ids:
-        root = find(a)
-        sizes[root] = sizes.get(root, 0) + 1
-    return max(sizes.values())
+            size[rb] += size[ra]
+            if size[rb] == len(parent):
+                break
+    # A merged-away root keeps its size from before the merge, which is less than its new root's.
+    return max(size.values(), default=0)
 
 
 def reputation(graph: PromiseGraph, agent_id: str) -> int:
     """Count of distinct agents that promise acceptance toward this agent."""
-    graph.agent(agent_id)
+    graph._alpha(agent_id)
     return len({giver for giver, receiver, _, accepts, _ in graph._table if accepts and receiver == agent_id})
 
 
@@ -564,8 +579,7 @@ def aggregate(graph: PromiseGraph, members: Iterable[str], super_id: str) -> Pro
     member_set = dict.fromkeys(members)
     if not member_set:
         raise DomainError("member set must be non-empty")
-    for m in member_set:
-        graph.agent(m)
+    alphas = [graph._alpha(m) for m in member_set]
     if graph.has_agent(super_id):
         raise DomainError(f"superagent id {super_id!r} collides with an existing agent")
 
@@ -598,11 +612,11 @@ def aggregate(graph: PromiseGraph, members: Iterable[str], super_id: str) -> Pro
         todo += fresh
 
     if chain_agents:
-        alpha = math.prod(graph.agent(a).assessment for a in sorted(chain_agents))
+        alpha = math.prod(graph._agents[a] for a in sorted(chain_agents))
     else:
-        alpha = math.fsum(graph.agent(m).assessment for m in member_set) / len(member_set)
-    agents = {a: agent for a, agent in graph._agents.items() if a not in member_set}
-    agents[super_id] = Agent(super_id, alpha)
+        alpha = math.fsum(alphas) / len(alphas)
+    agents = {a: x for a, x in graph._agents.items() if a not in member_set}
+    agents[_agent_id(super_id)] = _assessment(alpha)
     return PromiseGraph._from_table(agents, table, graph.calibration)
 
 
@@ -614,7 +628,7 @@ def community_members(graph: PromiseGraph, authority: str, membership_type: str 
     binding). The authority itself is a member only if it promises both
     sides to itself.
     """
-    graph.agent(authority)
+    graph._alpha(authority)
     return _communities(graph, membership_type).get(authority, set())
 
 
@@ -683,7 +697,7 @@ def classify_pattern(
             return ScalingClass.SCARCE_DEPENDENCY
 
     consumers = {receiver for g, receiver, t, _ in graph._bound if g == giver and t == type_tag}
-    others = len(graph.agents) - 1
+    others = len(graph._agents) - 1
     fraction = len(consumers) / others if others > 0 else 0.0
     if fraction >= scarcity_threshold:
         return ScalingClass.INTERACTION

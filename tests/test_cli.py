@@ -376,6 +376,10 @@ class TestGraphCommands:
         assert "promise S c svc + *\n" in out
         assert "promise a b" not in out
 
+    def test_aggregate_refuses_an_empty_super_id(self, run):
+        code, out, err = run(["graph", "aggregate", "--members", "a", "--super-id="], stdin_text=MESH3)
+        assert (code, out, err) == (1, "", "error: agent id must be a non-empty string, got ''\n")
+
     def test_classify_with_exponent(self, run):
         code, out, _ = run(
             ["graph", "classify", "--giver", "a", "--receiver", "b", "--type", "svc", "--D", "2", "--H", "1"],

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from test_cli import _run_isolated, mutated_graph_text
 
 from commscale import cli, promisegraph
-from commscale.errors import DomainError, GraphFormatError
+from commscale.errors import DomainError, GraphFormatError, UnknownAgentError
 from commscale.graphio import emit_graph, parse_graph
 from commscale.promisegraph import Agent, Binding, Polarity, Promise, PromiseGraph
 
@@ -76,6 +76,9 @@ class TestParseErrors:
             ("agent a 1.0 extra\n", "line 1"),
             ("agent a not-a-number\n", "not a number"),
             ("agent a 1.5\n", "line 1: assessment must be a real number in [0, 1], got 1.5"),
+            ("agent b 1.0\nagent a -1\n", "line 2: assessment must be a real number in [0, 1], got -1.0"),
+            ("agent a nan\n", "line 1: assessment must be a real number in [0, 1], got nan"),
+            ("agent a inf\n", "line 1: assessment must be a real number in [0, 1], got inf"),
             ("agent a 1.0\nagent a 0.5\n", "first declared on line 1"),
             ("widget a b\n", "unknown record"),
             ("agent a 1.0\npromise a a svc ? *\n", "polarity"),
@@ -392,6 +395,57 @@ def _bench_inputs():
 
 
 BENCH_INPUTS = _bench_inputs()
+
+
+class TestAgentsAsAssessments:
+    """A graph keeps each agent as its assessment; an Agent record is built only when one is read."""
+
+    def test_graph_commands_build_no_agent_record(self, monkeypatch):
+        org = BENCH_INPUTS.org_graph(7)
+        giver, receiver, type_tag, threshold, _ = org.classify[0]
+        members, super_id, _ = org.aggregates[0]
+        commands = [
+            ["value", "--calibration", "2.0"], ["bindings"], ["reduce"],
+            ["classify", "--giver", giver, "--receiver", receiver, "--type", type_tag, "--threshold", repr(threshold)],
+            ["aggregate", "--members", ",".join(members), "--super-id", super_id],
+            ["community", "--authority", org.community[0]],
+        ]
+        built = []
+        init = Agent.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Agent, "__init__", counted)
+        assert [_run_isolated(["graph", *argv], org.text)[0] for argv in commands] == [0] * len(commands)
+        assert built == []
+        # The records are still there to read.
+        assert len(parse_graph(org.text).agents) == len(built) == org.text.count("agent ")
+
+    @pytest.mark.parametrize("alpha,emitted", [("-0.0", "0.0"), ("0", "0.0"), ("1", "1.0"), ("5e-324", "5e-324")])
+    def test_edge_assessments_parse_and_emit_as_records(self, alpha, emitted):
+        g = parse_graph(f"agent b 1.0\nagent a {alpha}\n")
+        assert emit_graph(g) == f"agent a {emitted}\nagent b 1.0\n"
+        assert math.copysign(1.0, g.agent("a").assessment) == 1.0
+        assert g.agent("a") == Agent("a", float(alpha)) and g.agents == (Agent("b"), Agent("a", float(alpha)))
+
+    def test_agents_view_holds_the_records_in_read_order(self):
+        g = parse_graph("agent c 0.25\nagent a 1.0\nagent b 0.5\npromise c a s + *\n")
+        assert "agents" not in vars(g)
+        assert g.agents == (Agent("c", 0.25), Agent("a"), Agent("b", 0.5)) and g.agents is g.agents
+        assert [g.agent(a) for a in g.agent_ids()] == [Agent("a"), Agent("b", 0.5), Agent("c", 0.25)]
+        with pytest.raises(UnknownAgentError, match="unknown agent 'd'"):
+            g.agent("d")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0) | st.sampled_from([-0.0, 5e-324, 1 - 2 ** -53]), min_size=1, max_size=5),
+           st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.sampled_from(list(Polarity))), max_size=8))
+    def test_constructor_equals_its_round_trip(self, alphas, rows):
+        agents = [Agent(f"a{i}", alpha) for i, alpha in enumerate(alphas)]
+        promises = [Promise(f"a{g % len(alphas)}", f"a{r % len(alphas)}", "s", pol) for g, r, pol in rows]
+        g = PromiseGraph(agents, promises)
+        assert parse_graph(emit_graph(g)) == g and g.agents == tuple(agents)
 
 
 class TestParseMatchesSeedParser:

@@ -778,6 +778,21 @@ class TestLargestBindingComponent:
         oracle.add_edges_from((offer_key[0], offer_key[1]) for offer_key, _, _ in brute_force_bindings(g))
         assert pg.largest_binding_component(g) == max(len(c) for c in nx.connected_components(oracle))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 30), st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=60),
+           st.booleans())
+    def test_matches_networkx_on_drawn_meshes(self, n, edges, complete):
+        # A complete mesh joins every agent long before its last binding; drawn edges leave islands too.
+        nx = pytest.importorskip("networkx")
+        ids = [f"a{i:02d}" for i in range(n)]
+        edges = [(ids[i], ids[j]) for i in range(n) for j in range(n) if i != j] if complete else \
+            [(ids[i % n], ids[j % n]) for i, j in edges]
+        g = PromiseGraph([Agent(a) for a in reversed(ids)], [p for i, j in edges for p in pair(i, j)])
+        oracle = nx.Graph()
+        oracle.add_nodes_from(ids)
+        oracle.add_edges_from(edges)
+        assert pg.largest_binding_component(g) == max(map(len, nx.connected_components(oracle)))
+
 
 class TestReputation:
     def test_distinct_acceptors(self):
@@ -823,6 +838,12 @@ class TestAggregate:
         with pytest.raises(DomainError, match="members must be a collection of agent ids, got the string 'ab'"):
             pg.aggregate(g, "ab", "S")
         assert pg.aggregate(g, ["ab"], "S").agent_ids() == ["S", "a", "b"]
+
+    @pytest.mark.parametrize("super_id,shown", [(5, "5"), ("", "''"), (None, "None")])
+    def test_super_id_is_checked_as_an_agent_id(self, super_id, shown):
+        with pytest.raises(DomainError) as err:
+            pg.aggregate(self.triangle(), ["a"], super_id)
+        assert str(err.value) == f"agent id must be a non-empty string, got {shown}"
 
     def test_default_assessment_is_member_mean(self):
         g = pg.aggregate(self.triangle(), ["a", "b"], "S")
