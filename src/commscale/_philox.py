@@ -50,11 +50,10 @@ def _mulhilo(m: int, b):
     return np.uint64(m) * b, m_hi * b_hi + (p1 >> _S32) + (p2 >> _S32) + (mid >> _S32)
 
 
-def first_draws(seed: int, start: int, stop: int) -> tuple[list, list]:
-    """random() and then standard_normal() from Generator(Philox(key=[seed, i])), for start <= i < stop."""
+def first_draws(seed: int, start: int, stop: int):
+    """random() and standard_normal() from Generator(Philox(key=[seed, i])), start <= i < stop, as float64 arrays."""
     w0, w1 = first_words(seed, start, stop)
     z, slow = normal_fast_path(w1)
-    zs = z.tolist()
     if slow.any():
         bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
         rng = np.random.Generator(bits)
@@ -64,8 +63,8 @@ def first_draws(seed: int, start: int, stop: int) -> tuple[list, list]:
             key[1] = start + j
             bits.state = fresh
             rng.random()
-            zs[j] = rng.standard_normal()
-    return ((w0 >> np.uint64(11)) * 2.0**-53).tolist(), zs
+            z[j] = rng.standard_normal()
+    return (w0 >> np.uint64(11)) * 2.0**-53, z
 
 
 def first_words(seed: int, start: int, stop: int):

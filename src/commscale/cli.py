@@ -136,7 +136,7 @@ def _cmd_fit(args) -> dict:
         while not start or start < len(text):
             stop = text.find("\n", start + _CHUNK) + 1 or len(text)
             for column, cells in zip((ns, ys), ensemble.parse_csv(head + text[start:stop])):
-                column.extend(cells)
+                column.fromlist(cells)
             head, start = text[:text.find("\n") + 1], stop
     except CsvFormatError:
         ensemble.parse_csv(text)  # raises the error that one read of the whole text names

@@ -21,9 +21,11 @@ which evaluates Philox4x64-10 and numpy's ziggurat with numpy array
 operations where that is surely exact, and draws the rest, about 2% of
 the samples, from one scalar generator re-keyed to (seed, i). The class
 kernel is built once per call, with the constants of the parameters
-hoisted; N, the kernel at (N_I, N_0) and the noise factor are then
-computed per sample with scalar `math`: numpy's vector exp and power can
-differ from math in the last bit, which would change 12-digit CSV cells.
+hoisted; a block's N, kernel at (N_I, N_0) and noise factor are float64
+columns, with math.exp and builtin pow mapped over the cells, as numpy's
+exp and power can differ in the last bit, and + - * / as numpy ufuncs,
+which round as Python's do. A block that raises or holds a bad Y runs
+again one sample at a time, to name its first bad sample.
 
 An ensemble is two float columns (N, Y), with no per-sample record:
 generate() returns them, samples_to_csv() renders them, parse_csv() and
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import count
+from itertools import count, repeat
 from typing import TYPE_CHECKING
 
 from ._record import Record
@@ -62,7 +64,7 @@ __all__ = [
 ]
 
 _HEADER = "N,Y"
-_BLOCK = 8192  # samples per block: its 64 KiB Philox temporaries fit a 2 MiB L2 cache (20k draws: 5.7 ms, not 6.6)
+_BLOCK = 8192  # samples per block: its 64 KiB columns fit a 2 MiB L2 cache (20k samples: 19.4 ms, not 20.5 in one)
 
 
 class EnsembleSpec(Record):
@@ -129,6 +131,12 @@ def model_value(scaling_class: ScalingClass, N: float, inactive_fraction: float,
     return _law(scaling_class, params).kernel(params)(N - n0, n0)
 
 
+def _cells(f, column, *args):
+    """f over the cells of a float64 column, each args repeated, as a float64 column: libm's exp or pow, not numpy's."""
+    import numpy as np
+    return np.fromiter(map(f, column.tolist(), *map(repeat, args)), float, len(column))
+
+
 def generate(spec: EnsembleSpec, _start: int | None = None) -> tuple[list, list]:
     """Draw the N and Y columns of the ensemble described by spec; deterministic given spec.seed.
 
@@ -138,17 +146,30 @@ def generate(spec: EnsembleSpec, _start: int | None = None) -> tuple[list, list]
     """
     from .meanfield import _law
     law = _law(spec.scaling_class, spec.params)
+    import numpy as np
     from . import _philox
 
     ln_lo = math.log(spec.N_min)
-    ln_hi = math.log(spec.N_max)
+    span = math.log(spec.N_max) - ln_lo
     fraction, sigma = spec.inactive_fraction, spec.noise_sigma
     ns, ys = [], []
     try:
-        kernel = law.kernel(spec.params)
+        kernel, columns = law.kernel(spec.params), law.kernel(spec.params, lambda x, e: _cells(pow, x, e))
         for start in range(0, spec.n_samples, _BLOCK) if _start is None else [_start]:
-            for u, z in zip(*_philox.first_draws(spec.seed, start, min(start + _BLOCK, spec.n_samples))):
-                n = math.exp(ln_lo + u * (ln_hi - ln_lo))
+            us, zs = _philox.first_draws(spec.seed, start, min(start + _BLOCK, spec.n_samples))
+            try:
+                with np.errstate(all="ignore"):
+                    n = _cells(math.exp, ln_lo + us * span)
+                    n0 = fraction * n
+                    y = columns(n - n0, n0) * _cells(math.exp, sigma * zs)
+                if ((y > 0) & (y < math.inf)).all():
+                    ns += n.tolist()
+                    ys += y.tolist()
+                    continue
+            except (ArithmeticError, DomainError):  # a block that fails anywhere runs again one sample at a time
+                pass
+            for u, z in zip(us.tolist(), zs.tolist()):
+                n = math.exp(ln_lo + u * span)
                 # EnsembleSpec keeps n >= 1 and fraction <= 1 - 2**-53, so the
                 # rounded fraction * n is below n: no kernel sees n_i == 0 here.
                 n0 = fraction * n

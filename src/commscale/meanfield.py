@@ -159,30 +159,35 @@ def delta_exponent(params: ScalingParams) -> float:
     return _rational(lambda D, H, d: d, params)
 
 
-def _equilibrium(params: ScalingParams):
+def _holds(mask) -> bool:
+    """A comparison of floats, or whether the comparison of float64 columns holds in every cell."""
+    return mask if mask.__class__ is bool else mask.all()
+
+
+def _equilibrium(params: ScalingParams, power=pow):
     """equilibrium_volume as v_eq(n_i, n), with its constants hoisted."""
     expo = params.D / (params.D + params.H)
     a = (params.g_Y * params.v_Y / params.c_Y) ** expo
 
     def v_eq(n_i: float, n: float) -> float:
-        if n == 0 or n_i == 0:
+        if not _holds((n != 0) & (n_i != 0)):
             raise DomainError("equilibrium volume requires N > 0 and N_I > 0")
-        return a * (n_i**2 / n) ** expo
+        return a * power(power(n_i, 2) / n, expo)
 
     return v_eq
 
 
-def _infrastructure(params: ScalingParams):
+def _infrastructure(params: ScalingParams, power=pow):
     """infrastructure_volume as v_i(V, n_i, n), with g_I, H/D and L**(D-H) hoisted."""
     g_I, hd, Lc = params.g_I, params.H / params.D, params.L ** (params.D - params.H)
 
     def v_i(V: float, n_i: float, n: float) -> float:
         # An equilibrium volume that a kernel computes may underflow to 0 or overflow to inf.
-        if not 0 < V < math.inf:
+        if not _holds((V > 0) & (V < math.inf)):
             raise DomainError(f"community volume must be finite and positive, got {V}")
-        if n == 0:
+        if not _holds(n != 0):
             raise DomainError("total population is zero")
-        return g_I * V**hd * Lc * n_i * n**-hd
+        return g_I * power(V, hd) * Lc * n_i * power(n, -hd)
 
     return v_i
 
@@ -235,40 +240,39 @@ def _total(e: float, N: float) -> float:
     return e * N
 
 
-def _yield(G_Y: float, n_i: float, v_i: float) -> float:
-    return G_Y * n_i**2 / v_i
+def _yield(G_Y: float, n_i: float, v_i: float, power) -> float:
+    return G_Y * power(n_i, 2) / v_i
 
 
 def _degree(n_i: float, v_i: float) -> float:
-    if v_i == 0:
+    if not _holds(v_i != 0):
         raise DomainError("infrastructure volume is zero (no connected agents)")
     return n_i / v_i
 
 
-def _at_equilibrium(params: ScalingParams, out):
-    """Kernel (n_i, n_0) -> out(G_Y, n_i, V_I), V_I at the equilibrium volume of N = n_i + n_0.
+def _at_equilibrium(out):
+    """kernel(params, power) of (n_i, n_0) -> out(G_Y, n_i, V_I, power), V_I at the equilibrium volume of n_i + n_0.
 
     n_i = 0 raises the equilibrium volume's DomainError before any volume is computed.
     """
-    v_eq, v_i, G_Y = _equilibrium(params), _infrastructure(params), params.G_Y
 
-    def kernel(n_i: float, n_0: float) -> float:
-        n = n_i + n_0
-        return out(G_Y, n_i, v_i(v_eq(n_i, n), n_i, n))
+    def factory(params: ScalingParams, power=pow):
+        v_eq, v_i, G_Y = _equilibrium(params, power), _infrastructure(params, power), params.G_Y
+        return lambda n_i, n_0: out(G_Y, n_i, v_i(v_eq(n_i, n := n_i + n_0), n_i, n), power)
 
-    return kernel
+    return factory
 
 
-def _recursive(params: ScalingParams):
+def _recursive(params: ScalingParams, power=pow):
     """Kernel of N_I**2 over the cascaded chain volume (V_eq/N_I)**(1/D**2) * N_I."""
-    v_eq, r = _equilibrium(params), 1 / params.D**2
-    return lambda n_i, n_0: n_i**2 / ((v_eq(n_i, n_i + n_0) / n_i) ** r * n_i)
+    v_eq, r = _equilibrium(params, power), 1 / params.D**2
+    return lambda n_i, n_0: power(n_i, 2) / (power(v_eq(n_i, n_i + n_0) / n_i, r) * n_i)
 
 
-def _virtual(params: ScalingParams):
+def _virtual(params: ScalingParams, power=pow):
     """Kernel of N_I**(2H/D) * N**(-H/D)."""
     e_i, e_n = 2 * params.H / params.D, -params.H / params.D
-    return lambda n_i, n_0: n_i**e_i * (n_i + n_0) ** e_n
+    return lambda n_i, n_0: power(n_i, e_i) * power(n_i + n_0, e_n)
 
 
 class _ClassLaw(Record):
@@ -279,17 +283,18 @@ class _ClassLaw(Record):
     N = N_I (1 + N_0/N_I) is N_I**(p+q) * (1 + N_0/N_I)**p. Shares are
     written through delta, which makes them exact at D = 2H (the headline
     regime); the recursive and virtual shares are exact at every supported
-    D, H. kernel(params) hoists the constants of params and returns the
-    noise-free class output at the equilibrium volume as a function of
-    (N_I, N_0); it may overflow, which its callers turn into DomainError.
-    unit_h_only marks a class derived for H = 1 only.
+    D, H. kernel(params, power=pow) hoists the constants of params and
+    returns the noise-free class output at the equilibrium volume as a
+    function of (N_I, N_0), raising powers by power: builtin pow, or pow
+    mapped over float64 columns. It may overflow, which callers turn into
+    DomainError. unit_h_only marks an H = 1 only class.
     """
 
     __slots__ = ("exponent", "share", "kernel", "unit_h_only")
 
     def __init__(self, exponent: Callable[[Fraction, Fraction, Fraction], Fraction],
                  share: Callable[[Fraction, Fraction, Fraction], Fraction],
-                 kernel: Callable[[ScalingParams], Callable[[float, float], float]], unit_h_only: bool = False) -> None:
+                 kernel: Callable[..., Callable[[float, float], float]], unit_h_only: bool = False) -> None:
         self._freeze(exponent, share, kernel, unit_h_only)
 
 
@@ -297,28 +302,28 @@ _LAWS = {
     ScalingClass.INFRASTRUCTURE_VOLUME: _ClassLaw(
         exponent=lambda D, H, d: 1 - d,
         share=lambda D, H, d: d - 1,
-        kernel=lambda p: _at_equilibrium(p, lambda G_Y, n_i, v_i: v_i),
+        kernel=_at_equilibrium(lambda G_Y, n_i, v_i, power: v_i),
     ),
     ScalingClass.LINEAR_CONSUMPTION: _ClassLaw(
         exponent=lambda D, H, d: 1,
         share=lambda D, H, d: 1,
-        kernel=lambda p: lambda n_i, n_0: n_i + n_0,
+        kernel=lambda p, power=pow: lambda n_i, n_0: n_i + n_0,
     ),
     ScalingClass.INTERACTION: _ClassLaw(
         exponent=lambda D, H, d: 1 + d,
         share=lambda D, H, d: 1 - d,
-        kernel=lambda p: _at_equilibrium(p, _yield),
+        kernel=_at_equilibrium(_yield),
     ),
     ScalingClass.SCARCE_AGENT: _ClassLaw(
         exponent=lambda D, H, d: d,
         share=lambda D, H, d: 1 - d,
-        kernel=lambda p: _at_equilibrium(p, lambda G_Y, n_i, v_i: _degree(n_i, v_i)),
+        kernel=_at_equilibrium(lambda G_Y, n_i, v_i, power: _degree(n_i, v_i)),
     ),
     ScalingClass.SCARCE_DEPENDENCY: _ClassLaw(
         exponent=lambda D, H, d: 1 + 2 * d,
         share=lambda D, H, d: 2 * (1 - d),
         # Yield times node degree, from one V_eq and one V_I.
-        kernel=lambda p: _at_equilibrium(p, lambda G_Y, n_i, v_i: _yield(G_Y, n_i, v_i) * _degree(n_i, v_i)),
+        kernel=_at_equilibrium(lambda G_Y, n_i, v_i, power: _yield(G_Y, n_i, v_i, power) * _degree(n_i, v_i)),
     ),
     ScalingClass.RECURSIVE_DEPENDENCY: _ClassLaw(
         exponent=lambda D, H, d: 1 + 1 / (D * D) - 1 / (D * (D + 1)),

@@ -1,6 +1,9 @@
+import functools
 import math
 import re
 import struct
+import subprocess
+import sys
 import warnings
 from array import array
 from decimal import Decimal
@@ -10,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_cli import _run_isolated
+from test_cli import SRC, _child_env, _run_isolated
 
 from commscale import _philox
 from commscale import ensemble as ens
@@ -216,7 +219,7 @@ class TestGenerate:
         [
             (dict(N_min=1e200, N_max=1e300), ": the class law or the noise overflows$"),
             (dict(N_min=1e3, N_max=1e4, noise_sigma=1e300), ": the class law or the noise overflows$"),
-            (dict(N_min=1e140, N_max=1e150, noise_sigma=250.0), ", got N=.*, Y=inf$"),
+            (dict(N_min=1e140, N_max=1e150, noise_sigma=250.0), r", got N=7\.156395915472638e\+149, Y=inf$"),
         ],
         ids=["class-law", "noise-factor", "law-times-noise"],
     )
@@ -258,7 +261,8 @@ class TestBlocks:
         # Samples that the fast path leaves to the re-keyed scalar generator fall in the second range too.
         assert _philox.normal_fast_path(_philox.first_words(seed, b, c)[1])[1].any()
         first, second = _philox.first_draws(seed, a, b), _philox.first_draws(seed, b, c)
-        assert (first[0] + second[0], first[1] + second[1]) == _philox.first_draws(seed, a, c)
+        joined = [np.concatenate(pair).tolist() for pair in zip(first, second)]
+        assert joined == [column.tolist() for column in _philox.first_draws(seed, a, c)]
 
     def test_an_overflow_in_a_late_block_is_named_as_by_one_whole_draw(self, monkeypatch):
         # Seed 3 draws no overflowing sample before the third block.
@@ -274,6 +278,13 @@ class TestBlocks:
             ens.generate(s)
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def reference_draws(seed, i):
+    """random() and then standard_normal() from a fresh Philox generator keyed (seed, i)."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+    return rng.random(), rng.standard_normal()
+
+
 def reference_generate(spec):
     """The per-sample construction generate() must match: a fresh Philox
     generator keyed (seed, i) and a model_value call for every sample."""
@@ -281,9 +292,7 @@ def reference_generate(spec):
     ln_hi = math.log(spec.N_max)
     ns, ys = [], []
     for i in range(spec.n_samples):
-        rng = np.random.Generator(np.random.Philox(key=np.array([spec.seed, i], dtype=np.uint64)))
-        u = rng.random()
-        z = rng.standard_normal()
+        u, z = reference_draws(spec.seed, i)
         n = math.exp(ln_lo + u * (ln_hi - ln_lo))
         y = ens.model_value(spec.scaling_class, n, spec.inactive_fraction, spec.params)
         ns.append(n)
@@ -325,6 +334,62 @@ class TestGenerateMatchesReference:
         # run past the first four-word Philox block.
         s = spec(n_samples=20_000, seed=31, inactive_fraction=0.25)
         assert ens.generate(s) == reference_generate(s)
+
+
+class TestColumnPass:
+    """generate computes a block as float64 columns; a block that fails anywhere runs again one sample at a time."""
+
+    @pytest.mark.parametrize("cls", list(ScalingClass), ids=lambda c: c.value)
+    def test_blocks_equal_the_reference(self, cls):
+        whole = reference_generate(spec(cls, n_samples=2 * B + 1, seed=12, inactive_fraction=0.25))
+        for n in (B - 1, B + 1, 2 * B + 1):
+            assert ens.generate(spec(cls, n_samples=n, seed=12, inactive_fraction=0.25)) == (whole[0][:n], whole[1][:n])
+
+    @pytest.mark.parametrize(
+        "cls, kw, message",
+        [
+            # At H = 0, V = g_Y * N_I**2 / N underflows to 0 where N_I is 2**-53 of a small N: some samples fail.
+            (ScalingClass.INTERACTION, dict(params=ScalingParams(D=2, H=0.0, g_Y=1e-300), N_min=1.0, N_max=1e3,
+                                            inactive_fraction=1 - 2**-53),
+             "community volume must be finite and positive, got 0.0"),
+            # At H = 0, V = g_Y * N overflows for N above 1.8e8 alone, and V**(H/D) would read inf as 1.
+            (ScalingClass.INTERACTION, dict(params=ScalingParams(D=2, H=0.0, g_Y=1e300), N_min=1.0, N_max=1e10),
+             "community volume must be finite and positive, got inf"),
+            # g_Y * v_Y underflows to a zero coupling, and L**2 to a zero infrastructure volume.
+            (ScalingClass.INFRASTRUCTURE_VOLUME, dict(params=ScalingParams(D=2, H=1.0, g_Y=1e-300, v_Y=1e-300)),
+             "community volume must be finite and positive, got 0.0"),
+            (ScalingClass.SCARCE_AGENT, dict(params=ScalingParams(D=3, H=1.0, L=1e-300)),
+             "infrastructure volume is zero (no connected agents)"),
+        ],
+        ids=["volume-underflow", "volume-overflow", "zero-coupling", "zero-volume"],
+    )
+    def test_errors_name_what_the_per_sample_loop_names(self, cls, kw, message):
+        # TestGenerate::test_overflow_is_a_domain_error pins the three overflow messages.
+        kw = dict(scaling_class=cls, params=D2H1, n_samples=200, seed=3) | kw
+        with pytest.raises(DomainError) as info:
+            ens.generate(EnsembleSpec(**kw))
+        assert str(info.value) == message
+
+    def test_the_first_bad_sample_of_a_block_is_named(self):
+        # Seed 2, sigma 300: sample 83's noise underflows to Y = 0.0, and sample 96's exp(sigma * z) overflows.
+        s = spec(n_samples=300, seed=2, noise_sigma=300.0)
+        assert 300.0 * reference_draws(2, 83)[1] < -745 < 710 < 300.0 * reference_draws(2, 96)[1]
+        with pytest.raises(DomainError) as info:
+            ens.generate(s)
+        assert str(info.value) == "samples must be finite and positive, got N=645636.4756972234, Y=0.0"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--class", "interaction", "--nmin", "1e200", "--nmax", "1e300"],
+         "samples must be finite and positive: the class law or the noise overflows"),
+        # No exp overflows, so the column pass reaches numpy's multiply, which overflows to inf.
+        (["--class", "linear_consumption", "--nmin", "1e300", "--nmax", "1e308", "--noise", "1"],
+         "samples must be finite and positive, got N=7.651656887468941e+307, Y=inf"),
+    ], ids=["class-law", "law-times-noise"])
+    def test_an_overflow_warns_nothing(self, flags, message):
+        # Every warning an error: no numpy RuntimeWarning of the column pass escapes its errstate.
+        argv = [sys.executable, "-W", "error", "-m", "commscale", "ensemble", "--D", "2", "--H", "1", "--seed", "3"]
+        proc = subprocess.run([*argv, *flags], capture_output=True, text=True, env=_child_env(PYTHONPATH=str(SRC)))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
 
 def numpy_normal_from_word(word):

@@ -2,10 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from commscale import ensemble as ens
 from commscale import meanfield as mf
 from commscale.ensemble import CompareReport, EnsembleSpec, model_value
 from commscale.errors import DomainError, UnsupportedConfigError
@@ -339,6 +341,45 @@ class TestClassKernels:
         got = mf._LAWS[cls].kernel(p)(pop.N_I, pop.N_0)
         assert got.hex() == composed_value(cls, pop, p).hex() == written_out_value(cls, pop.N_I, pop.N_0, p).hex()
         assert got.hex() == model_value(cls, N, share, p).hex()
+
+
+class TestColumnKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cls=st.sampled_from(list(ScalingClass)),
+        D=st.integers(1, 4),
+        H_share=st.floats(0.0, 1.0),
+        couplings=st.tuples(*[positive] * 5),
+        g_I=st.floats(1e-6, 1.0),
+        Ns=st.lists(st.floats(1e-3, 1e150), min_size=1, max_size=40),
+        share=st.one_of(st.just(0.0), st.just(1 - 2**-53), st.floats(0.0, 1 - 2**-53)),
+    )
+    @example(cls=ScalingClass.INTERACTION, D=2, H_share=0.5, couplings=(1.0,) * 5, g_I=1.0, Ns=[1e-3, 1.0, 1e150],
+             share=0.25)
+    # A power that overflows in one cell, a division by an infrastructure volume that underflows to 0 (L**2), and
+    # at H = 0 a volume that overflows in one cell, whose power H/D = 0 would read inf as 1.
+    @example(cls=ScalingClass.INTERACTION, D=2, H_share=0.5, couplings=(1.0,) * 5, g_I=1.0, Ns=[1.0, 1e200, 2.0],
+             share=0.0)
+    @example(cls=ScalingClass.INTERACTION, D=3, H_share=1 / 3, couplings=(1.0,) * 4 + (1e-300,), g_I=1.0, Ns=[5.0],
+             share=0.0)
+    @example(cls=ScalingClass.INTERACTION, D=2, H_share=0.0, couplings=(1e300,) + (1.0,) * 4, g_I=1.0, Ns=[1.0, 1e10],
+             share=0.0)
+    def test_cells_equal_the_scalar_kernel(self, cls, D, H_share, couplings, g_I, Ns, share):
+        # generate runs a block's kernel over float64 columns, with libm's pow mapped over the cells; every cell must carry
+        # the bits of the scalar kernel, and a cell that fails alone must fail the column, which generate reruns.
+        g_Y, G_Y, c_Y, v_Y, L = couplings
+        p = params(D, D * H_share, g_I=g_I, g_Y=g_Y, G_Y=G_Y, c_Y=c_Y, v_Y=v_Y, L=L)
+        n0 = [share * N for N in Ns]
+        ni = [N - x for N, x in zip(Ns, n0)]
+        law = mf._LAWS[cls]
+        cells = [_outcome(lambda: law.kernel(p)(a, b)) for a, b in zip(ni, n0)]
+        with np.errstate(all="ignore"):
+            column = _outcome(lambda: law.kernel(p, lambda x, e: ens._cells(pow, x, e))(np.array(ni), np.array(n0)))
+        if all(type(cell) is float for cell in cells):
+            assert [cell.hex() for cell in column.tolist()] == [cell.hex() for cell in cells]
+            assert [cell.hex() for cell in cells] == [written_out_value(cls, a, b, p).hex() for a, b in zip(ni, n0)]
+        else:
+            assert type(column) is tuple or not ((column > 0) & (column < math.inf)).all()
 
 
 @pytest.mark.parametrize(
